@@ -37,6 +37,11 @@ Point2D manhattan_median(std::span<const Point2D> terminals,
   return {weighted_median(std::move(xs)), weighted_median(std::move(ys))};
 }
 
+/// distance(a, b, Norm::kEuclidean), without the per-call norm dispatch.
+double euclidean_distance(Point2D a, Point2D b) {
+  return std::hypot(a.x - b.x, a.y - b.y);
+}
+
 Point2D euclidean_weiszfeld(std::span<const Point2D> terminals,
                             std::span<const double> weights,
                             const WeiszfeldOptions& options) {
@@ -53,10 +58,9 @@ Point2D euclidean_weiszfeld(std::span<const Point2D> terminals,
   for (int it = 0; it < options.max_iterations; ++it) {
     Point2D num{0.0, 0.0};
     double den = 0.0;
-    Point2D pull{0.0, 0.0};  // net pull when x sits exactly on a terminal
-    double anchor_weight = 0.0;
+    double anchor_weight = 0.0;  // weight of the terminal x sits on, if any
     for (std::size_t i = 0; i < terminals.size(); ++i) {
-      const double d = distance(x, terminals[i], Norm::kEuclidean);
+      const double d = euclidean_distance(x, terminals[i]);
       if (d < 1e-12) {
         anchor_weight = weights[i];
         continue;
@@ -64,13 +68,21 @@ Point2D euclidean_weiszfeld(std::span<const Point2D> terminals,
       const double c = weights[i] / d;
       num += c * terminals[i];
       den += c;
-      pull += (weights[i] / d) * (terminals[i] - x);
     }
     if (den == 0.0) break;  // all terminals coincide with x
     Point2D next = num / den;
     if (anchor_weight > 0.0) {
       // Kuhn's rule: x coincides with terminal t of weight w. t is optimal
-      // iff ||pull|| <= w; otherwise step away along the pull direction.
+      // iff ||pull|| <= w, where pull is the net pull of the other
+      // terminals; otherwise step away along the pull direction. Only this
+      // rare case needs the pull, so it is summed here, in the same order
+      // as the sweep above.
+      Point2D pull{0.0, 0.0};
+      for (std::size_t i = 0; i < terminals.size(); ++i) {
+        const double d = euclidean_distance(x, terminals[i]);
+        if (d < 1e-12) continue;
+        pull += (weights[i] / d) * (terminals[i] - x);
+      }
       const double pull_len = std::hypot(pull.x, pull.y);
       if (pull_len <= anchor_weight) return x;
       const double step = (pull_len - anchor_weight) / den;
@@ -136,7 +148,13 @@ Point2D weighted_geometric_median(std::span<const Point2D> terminals,
   // cost must tie (not slightly exceed) the unmerged implementation.
   double best_cost = fermat_weber_cost(best, terminals, weights, norm);
   for (const Point2D& t : terminals) {
-    const double c = fermat_weber_cost(t, terminals, weights, norm);
+    // fermat_weber_cost(t, ...), abandoned once the partial sum reaches
+    // best_cost: adding nonnegative terms never decreases it, so t could
+    // no longer win.
+    double c = 0.0;
+    for (std::size_t i = 0; i < terminals.size() && c < best_cost; ++i) {
+      c += weights[i] * distance(t, terminals[i], norm);
+    }
     if (c < best_cost) {
       best_cost = c;
       best = t;

@@ -29,6 +29,7 @@
 #include <future>
 #include <mutex>
 #include <queue>
+#include <span>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -138,8 +139,14 @@ inline std::size_t resolve_thread_count(int n) {
 /// is a pool task and the caller blocks on the futures in order, so the
 /// reduction order downstream is identical either way. Exceptions from f
 /// propagate to the caller (rethrown from the first failing index).
+///
+/// `submit_order`, when non-empty, is a permutation of [0, n) giving the
+/// order in which the tasks are queued -- e.g. longest first, so the pool
+/// does not idle at the end behind a long task queued last. It changes
+/// only scheduling: the results still come back in index order.
 template <typename F>
-auto parallel_map_ordered(ThreadPool* pool, std::size_t n, F&& f)
+auto parallel_map_ordered(ThreadPool* pool, std::size_t n, F&& f,
+                          std::span<const std::size_t> submit_order = {})
     -> std::vector<std::invoke_result_t<F, std::size_t>> {
   using R = std::invoke_result_t<F, std::size_t>;
   std::vector<R> out;
@@ -148,10 +155,10 @@ auto parallel_map_ordered(ThreadPool* pool, std::size_t n, F&& f)
     for (std::size_t i = 0; i < n; ++i) out.push_back(f(i));
     return out;
   }
-  std::vector<std::future<R>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(pool->submit([&f, i] { return f(i); }));
+  std::vector<std::future<R>> futures(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t i = submit_order.empty() ? k : submit_order[k];
+    futures[i] = pool->submit([&f, i] { return f(i); });
   }
   for (std::future<R>& fut : futures) out.push_back(fut.get());
   return out;

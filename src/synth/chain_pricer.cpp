@@ -14,21 +14,6 @@ namespace {
 constexpr double kCoincideEps = 1e-9;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Marginal per-length slope of carrying bandwidth b (see merging_pricer).
-double length_slope_for(double b, const commlib::Library& lib) {
-  const bool can_bundle =
-      lib.cheapest_node(commlib::NodeKind::kMux).has_value() &&
-      lib.cheapest_node(commlib::NodeKind::kDemux).has_value();
-  double best = kInf;
-  for (const commlib::Link& l : lib.links()) {
-    if (l.bandwidth <= 0.0) continue;
-    const double dup = std::ceil(b / l.bandwidth - 1e-12);
-    if (dup > 1.0 && !can_bundle) continue;
-    best = std::min(best, std::max(dup, 1.0) * l.cost_per_length);
-  }
-  return std::isfinite(best) && best > 0.0 ? best : 1.0;
-}
-
 struct OrderEvaluation {
   std::vector<geom::Point2D> drop_pos;
   double cost{kInf};
@@ -41,7 +26,7 @@ struct OrderEvaluation {
 OrderEvaluation evaluate_order(const geom::Point2D root,
                                const std::vector<geom::Point2D>& spokes,
                                const std::vector<double>& demand,
-                               const commlib::Library& lib, geom::Norm norm,
+                               const PtpCostModel& ptp, geom::Norm norm,
                                model::CapacityPolicy policy,
                                double node_cost, int refine_rounds) {
   const std::size_t k = spokes.size();
@@ -67,13 +52,20 @@ OrderEvaluation evaluate_order(const geom::Point2D root,
   for (std::size_t i = 0; i + 1 < k; ++i) q[i + 1] = spokes[i];
   q[k] = spokes[k - 1];
 
-  // Fermat-Weber re-centering of interior drops.
+  // Fermat-Weber re-centering of interior drops. Drop j is pulled by its
+  // two trunk segments and its own leg, weighted by their length slopes.
+  std::vector<double> seg_slope(k);
+  std::vector<double> leg_slope(k - 1);
+  for (std::size_t j = 0; j < k; ++j) {
+    seg_slope[j] = ptp.length_slope(seg_bw[j]);
+  }
+  for (std::size_t i = 0; i + 1 < k; ++i) {
+    leg_slope[i] = ptp.length_slope(demand[i]);
+  }
   for (int round = 0; round < refine_rounds; ++round) {
     for (std::size_t j = 1; j < k; ++j) {
       const geom::Point2D pts[] = {q[j - 1], q[j + 1], spokes[j - 1]};
-      const double ws[] = {length_slope_for(seg_bw[j - 1], lib),
-                           length_slope_for(seg_bw[j], lib),
-                           length_slope_for(demand[j - 1], lib)};
+      const double ws[] = {seg_slope[j - 1], seg_slope[j], leg_slope[j - 1]};
       q[j] = geom::weighted_geometric_median(pts, ws, norm);
     }
   }
@@ -82,16 +74,16 @@ OrderEvaluation evaluate_order(const geom::Point2D root,
   double cost = 0.0;
   out.segments.reserve(k);
   for (std::size_t j = 0; j < k; ++j) {
-    const auto plan = best_point_to_point(
-        geom::distance(q[j], q[j + 1], norm), seg_bw[j], lib);
+    const auto plan =
+        ptp.plan(geom::distance(q[j], q[j + 1], norm), seg_bw[j]);
     if (!plan) return out;  // cost stays infinite
     cost += plan->cost;
     out.segments.push_back(*plan);
   }
   out.legs.reserve(k - 1);
   for (std::size_t i = 0; i + 1 < k; ++i) {
-    const auto leg = best_point_to_point(
-        geom::distance(q[i + 1], spokes[i], norm), demand[i], lib);
+    const auto leg =
+        ptp.plan(geom::distance(q[i + 1], spokes[i], norm), demand[i]);
     if (!leg) return out;
     cost += leg->cost;
     out.legs.push_back(*leg);
@@ -145,6 +137,7 @@ std::optional<ChainPlan> price_chain_merging(const model::ConstraintGraph& cg,
   const auto drop_node = library.cheapest_node(drop_kind);
   if (!drop_node) return std::nullopt;
   const double node_cost = library.node(*drop_node).cost;
+  const PtpCostModel ptp(library);
 
   std::vector<geom::Point2D> spokes;
   std::vector<double> demands;
@@ -166,7 +159,7 @@ std::optional<ChainPlan> price_chain_merging(const model::ConstraintGraph& cg,
       sp.push_back(spokes[i]);
       dm.push_back(demands[i]);
     }
-    return evaluate_order(root, sp, dm, library, norm, policy, node_cost,
+    return evaluate_order(root, sp, dm, ptp, norm, policy, node_cost,
                           options.refine_rounds);
   };
 

@@ -1,8 +1,10 @@
 #include "synth/merging_pricer.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <vector>
 
 #include "geom/minimize.hpp"
 #include "geom/weiszfeld.hpp"
@@ -19,22 +21,30 @@ bool all_coincide(const std::vector<geom::Point2D>& pts) {
   });
 }
 
-/// Marginal cost per unit length of the cheapest realization carrying
-/// bandwidth b: min over links of dup(b, l) * cost_per_length(l), where
-/// dup is the duplication factor (only available when the library has
-/// mux/demux-capable nodes). Under a linear cost model this slope is EXACT
-/// -- the leg cost is slope * length plus span-independent node constants --
-/// so the placement problem becomes a weighted Fermat-Weber instance.
-/// For general libraries it is the Weiszfeld warm-start weight.
-double length_slope(double b, const commlib::Library& lib, bool can_bundle) {
-  double best = std::numeric_limits<double>::infinity();
-  for (const commlib::Link& l : lib.links()) {
-    if (l.bandwidth <= 0.0) continue;
-    const double dup = std::ceil(b / l.bandwidth - 1e-12);
-    if (dup > 1.0 && !can_bundle) continue;
-    best = std::min(best, std::max(dup, 1.0) * l.cost_per_length);
+/// Bitwise equality (not ==, which equates 0.0 and -0.0).
+bool same_bits(geom::Point2D a, geom::Point2D b) {
+  using Bits = std::array<std::uint64_t, 2>;
+  return std::bit_cast<Bits>(a) == std::bit_cast<Bits>(b);
+}
+
+/// Runs up to `half_steps` alternating placement half-steps, hub first:
+/// hub = hub_step(), split = split_step(), hub = hub_step(), ... Each
+/// half-step moves only its own endpoint and is a pure, idempotent function
+/// of the current endpoints. When half-step t >= 1 returns its input, the
+/// state is still the one half-step t-1 produced, so half-step t+1 (the
+/// same kind as t-1) returns its input too, and so does every later one:
+/// stopping there yields exactly the endpoints of the full run.
+template <typename HubStep, typename SplitStep>
+void alternate_to_fixpoint(geom::Point2D& hub, geom::Point2D& split,
+                           int half_steps, HubStep hub_step,
+                           SplitStep split_step) {
+  for (int t = 0; t < half_steps; ++t) {
+    geom::Point2D& moved = t % 2 == 0 ? hub : split;
+    const geom::Point2D next = t % 2 == 0 ? hub_step() : split_step();
+    const bool fixpoint = t > 0 && same_bits(next, moved);
+    moved = next;
+    if (fixpoint) return;
   }
-  return std::isfinite(best) && best > 0.0 ? best : 1.0;
 }
 
 }  // namespace
@@ -84,17 +94,17 @@ std::optional<MergingPlan> price_merging(const model::ConstraintGraph& cg,
 
   // Variable cost as a function of the two trunk endpoints. Node costs are
   // constants and added at the end.
+  const PtpCostModel ptp(library);
   auto legs_cost = [&](geom::Point2D hub, geom::Point2D split) {
-    double total = best_point_to_point_cost(
-        geom::distance(hub, split, norm), plan.trunk_bandwidth, library);
+    double total =
+        ptp.cost(geom::distance(hub, split, norm), plan.trunk_bandwidth);
     for (std::size_t i = 0; i < subset.size(); ++i) {
       if (plan.has_hub) {
-        total += best_point_to_point_cost(
-            geom::distance(sources[i], hub, norm), bandwidths[i], library);
+        total += ptp.cost(geom::distance(sources[i], hub, norm), bandwidths[i]);
       }
       if (plan.has_split) {
-        total += best_point_to_point_cost(
-            geom::distance(split, targets[i], norm), bandwidths[i], library);
+        total +=
+            ptp.cost(geom::distance(split, targets[i], norm), bandwidths[i]);
       }
     }
     return total;
@@ -105,48 +115,50 @@ std::optional<MergingPlan> price_merging(const model::ConstraintGraph& cg,
   geom::Point2D split = targets.front();
 
   if (plan.has_hub || plan.has_split) {
-    const bool can_bundle =
-        library.cheapest_node(commlib::NodeKind::kMux).has_value() &&
-        library.cheapest_node(commlib::NodeKind::kDemux).has_value();
-    const double trunk_w =
-        length_slope(plan.trunk_bandwidth, library, can_bundle);
-    std::vector<double> leg_w;
-    leg_w.reserve(bandwidths.size());
-    for (double b : bandwidths) {
-      leg_w.push_back(length_slope(b, library, can_bundle));
-    }
-
     // Weiszfeld placement: each free endpoint is pulled by its own legs
     // plus the trunk toward the opposite endpoint. Exact for linear cost
-    // models; a warm start otherwise.
-    auto weiszfeld_hub = [&]() {
-      std::vector<geom::Point2D> pts = sources;
-      std::vector<double> ws = leg_w;
-      pts.push_back(split);
-      ws.push_back(trunk_w);
-      return geom::weighted_geometric_median(pts, ws, norm);
+    // models; a warm start otherwise. Both instances share the weights
+    // (leg slopes, then the trunk slope); the last terminal of each point
+    // buffer is the opposite endpoint, rewritten before every solve.
+    std::vector<double> weights;
+    weights.reserve(bandwidths.size() + 1);
+    for (double b : bandwidths) weights.push_back(ptp.length_slope(b));
+    weights.push_back(ptp.length_slope(plan.trunk_bandwidth));
+    std::vector<geom::Point2D> hub_terminals = sources;
+    hub_terminals.push_back(split);
+    std::vector<geom::Point2D> split_terminals = targets;
+    split_terminals.push_back(hub);
+    auto weiszfeld_hub = [&] {
+      hub_terminals.back() = split;
+      return geom::weighted_geometric_median(hub_terminals, weights, norm);
     };
-    auto weiszfeld_split = [&]() {
-      std::vector<geom::Point2D> pts = targets;
-      std::vector<double> ws = leg_w;
-      pts.push_back(hub);
-      ws.push_back(trunk_w);
-      return geom::weighted_geometric_median(pts, ws, norm);
+    auto weiszfeld_split = [&] {
+      split_terminals.back() = hub;
+      return geom::weighted_geometric_median(split_terminals, weights, norm);
     };
-    if (plan.has_hub) hub = weiszfeld_hub();
-    if (plan.has_split) split = weiszfeld_split();
 
-    const int rounds = (plan.has_hub && plan.has_split) ? 3 : 1;
-    if (library.linear_cost_model()) {
-      // Leg costs are exactly slope * length + constants: alternating
-      // Weiszfeld solves each coordinate block to optimality.
-      for (int r = 1; r < rounds; ++r) {
-        if (plan.has_hub) hub = weiszfeld_hub();
-        if (plan.has_split) split = weiszfeld_split();
-      }
+    // With both endpoints free, up to 3 rounds of alternation (6
+    // half-steps), stopped at the first fixpoint. Under a linear cost
+    // model leg costs are exactly slope * length + constants, so
+    // alternating Weiszfeld solves each endpoint to optimality; other
+    // libraries take only the first round, as the seed of the search below.
+    const bool both = plan.has_hub && plan.has_split;
+    constexpr int kHalfSteps = 6;
+    if (both) {
+      alternate_to_fixpoint(hub, split,
+                            library.linear_cost_model() ? kHalfSteps : 2,
+                            weiszfeld_hub, weiszfeld_split);
+    } else if (plan.has_hub) {
+      hub = weiszfeld_hub();
     } else {
+      split = weiszfeld_split();
+    }
+
+    if (!library.linear_cost_model()) {
       // Segmented / fixed-cost libraries make the objective piecewise;
       // refine the Weiszfeld seed with a bounded derivative-free search.
+      // A half-step keeps its endpoint unless the search finds a value no
+      // worse than the current one.
       geom::BBox box;
       for (geom::Point2D p : sources) box.expand(p);
       for (geom::Point2D p : targets) box.expand(p);
@@ -155,19 +167,22 @@ std::optional<MergingPlan> price_merging(const model::ConstraintGraph& cg,
       nm.max_iterations = 150;
       nm.restarts = 1;
       nm.tolerance = 1e-8;
-      for (int r = 0; r < rounds; ++r) {
-        if (plan.has_hub) {
-          auto f = [&](geom::Point2D h) { return legs_cost(h, split); };
-          const geom::MinimizeResult2D res =
-              geom::minimize_in_box(f, box, 6, nm);
-          if (res.value <= legs_cost(hub, split)) hub = res.x;
-        }
-        if (plan.has_split) {
-          auto f = [&](geom::Point2D s) { return legs_cost(hub, s); };
-          const geom::MinimizeResult2D res =
-              geom::minimize_in_box(f, box, 6, nm);
-          if (res.value <= legs_cost(hub, split)) split = res.x;
-        }
+      auto search_hub = [&] {
+        const geom::MinimizeResult2D res = geom::minimize_in_box(
+            [&](geom::Point2D h) { return legs_cost(h, split); }, box, 6, nm);
+        return res.value <= legs_cost(hub, split) ? res.x : hub;
+      };
+      auto search_split = [&] {
+        const geom::MinimizeResult2D res = geom::minimize_in_box(
+            [&](geom::Point2D s) { return legs_cost(hub, s); }, box, 6, nm);
+        return res.value <= legs_cost(hub, split) ? res.x : split;
+      };
+      if (both) {
+        alternate_to_fixpoint(hub, split, kHalfSteps, search_hub, search_split);
+      } else if (plan.has_hub) {
+        hub = search_hub();
+      } else {
+        split = search_split();
       }
     }
   }
@@ -178,8 +193,7 @@ std::optional<MergingPlan> price_merging(const model::ConstraintGraph& cg,
   // Materialize the leg plans at the chosen positions.
   double cost = 0.0;
   const double trunk_span = geom::distance(hub, split, norm);
-  std::optional<PtpPlan> trunk =
-      best_point_to_point(trunk_span, plan.trunk_bandwidth, library);
+  std::optional<PtpPlan> trunk = ptp.plan(trunk_span, plan.trunk_bandwidth);
   if (!trunk) return std::nullopt;
   plan.trunk = trunk;
   cost += trunk->cost;
@@ -188,15 +202,15 @@ std::optional<MergingPlan> price_merging(const model::ConstraintGraph& cg,
   plan.egress.resize(subset.size());
   for (std::size_t i = 0; i < subset.size(); ++i) {
     if (plan.has_hub) {
-      auto leg = best_point_to_point(geom::distance(sources[i], hub, norm),
-                                     bandwidths[i], library);
+      auto leg =
+          ptp.plan(geom::distance(sources[i], hub, norm), bandwidths[i]);
       if (!leg) return std::nullopt;
       cost += leg->cost;
       plan.ingress[i] = leg;
     }
     if (plan.has_split) {
-      auto leg = best_point_to_point(geom::distance(split, targets[i], norm),
-                                     bandwidths[i], library);
+      auto leg =
+          ptp.plan(geom::distance(split, targets[i], norm), bandwidths[i]);
       if (!leg) return std::nullopt;
       cost += leg->cost;
       plan.egress[i] = leg;

@@ -1,8 +1,10 @@
 #include "synth/partitioned_synthesizer.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -102,6 +104,24 @@ void merge_stats(GenerationStats& into, const GenerationStats& from,
   into.pricing_cache_misses += from.pricing_cache_misses;
 }
 
+/// The bound is a sum of per-cluster bounds, the cost a sum over the
+/// assembled implementation; the two sums round differently, so an exact
+/// bound can land a few ulps above the cost it bounds. An excess within
+/// 1e-12 relative is that rounding and the reported bound is clamped to
+/// the cost. A larger excess is a bug: it is counted in
+/// partition.bound_excess and the bound is left as computed, in view.
+void clamp_bound_to_cost(SynthesisResult& result) {
+  const double cost = result.total_cost;
+  DegradationReport& deg = result.degradation;
+  if (!(deg.lower_bound > cost)) return;
+  if (deg.lower_bound - cost <= 1e-12 * std::abs(cost)) {
+    deg.lower_bound = cost;
+    result.cover.lower_bound = cost;
+  } else {
+    support::MetricsRegistry::global().counter("partition.bound_excess").add(1);
+  }
+}
+
 }  // namespace
 
 bool partitioning_applies(const model::ConstraintGraph& cg,
@@ -177,6 +197,17 @@ support::Expected<SynthesisResult> synthesize_partitioned(
   std::unique_ptr<support::ThreadPool> pool;
   if (workers > 1) pool = std::make_unique<support::ThreadPool>(workers);
 
+  // Largest clusters first: the heavy boundary-repair clusters come last in
+  // index order, and queued last they leave the pool idling at the end of
+  // the run behind them. Ties keep index order.
+  std::vector<std::size_t> largest_first(part.clusters.size());
+  std::iota(largest_first.begin(), largest_first.end(), std::size_t{0});
+  std::stable_sort(largest_first.begin(), largest_first.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return part.clusters[a].arcs.size() >
+                            part.clusters[b].arcs.size();
+                   });
+
   std::vector<support::Expected<ClusterOutcome>> outcomes =
       support::parallel_map_ordered(
           pool.get(), part.clusters.size(),
@@ -206,7 +237,8 @@ support::Expected<SynthesisResult> synthesize_partitioned(
             out.cover = std::move(covered->cover);
             out.degradation = std::move(covered->degradation);
             return out;
-          });
+          },
+          largest_first);
 
   // Stitch in cluster order (deterministic regardless of which worker ran
   // which cluster: parallel_map_ordered hands results back in index order).
@@ -269,6 +301,7 @@ support::Expected<SynthesisResult> synthesize_partitioned(
       "{\"stage\":\"" + std::string(to_string(deg.stage)) + "\"}");
 
   assemble_and_validate(cg, library, options, result);
+  clamp_bound_to_cost(result);
   registry.counter("synth.runs").add(1);
   return result;
 }

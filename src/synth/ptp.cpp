@@ -1,8 +1,10 @@
 #include "synth/ptp.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "sim/delay.hpp"
 
@@ -23,16 +25,22 @@ int robust_ceil_div(double a, double b) {
 
 }  // namespace
 
-std::optional<PtpPlan> best_point_to_point(double span, double bandwidth,
-                                           const commlib::Library& library,
-                                           const DelayConstraint* delay) {
-  std::optional<PtpPlan> best;
-  const auto repeater = library.cheapest_node(commlib::NodeKind::kRepeater);
-  const auto mux = library.cheapest_node(commlib::NodeKind::kMux);
-  const auto demux = library.cheapest_node(commlib::NodeKind::kDemux);
+PtpCostModel::PtpCostModel(const commlib::Library& library)
+    : library_(&library),
+      repeater_(library.cheapest_node(commlib::NodeKind::kRepeater)),
+      mux_(library.cheapest_node(commlib::NodeKind::kMux)),
+      demux_(library.cheapest_node(commlib::NodeKind::kDemux)) {
+  if (repeater_) repeater_cost_ = library.node(*repeater_).cost;
+  if (mux_) mux_cost_ = library.node(*mux_).cost;
+  if (demux_) demux_cost_ = library.node(*demux_).cost;
+}
 
-  for (commlib::LinkIndex li = 0; li < library.links().size(); ++li) {
-    const commlib::Link& l = library.link(li);
+std::optional<PtpCostModel::Choice> PtpCostModel::choose(
+    double span, double bandwidth, const DelayConstraint* delay) const {
+  std::optional<Choice> best;
+  const std::vector<commlib::Link>& links = library_->links();
+  for (commlib::LinkIndex li = 0; li < links.size(); ++li) {
+    const commlib::Link& l = links[li];
     if (l.bandwidth <= 0.0) continue;
 
     // K: segments needed to span the distance with this link type.
@@ -44,8 +52,8 @@ std::optional<PtpPlan> best_point_to_point(double span, double bandwidth,
     // M: parallel branches needed to cover the bandwidth.
     const int m = std::max(1, robust_ceil_div(bandwidth, l.bandwidth));
 
-    if (k > 1 && !repeater) continue;  // no way to chain links
-    if (m > 1 && (!mux || !demux)) continue;  // no way to bundle links
+    if (k > 1 && !repeater_) continue;  // no way to chain links
+    if (m > 1 && !can_bundle()) continue;  // no way to bundle links
     if (delay != nullptr &&
         delay->model->link_delay_per_length * span +
                 delay->model->node_delay * (k - 1) >
@@ -58,8 +66,8 @@ std::optional<PtpPlan> best_point_to_point(double span, double bandwidth,
     // component once per piece.
     const double branch_links = l.cost_per_length * span + l.fixed_cost * k;
     double cost = m * branch_links;
-    if (k > 1) cost += m * (k - 1) * library.node(*repeater).cost;
-    if (m > 1) cost += library.node(*mux).cost + library.node(*demux).cost;
+    if (k > 1) cost += m * (k - 1) * repeater_cost_;
+    if (m > 1) cost += mux_cost_ + demux_cost_;
 
     // Ties (e.g. two bundled radios vs one optical at the same $/km) break
     // toward the structurally simplest plan: fewest parallel branches, then
@@ -70,25 +78,52 @@ std::optional<PtpPlan> best_point_to_point(double span, double bandwidth,
          (m < best->parallel ||
           (m == best->parallel && k < best->segments)));
     if (better) {
-      best = PtpPlan{.link = li,
-                     .segments = k,
-                     .parallel = m,
-                     .repeater = k > 1 ? repeater : std::nullopt,
-                     .mux = m > 1 ? mux : std::nullopt,
-                     .demux = m > 1 ? demux : std::nullopt,
-                     .span = span,
-                     .bandwidth = bandwidth,
-                     .cost = cost};
+      best = Choice{.link = li, .segments = k, .parallel = m, .cost = cost};
     }
   }
   return best;
 }
 
+std::optional<PtpPlan> PtpCostModel::plan(double span, double bandwidth,
+                                          const DelayConstraint* delay) const {
+  const std::optional<Choice> c = choose(span, bandwidth, delay);
+  if (!c) return std::nullopt;
+  return PtpPlan{.link = c->link,
+                 .segments = c->segments,
+                 .parallel = c->parallel,
+                 .repeater = c->segments > 1 ? repeater_ : std::nullopt,
+                 .mux = c->parallel > 1 ? mux_ : std::nullopt,
+                 .demux = c->parallel > 1 ? demux_ : std::nullopt,
+                 .span = span,
+                 .bandwidth = bandwidth,
+                 .cost = c->cost};
+}
+
+double PtpCostModel::cost(double span, double bandwidth) const {
+  const std::optional<Choice> c = choose(span, bandwidth, nullptr);
+  return c ? c->cost : std::numeric_limits<double>::infinity();
+}
+
+double PtpCostModel::length_slope(double bandwidth) const {
+  double best = std::numeric_limits<double>::infinity();
+  for (const commlib::Link& l : library_->links()) {
+    if (l.bandwidth <= 0.0) continue;
+    const double dup = std::ceil(bandwidth / l.bandwidth - 1e-12);
+    if (dup > 1.0 && !can_bundle()) continue;
+    best = std::min(best, std::max(dup, 1.0) * l.cost_per_length);
+  }
+  return std::isfinite(best) && best > 0.0 ? best : 1.0;
+}
+
+std::optional<PtpPlan> best_point_to_point(double span, double bandwidth,
+                                           const commlib::Library& library,
+                                           const DelayConstraint* delay) {
+  return PtpCostModel(library).plan(span, bandwidth, delay);
+}
+
 double best_point_to_point_cost(double span, double bandwidth,
                                 const commlib::Library& library) {
-  const std::optional<PtpPlan> plan =
-      best_point_to_point(span, bandwidth, library);
-  return plan ? plan->cost : std::numeric_limits<double>::infinity();
+  return PtpCostModel(library).cost(span, bandwidth);
 }
 
 std::vector<std::string> check_assumption_2_1(

@@ -49,17 +49,68 @@ struct PtpPlan {
   bool is_matching() const { return segments == 1 && parallel == 1; }
 };
 
-/// Cheapest plan implementing (span, bandwidth) with `library`, or nullopt
-/// when the library cannot implement it at all (e.g. span exceeds every
-/// link's reach and no repeater exists, or bandwidth exceeds every link and
-/// no mux/demux exists). With a DelayConstraint, only delay-feasible plans
-/// qualify (nullopt when none exists).
+/// The point-to-point optimizer bound to one library: the cheapest
+/// repeater, mux and demux are looked up once at construction instead of on
+/// every query. Pricing loops that evaluate thousands of legs against the
+/// same library (the placement objectives of the mergings) build one model
+/// per call and query `cost`, which allocates nothing. The library must
+/// outlive the model.
+class PtpCostModel {
+ public:
+  explicit PtpCostModel(const commlib::Library& library);
+
+  /// Cheapest plan implementing (span, bandwidth), or nullopt when the
+  /// library cannot implement it at all (e.g. span exceeds every link's
+  /// reach and no repeater exists, or bandwidth exceeds every link and no
+  /// mux/demux exists). With a DelayConstraint, only delay-feasible plans
+  /// qualify (nullopt when none exists).
+  std::optional<PtpPlan> plan(double span, double bandwidth,
+                              const DelayConstraint* delay = nullptr) const;
+
+  /// plan(span, bandwidth)->cost, or +infinity when infeasible.
+  double cost(double span, double bandwidth) const;
+
+  /// Marginal cost per unit length of the cheapest realization carrying
+  /// `bandwidth`: min over links of dup * cost_per_length, where dup is
+  /// the duplication factor (above 1 only when parallel links can be
+  /// bundled). Under a linear cost model this slope is EXACT -- a leg's
+  /// cost is slope * length plus span-independent node constants -- so
+  /// placing merging nodes becomes a weighted Fermat-Weber instance. For
+  /// general libraries it is the Weiszfeld warm-start weight. Falls back
+  /// to 1 when no link qualifies or the slope is zero.
+  double length_slope(double bandwidth) const;
+
+ private:
+  /// True when the library has both a mux- and a demux-capable node, so
+  /// parallel links can be bundled.
+  bool can_bundle() const { return mux_.has_value() && demux_.has_value(); }
+
+  struct Choice {
+    commlib::LinkIndex link{0};
+    int segments{1};
+    int parallel{1};
+    double cost{0.0};
+  };
+  /// The one evaluation loop behind plan() and cost().
+  std::optional<Choice> choose(double span, double bandwidth,
+                               const DelayConstraint* delay) const;
+
+  const commlib::Library* library_;
+  std::optional<commlib::NodeIndex> repeater_;
+  std::optional<commlib::NodeIndex> mux_;
+  std::optional<commlib::NodeIndex> demux_;
+  double repeater_cost_{0.0};
+  double mux_cost_{0.0};
+  double demux_cost_{0.0};
+};
+
+/// PtpCostModel(library).plan(span, bandwidth, delay), for one-off queries.
 std::optional<PtpPlan> best_point_to_point(
     double span, double bandwidth, const commlib::Library& library,
     const DelayConstraint* delay = nullptr);
 
 /// C(P(a)) of the optimum point-to-point implementation, +infinity when
-/// infeasible. Convenience wrapper used by pricing loops.
+/// infeasible: PtpCostModel(library).cost(span, bandwidth).
 double best_point_to_point_cost(double span, double bandwidth,
                                 const commlib::Library& library);
 

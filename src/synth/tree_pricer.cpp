@@ -159,12 +159,13 @@ std::optional<TreePlan> price_tree_merging(const model::ConstraintGraph& cg,
   }
 
   // Price the edges.
+  const PtpCostModel ptp(library);
   double cost = 0.0;
   for (std::size_t i = 1; i < tree.bfs.size(); ++i) {
     const std::size_t v = tree.bfs[i];
     const std::size_t p = tree.parent[v];
-    const auto edge_plan = best_point_to_point(
-        geom::distance(tree.pos[p], tree.pos[v], norm), pulled[v], library);
+    const auto edge_plan =
+        ptp.plan(geom::distance(tree.pos[p], tree.pos[v], norm), pulled[v]);
     if (!edge_plan) return std::nullopt;
     cost += edge_plan->cost;
     plan.edges.push_back(TreePlan::Edge{p, v, pulled[v], *edge_plan});
@@ -187,7 +188,7 @@ std::optional<TreePlan> price_tree_merging(const model::ConstraintGraph& cg,
   plan.drop.resize(subset.size());
   for (std::size_t i = 0; i < subset.size(); ++i) {
     if (plan.is_junction[plan.spoke_vertex[i]]) {
-      const auto drop_plan = best_point_to_point(0.0, demand[i], library);
+      const auto drop_plan = ptp.plan(0.0, demand[i]);
       if (!drop_plan) return std::nullopt;
       cost += drop_plan->cost;
       plan.drop[i] = drop_plan;

@@ -37,8 +37,7 @@ CoverSolution solve_dp(const CoverProblem& problem,
     return sol;
   }
 
-  // Column row-masks, deduplicated to the cheapest column per mask (an
-  // exact reduction: identical coverage at higher weight is never useful).
+  // Column row-masks.
   const std::size_t num_cols = problem.num_columns();
   std::vector<std::uint32_t> col_mask(num_cols, 0);
   for (std::size_t j = 0; j < num_cols; ++j) {
@@ -46,19 +45,47 @@ CoverSolution solve_dp(const CoverProblem& problem,
       col_mask[j] |= (std::uint32_t{1} << r);
     });
   }
-  // Per-row: columns covering it, cheapest-first (better pruning locality).
-  std::vector<std::vector<std::uint32_t>> cols_of_row(rows);
+
+  // Per-row column lists, cheapest-first (better pruning locality), stored
+  // flat: row r's entries are entries[row_begin[r] .. row_begin[r + 1]).
+  // A column whose mask repeats that of a column earlier in the order is
+  // dropped -- an exact reduction: it covers the same rows at no lower
+  // weight, so it can never strictly improve a state, and the strict `<`
+  // below would never choose it.
+  struct Entry {
+    double weight;
+    std::uint32_t mask;
+    std::uint32_t column;
+  };
+  std::vector<Entry> entries;
+  std::vector<std::size_t> row_begin(rows + 1, 0);
   {
     std::vector<std::uint32_t> order(num_cols);
     for (std::size_t j = 0; j < num_cols; ++j) order[j] = j;
     std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
       return problem.column(a).weight < problem.column(b).weight;
     });
+    // Direct-address hash over the 2^rows possible masks.
+    std::vector<bool> seen_mask(std::size_t{1} << rows, false);
+    std::vector<std::uint32_t> kept;
+    kept.reserve(num_cols);
     for (std::uint32_t j : order) {
-      for (std::size_t r = 0; r < rows; ++r) {
-        if (col_mask[j] & (std::uint32_t{1} << r)) {
-          cols_of_row[r].push_back(j);
-        }
+      if (seen_mask[col_mask[j]]) continue;
+      seen_mask[col_mask[j]] = true;
+      kept.push_back(j);
+    }
+    for (std::uint32_t j : kept) {
+      for (std::uint32_t m = col_mask[j]; m != 0; m &= m - 1) {
+        ++row_begin[static_cast<std::size_t>(std::countr_zero(m)) + 1];
+      }
+    }
+    for (std::size_t r = 0; r < rows; ++r) row_begin[r + 1] += row_begin[r];
+    entries.resize(row_begin[rows]);
+    std::vector<std::size_t> fill(row_begin.begin(), row_begin.end() - 1);
+    for (std::uint32_t j : kept) {
+      const Entry e{problem.column(j).weight, col_mask[j], j};
+      for (std::uint32_t m = col_mask[j]; m != 0; m &= m - 1) {
+        entries[fill[static_cast<std::size_t>(std::countr_zero(m))]++] = e;
       }
     }
   }
@@ -85,16 +112,18 @@ CoverSolution solve_dp(const CoverProblem& problem,
         return sol;
       }
     }
-    const int r = std::countr_zero(m);  // lowest uncovered row must be covered
+    // The lowest uncovered row must be covered by some column.
+    const std::size_t r = std::countr_zero(m);
     double best = kInf;
     std::uint32_t best_col = UINT32_MAX;
-    for (std::uint32_t j : cols_of_row[static_cast<std::size_t>(r)]) {
-      const double w = problem.column(j).weight;
-      if (w >= best) break;  // cheapest-first order: no improvement possible
-      const double rest = dp[m & ~static_cast<std::size_t>(col_mask[j])];
-      if (rest + w < best) {
-        best = rest + w;
-        best_col = j;
+    const Entry* const end = entries.data() + row_begin[r + 1];
+    for (const Entry* e = entries.data() + row_begin[r]; e != end; ++e) {
+      // Cheapest-first order: no later entry can improve.
+      if (e->weight >= best) break;
+      const double rest = dp[m & ~static_cast<std::size_t>(e->mask)];
+      if (rest + e->weight < best) {
+        best = rest + e->weight;
+        best_col = e->column;
       }
     }
     dp[m] = best;

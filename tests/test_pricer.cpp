@@ -1,8 +1,22 @@
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "commlib/standard_libraries.hpp"
+#include "geom/minimize.hpp"
+#include "geom/weiszfeld.hpp"
+#include "synth/canonical_order.hpp"
 #include "synth/merging_pricer.hpp"
 #include "synth/ptp.hpp"
+#include "workloads/lan.hpp"
+#include "workloads/mcm.hpp"
+#include "workloads/mpeg4_soc.hpp"
+#include "workloads/noc_mesh.hpp"
+#include "workloads/wan2002.hpp"
 
 namespace cdcs::synth {
 namespace {
@@ -217,6 +231,163 @@ TEST(Pricer, GeometricallyIdenticalArcsKeepCallerOrder) {
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->arcs[0], ArcId{1});
   EXPECT_EQ(plan->arcs[1], ArcId{0});
+}
+
+// ---------------------------------------------------------------------------
+// Fixpoint-terminated placement. price_merging stops alternating hub and
+// split half-steps once one returns its input bit-for-bit. The reference
+// below is the placement it replaced, kept as the oracle: it always runs
+// the full 3 rounds (Weiszfeld for linear libraries, Weiszfeld seed plus
+// Nelder-Mead otherwise). Hub and split must agree bit-for-bit.
+
+struct Placement {
+  geom::Point2D hub;
+  geom::Point2D split;
+};
+
+Placement reference_placement(const ConstraintGraph& cg,
+                              const commlib::Library& library,
+                              std::vector<ArcId> subset) {
+  canonicalize_subset(cg, subset);
+  const geom::Norm norm = cg.norm();
+  std::vector<geom::Point2D> sources;
+  std::vector<geom::Point2D> targets;
+  std::vector<double> bandwidths;
+  for (ArcId a : subset) {
+    sources.push_back(cg.position(cg.source(a)));
+    targets.push_back(cg.position(cg.target(a)));
+    bandwidths.push_back(cg.bandwidth(a));
+  }
+  auto all_coincide = [](const std::vector<geom::Point2D>& pts) {
+    return std::all_of(pts.begin(), pts.end(), [&](geom::Point2D p) {
+      return geom::almost_equal(p, pts.front(), 1e-9);
+    });
+  };
+  const bool has_hub = !all_coincide(sources);
+  const bool has_split = !all_coincide(targets);
+  double trunk_bandwidth = 0.0;
+  for (double b : bandwidths) trunk_bandwidth += b;  // kSharedSum
+
+  auto legs_cost = [&](geom::Point2D hub, geom::Point2D split) {
+    double total = best_point_to_point_cost(geom::distance(hub, split, norm),
+                                            trunk_bandwidth, library);
+    for (std::size_t i = 0; i < subset.size(); ++i) {
+      if (has_hub) {
+        total += best_point_to_point_cost(
+            geom::distance(sources[i], hub, norm), bandwidths[i], library);
+      }
+      if (has_split) {
+        total += best_point_to_point_cost(
+            geom::distance(split, targets[i], norm), bandwidths[i], library);
+      }
+    }
+    return total;
+  };
+
+  geom::Point2D hub = sources.front();
+  geom::Point2D split = targets.front();
+  if (has_hub || has_split) {
+    const PtpCostModel ptp(library);
+    const double trunk_w = ptp.length_slope(trunk_bandwidth);
+    std::vector<double> leg_w;
+    for (double b : bandwidths) leg_w.push_back(ptp.length_slope(b));
+    auto weiszfeld_hub = [&]() {
+      std::vector<geom::Point2D> pts = sources;
+      std::vector<double> ws = leg_w;
+      pts.push_back(split);
+      ws.push_back(trunk_w);
+      return geom::weighted_geometric_median(pts, ws, norm);
+    };
+    auto weiszfeld_split = [&]() {
+      std::vector<geom::Point2D> pts = targets;
+      std::vector<double> ws = leg_w;
+      pts.push_back(hub);
+      ws.push_back(trunk_w);
+      return geom::weighted_geometric_median(pts, ws, norm);
+    };
+    if (has_hub) hub = weiszfeld_hub();
+    if (has_split) split = weiszfeld_split();
+
+    const int rounds = (has_hub && has_split) ? 3 : 1;
+    if (library.linear_cost_model()) {
+      for (int r = 1; r < rounds; ++r) {
+        if (has_hub) hub = weiszfeld_hub();
+        if (has_split) split = weiszfeld_split();
+      }
+    } else {
+      geom::BBox box;
+      for (geom::Point2D p : sources) box.expand(p);
+      for (geom::Point2D p : targets) box.expand(p);
+      box.inflate(1e-6);
+      geom::NelderMeadOptions nm;
+      nm.max_iterations = 150;
+      nm.restarts = 1;
+      nm.tolerance = 1e-8;
+      for (int r = 0; r < rounds; ++r) {
+        if (has_hub) {
+          auto f = [&](geom::Point2D h) { return legs_cost(h, split); };
+          const geom::MinimizeResult2D res =
+              geom::minimize_in_box(f, box, 6, nm);
+          if (res.value <= legs_cost(hub, split)) hub = res.x;
+        }
+        if (has_split) {
+          auto f = [&](geom::Point2D sp) { return legs_cost(hub, sp); };
+          const geom::MinimizeResult2D res =
+              geom::minimize_in_box(f, box, 6, nm);
+          if (res.value <= legs_cost(hub, split)) split = res.x;
+        }
+      }
+    }
+  }
+  return {hub, split};
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(PricerFixpoint, MatchesFullThreeRoundAlternation) {
+  const struct {
+    const char* name;
+    ConstraintGraph cg;
+    commlib::Library lib;
+  } corpus[] = {
+      {"wan2002", workloads::wan2002(), commlib::wan_library()},
+      {"mpeg4_soc", workloads::mpeg4_soc(),
+       commlib::soc_library(workloads::kMpeg4CritLengthMm)},
+      {"campus_lan", workloads::campus_lan(), commlib::lan_library()},
+      {"noc_mesh", workloads::noc_mesh(workloads::NocMeshParams{}),
+       commlib::noc_library()},
+      {"mcm_board", workloads::mcm_board(), commlib::mcm_library()},
+  };
+  std::size_t priced = 0;
+  for (const auto& entry : corpus) {
+    // Every pair and triple of the first 9 arcs: linear and segmented
+    // libraries, common-side and two-sided stars.
+    const std::uint32_t n = static_cast<std::uint32_t>(
+        std::min<std::size_t>(entry.cg.num_channels(), 9));
+    std::vector<std::vector<ArcId>> subsets;
+    for (std::uint32_t a = 0; a < n; ++a) {
+      for (std::uint32_t b = a + 1; b < n; ++b) {
+        subsets.push_back({ArcId{a}, ArcId{b}});
+        for (std::uint32_t c = b + 1; c < n; ++c) {
+          subsets.push_back({ArcId{a}, ArcId{b}, ArcId{c}});
+        }
+      }
+    }
+    for (const std::vector<ArcId>& subset : subsets) {
+      const std::optional<MergingPlan> plan =
+          price_merging(entry.cg, entry.lib, subset);
+      if (!plan) continue;
+      ++priced;
+      const Placement want = reference_placement(entry.cg, entry.lib, subset);
+      std::string where = entry.name;
+      for (ArcId a : subset) where += ' ' + std::to_string(a.index());
+      EXPECT_EQ(bits(plan->hub_pos.x), bits(want.hub.x)) << where;
+      EXPECT_EQ(bits(plan->hub_pos.y), bits(want.hub.y)) << where;
+      EXPECT_EQ(bits(plan->split_pos.x), bits(want.split.x)) << where;
+      EXPECT_EQ(bits(plan->split_pos.y), bits(want.split.y)) << where;
+    }
+  }
+  EXPECT_GT(priced, 100u);
 }
 
 }  // namespace

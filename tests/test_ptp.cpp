@@ -1,8 +1,15 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "commlib/standard_libraries.hpp"
+#include "sim/delay.hpp"
 #include "synth/ptp.hpp"
 
 namespace cdcs::synth {
@@ -180,6 +187,208 @@ TEST(Assumption21, DetectsViolatingLibrary) {
                               .max_span = 1.0,
                               .bandwidth = 10.0});
   EXPECT_FALSE(check_assumption_2_1(lib3, {0.5}, {1.0}).empty());
+}
+
+// ---------------------------------------------------------------------------
+// PtpCostModel equivalence. The reference below is the stand-alone
+// optimizer loop PtpCostModel replaced, kept verbatim as the oracle: it
+// looks the cheapest repeater/mux/demux up on every call and builds a full
+// plan. The model must agree with it bit-for-bit, including the 1e-9
+// structural tie-break and the robust ceil at exact multiples.
+
+int reference_ceil_div(double a, double b) {
+  const double q = a / b;
+  const double r = std::round(q);
+  if (std::abs(q - r) < 1e-9 * std::max(1.0, std::abs(q))) {
+    return static_cast<int>(r);
+  }
+  return static_cast<int>(std::ceil(q));
+}
+
+std::optional<PtpPlan> reference_ptp(double span, double bandwidth,
+                                     const commlib::Library& library,
+                                     const DelayConstraint* delay = nullptr) {
+  std::optional<PtpPlan> best;
+  const auto repeater = library.cheapest_node(commlib::NodeKind::kRepeater);
+  const auto mux = library.cheapest_node(commlib::NodeKind::kMux);
+  const auto demux = library.cheapest_node(commlib::NodeKind::kDemux);
+
+  for (commlib::LinkIndex li = 0; li < library.links().size(); ++li) {
+    const commlib::Link& l = library.link(li);
+    if (l.bandwidth <= 0.0) continue;
+    int k = 1;
+    if (!l.spans(span)) {
+      if (!std::isfinite(l.max_span) || l.max_span <= 0.0) continue;
+      k = reference_ceil_div(span, l.max_span);
+    }
+    const int m = std::max(1, reference_ceil_div(bandwidth, l.bandwidth));
+    if (k > 1 && !repeater) continue;
+    if (m > 1 && (!mux || !demux)) continue;
+    if (delay != nullptr &&
+        delay->model->link_delay_per_length * span +
+                delay->model->node_delay * (k - 1) >
+            delay->budget + 1e-12) {
+      continue;
+    }
+    const double branch_links = l.cost_per_length * span + l.fixed_cost * k;
+    double cost = m * branch_links;
+    if (k > 1) cost += m * (k - 1) * library.node(*repeater).cost;
+    if (m > 1) cost += library.node(*mux).cost + library.node(*demux).cost;
+    const bool better =
+        !best || cost < best->cost - 1e-9 ||
+        (cost <= best->cost + 1e-9 &&
+         (m < best->parallel ||
+          (m == best->parallel && k < best->segments)));
+    if (better) {
+      best = PtpPlan{.link = li,
+                     .segments = k,
+                     .parallel = m,
+                     .repeater = k > 1 ? repeater : std::nullopt,
+                     .mux = m > 1 ? mux : std::nullopt,
+                     .demux = m > 1 ? demux : std::nullopt,
+                     .span = span,
+                     .bandwidth = bandwidth,
+                     .cost = cost};
+    }
+  }
+  return best;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// `base`, its neighbouring doubles, and points inside and just outside
+/// the 1e-9 relative band robust_ceil_div snaps to an integer.
+void add_edges(std::vector<double>& out, double base) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  out.push_back(base);
+  out.push_back(std::nextafter(base, 0.0));
+  out.push_back(std::nextafter(base, kInf));
+  for (const double rel : {5e-10, 2e-9}) {
+    out.push_back(base * (1.0 + rel));
+    out.push_back(base * (1.0 - rel));
+  }
+}
+
+/// Spans and bandwidths for `lib`: plain values plus exact multiples of
+/// every finite max_span and every link bandwidth, with their edges.
+void grid_for(const commlib::Library& lib, std::vector<double>& spans,
+              std::vector<double>& bandwidths) {
+  spans = {0.0, 1e-3, 0.3, 1.0, 2.5, 10.0, 123.456, 1000.0};
+  bandwidths = {0.1, 0.5, 1.0, 3.0, 7.5, 100.0};
+  for (const commlib::Link& l : lib.links()) {
+    for (int k = 1; k <= 6; ++k) {
+      if (std::isfinite(l.max_span)) add_edges(spans, k * l.max_span);
+      add_edges(bandwidths, k * l.bandwidth);
+    }
+  }
+}
+
+void expect_same_plan(const std::optional<PtpPlan>& got,
+                      const std::optional<PtpPlan>& want,
+                      const std::string& where) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << where;
+  if (!want) return;
+  EXPECT_EQ(bits(got->cost), bits(want->cost)) << where;
+  EXPECT_EQ(got->link, want->link) << where;
+  EXPECT_EQ(got->segments, want->segments) << where;
+  EXPECT_EQ(got->parallel, want->parallel) << where;
+  EXPECT_EQ(got->repeater, want->repeater) << where;
+  EXPECT_EQ(got->mux, want->mux) << where;
+  EXPECT_EQ(got->demux, want->demux) << where;
+  EXPECT_EQ(bits(got->span), bits(want->span)) << where;
+  EXPECT_EQ(bits(got->bandwidth), bits(want->bandwidth)) << where;
+}
+
+std::vector<commlib::Library> equivalence_libraries() {
+  std::vector<commlib::Library> libs = {
+      commlib::wan_library(), commlib::soc_library(0.6),
+      commlib::noc_library(), commlib::mcm_library(), commlib::lan_library()};
+  // Two links whose costs differ by less than the 1e-9 tie band: the
+  // structural tie-break (fewer branches, then fewer segments) decides.
+  commlib::Library tie("tie-band");
+  tie.add_link(commlib::Link{.name = "thin",
+                             .max_span = 2.0,
+                             .bandwidth = 1.0,
+                             .fixed_cost = 0.0,
+                             .cost_per_length = 1.0});
+  tie.add_link(commlib::Link{.name = "wide",
+                             .max_span = 1.0,
+                             .bandwidth = 2.0,
+                             .fixed_cost = 0.0,
+                             .cost_per_length = 2.0 + 1e-12});
+  tie.add_node(commlib::Node{
+      .name = "rep", .kind = commlib::NodeKind::kRepeater, .cost = 0.0});
+  tie.add_node(commlib::Node{
+      .name = "sw", .kind = commlib::NodeKind::kSwitch, .cost = 0.0});
+  libs.push_back(tie);
+  // Infeasible corners: no repeater past max_span, no mux/demux past the
+  // link bandwidth, and no link at all.
+  commlib::Library norep("norep");
+  norep.add_link(commlib::Link{
+      .name = "short", .max_span = 1.0, .bandwidth = 5.0, .fixed_cost = 1.0});
+  norep.add_node(commlib::Node{
+      .name = "mux", .kind = commlib::NodeKind::kMux, .cost = 3.0});
+  norep.add_node(commlib::Node{
+      .name = "demux", .kind = commlib::NodeKind::kDemux, .cost = 3.0});
+  libs.push_back(norep);
+  commlib::Library nomux("nomux");
+  nomux.add_link(commlib::Link{
+      .name = "slow", .max_span = 10.0, .bandwidth = 5.0, .fixed_cost = 1.0});
+  nomux.add_node(commlib::Node{
+      .name = "rep", .kind = commlib::NodeKind::kRepeater, .cost = 2.0});
+  libs.push_back(nomux);
+  libs.emplace_back("empty");
+  return libs;
+}
+
+TEST(PtpCostModel, MatchesReferenceBitForBit) {
+  std::size_t infeasible = 0;
+  for (const commlib::Library& lib : equivalence_libraries()) {
+    const PtpCostModel model(lib);
+    std::vector<double> spans;
+    std::vector<double> bandwidths;
+    grid_for(lib, spans, bandwidths);
+    for (const double d : spans) {
+      for (const double b : bandwidths) {
+        const std::string where =
+            lib.name() + " d=" + std::to_string(d) + " b=" + std::to_string(b);
+        const std::optional<PtpPlan> want = reference_ptp(d, b, lib);
+        const double want_cost =
+            want ? want->cost : std::numeric_limits<double>::infinity();
+        EXPECT_EQ(bits(model.cost(d, b)), bits(want_cost)) << where;
+        EXPECT_EQ(bits(best_point_to_point_cost(d, b, lib)), bits(want_cost))
+            << where;
+        expect_same_plan(model.plan(d, b), want, where);
+        expect_same_plan(best_point_to_point(d, b, lib), want, where);
+        infeasible += !want;
+      }
+    }
+  }
+  // The infeasible corners were actually exercised (+inf costs above).
+  EXPECT_GT(infeasible, 0u);
+}
+
+TEST(PtpCostModel, MatchesReferenceUnderDelayBudgets) {
+  const sim::DelayModel delay_model{.link_delay_per_length = 0.5,
+                                    .node_delay = 0.25};
+  for (const commlib::Library& lib : equivalence_libraries()) {
+    const PtpCostModel model(lib);
+    std::vector<double> spans;
+    std::vector<double> bandwidths;
+    grid_for(lib, spans, bandwidths);
+    for (const double budget : {0.0, 0.6, 1.5, 40.0}) {
+      const DelayConstraint delay{.model = &delay_model, .budget = budget};
+      for (const double d : spans) {
+        for (const double b : bandwidths) {
+          expect_same_plan(model.plan(d, b, &delay),
+                           reference_ptp(d, b, lib, &delay),
+                           lib.name() + " budget=" + std::to_string(budget) +
+                               " d=" + std::to_string(d) +
+                               " b=" + std::to_string(b));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

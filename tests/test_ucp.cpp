@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -287,6 +289,66 @@ TEST(DenseDp, EdgeCases) {
   const CoverSolution s = solve_dp(q);
   EXPECT_DOUBLE_EQ(s.cost, 3.0);
   EXPECT_EQ(s.chosen, (std::vector<std::size_t>{1}));
+}
+
+// The dense DP drops a column whose row mask repeats a cheaper one. Adding
+// such columns to a matrix must change nothing: same cost bits, same chosen
+// columns (the originals, which sort first), same state count. With
+// equal-weight duplicates either copy may be chosen, so only the cost and
+// the chosen masks are compared.
+TEST(DenseDp, DuplicateMaskColumnsChangeNothing) {
+  for (const std::size_t rows : {4u, 9u, 14u}) {
+    for (std::uint32_t seed = 0; seed < 6; ++seed) {
+      std::mt19937 rng(seed * 131 + static_cast<std::uint32_t>(rows));
+      std::uniform_real_distribution<double> weight(1.0, 9.0);
+      std::uniform_real_distribution<double> unit(0.0, 1.0);
+      CoverProblem p(rows);
+      for (int j = 0; j < 40; ++j) {
+        std::vector<std::size_t> covered;
+        for (std::size_t r = 0; r < rows; ++r) {
+          if (unit(rng) < 0.3) covered.push_back(r);
+        }
+        if (covered.empty()) covered.push_back(j % rows);
+        p.add_column(covered, weight(rng));
+      }
+      for (std::size_t r = 0; r < rows; ++r) {
+        p.add_column({r}, 9.0 + 0.01 * static_cast<double>(r));
+      }
+
+      CoverProblem heavier = p;  // duplicates at strictly higher weight
+      CoverProblem equal = p;    // duplicates at the same weight
+      for (std::size_t j = 0; j < p.num_columns(); j += 2) {
+        std::vector<std::size_t> covered;
+        p.column(j).rows.for_each([&](std::size_t r) { covered.push_back(r); });
+        heavier.add_column(covered, p.column(j).weight * (1.0 + unit(rng)));
+        equal.add_column(covered, p.column(j).weight);
+      }
+
+      const CoverSolution base = solve_dp(p);
+      ASSERT_TRUE(base.optimal);
+      const CoverSolution h = solve_dp(heavier);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(h.cost),
+                std::bit_cast<std::uint64_t>(base.cost));
+      EXPECT_EQ(h.chosen, base.chosen);
+      EXPECT_EQ(h.nodes_explored, base.nodes_explored);
+
+      const CoverSolution e = solve_dp(equal);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(e.cost),
+                std::bit_cast<std::uint64_t>(base.cost));
+      auto masks = [](const CoverProblem& q, const CoverSolution& s) {
+        std::vector<std::vector<std::size_t>> out;
+        for (std::size_t j : s.chosen) {
+          std::vector<std::size_t> covered;
+          q.column(j).rows.for_each(
+              [&](std::size_t r) { covered.push_back(r); });
+          out.push_back(covered);
+        }
+        std::sort(out.begin(), out.end());
+        return out;
+      };
+      EXPECT_EQ(masks(equal, e), masks(p, base));
+    }
+  }
 }
 
 TEST(Exact, ReductionAblationsAgree) {
