@@ -1,21 +1,18 @@
-// Parallel branch-and-bound bench: the rounds-mode determinism contract and
-// the free-run speedup, on the bench_ucp_solver corpus (same generator and
-// seeds as tests/test_parallel_bnb.cpp and Exact.SeedCorpusNodeCounts).
+// Parallel branch-and-bound bench: the parallel_bnb determinism contract
+// and its wall time against serial bnb_v2, on the bench_ucp_solver corpus
+// (same generator and seeds as tests/test_parallel_bnb.cpp and
+// Exact.SeedCorpusNodeCounts).
 //
 //   bench_parallel_bnb [--deterministic]
 //
-// For every corpus instance this binary ASSERTS (non-zero exit on failure):
-//   * rounds mode at 1, 2, and 8 threads returns bit-identical cost, cover,
-//     node count, and explored-set fingerprint, all matching the serial
-//     best-first cost;
-//   * free-run mode at 1 and 4 threads proves the same optimal cost.
-// The wall-clock table is informational -- speedups depend on the machine
-// (CI runs on a 1-core container; see docs/performance.md section 8) and
-// are gated in bench_perf_summary, not here.
+// For every corpus instance this binary ASSERTS (non-zero exit on failure)
+// that parallel_bnb at 1, 2, and 8 threads returns bit-identical cost,
+// cover, node count, and explored-set fingerprint, with the cost matching
+// serial bnb_v2. The wall-clock columns are informational -- speedups
+// depend on the machine (docs/performance.md section 8).
 //
-// --deterministic skips the free-run wall measurements (keeps only one
-// free-run correctness solve per instance) so the CI bench-smoke job gets a
-// fast, timing-independent pass/fail signal.
+// --deterministic prints only the machine-independent columns, so the
+// output is a pure function of the corpus.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -72,15 +69,17 @@ int main(int argc, char** argv) {
   std::printf(
       "=== Parallel weighted-UCP branch-and-bound ===\n"
       "hardware threads: %u%s\n\n"
-      "%5s %5s | %10s %9s | %9s %9s %16s | %9s %9s %8s\n",
+      "%5s %5s | %10s %9s | %11s %16s",
       std::thread::hardware_concurrency(),
-      deterministic ? "  (--deterministic: free-run timing skipped)" : "",
-      "rows", "cols", "cost", "t_serial", "t_rnds_1", "t_rnds_8",
-      "rounds_fp", "t_free_1", "t_free_4", "speedup");
+      deterministic ? "  (--deterministic: wall times omitted)" : "",
+      "rows", "cols", "cost", "bnb_nodes", "rnds_nodes", "rounds_fp");
+  if (!deterministic) {
+    std::printf(" | %9s %9s %9s", "t_serial", "t_rnds_1", "t_rnds_8");
+  }
+  std::printf("\n");
 
   BnbOptions serial_opt;
-  serial_opt.dense_dp_max_rows = 0;  // force B&B even on <= 20 rows
-  serial_opt.search_order = SearchOrder::kBestFirst;
+  serial_opt.backend = "bnb_v2";  // names B&B even on <= 20 rows
 
   int failures = 0;
   for (const auto& [rows, cols, density] :
@@ -94,10 +93,10 @@ int main(int argc, char** argv) {
     const CoverSolution serial = solve_exact(p, serial_opt);
     const double t_serial = ms_since(t0);
 
-    // Rounds mode: the explored tree must be a function of the instance
-    // alone -- identical at every thread count, cost matching serial.
-    BnbOptions rounds_opt = serial_opt;
-    rounds_opt.mode = BnbMode::kRounds;
+    // The explored tree must be a function of the instance alone --
+    // identical at every thread count, cost matching serial.
+    BnbOptions rounds_opt;
+    rounds_opt.backend = "parallel_bnb";
     CoverSolution rounds_base;
     double t_rounds_1 = 0.0, t_rounds_8 = 0.0;
     for (const int threads : {1, 2, 8}) {
@@ -135,38 +134,16 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Free-run mode: nondeterministic tree, but the returned cost must be
-    // the proven optimum every time.
-    BnbOptions free_opt = serial_opt;
-    free_opt.mode = BnbMode::kFreeRun;
-    double t_free_1 = 0.0, t_free_4 = 0.0;
-    const int reps = deterministic ? 1 : 3;
-    for (const int threads : deterministic ? std::vector<int>{4}
-                                           : std::vector<int>{1, 4}) {
-      free_opt.threads = threads;
-      double best = 1e100;
-      for (int rep = 0; rep < reps; ++rep) {
-        t0 = std::chrono::steady_clock::now();
-        const CoverSolution f = solve_exact(p, free_opt);
-        best = std::min(best, ms_since(t0));
-        if (!f.optimal || std::abs(f.cost - serial.cost) > 1e-9) {
-          std::fprintf(stderr,
-                       "FREE-RUN COST MISMATCH on %dx%d at %d threads: "
-                       "%.9f != serial %.9f (optimal=%d)\n",
-                       rows, cols, threads, f.cost, serial.cost,
-                       f.optimal ? 1 : 0);
-          ++failures;
-        }
-      }
-      (threads == 1 ? t_free_1 : t_free_4) = best;
+    std::printf("%5d %5d | %10.4f %9zu | %11zu %016llx", rows, cols,
+                serial.cost, serial.nodes_explored,
+                rounds_base.nodes_explored,
+                static_cast<unsigned long long>(
+                    rounds_base.explored_fingerprint));
+    if (!deterministic) {
+      std::printf(" | %7.2fms %7.2fms %7.2fms", t_serial, t_rounds_1,
+                  t_rounds_8);
     }
-
-    std::printf(
-        "%5d %5d | %10.4f %8.2fms | %7.2fms %7.2fms %016llx | %7.2fms "
-        "%7.2fms %7.2fx\n",
-        rows, cols, serial.cost, t_serial, t_rounds_1, t_rounds_8,
-        static_cast<unsigned long long>(rounds_base.explored_fingerprint),
-        t_free_1, t_free_4, t_free_4 > 0.0 ? t_free_1 / t_free_4 : 0.0);
+    std::printf("\n");
   }
 
   if (failures != 0) {

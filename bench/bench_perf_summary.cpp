@@ -30,7 +30,6 @@
 #include "support/metrics.hpp"
 #include "support/obs_context.hpp"
 #include "support/profiler.hpp"
-#include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 #include "synth/engine.hpp"
 #include "synth/partition.hpp"
@@ -153,12 +152,10 @@ int main(int argc, char** argv) {
   // which is what the acceptance gate below and the CI regression checker
   // (tools/check_bench_regression.py) compare.
   ucp::BnbOptions force_bnb;
-  force_bnb.dense_dp_max_rows = 0;
+  force_bnb.backend = "bnb_v2";
   ucp::BnbOptions legacy = force_bnb;
   legacy.use_lagrangian_bound = false;
   legacy.use_reduced_cost_fixing = false;
-  ucp::BnbOptions best_first = force_bnb;
-  best_first.search_order = ucp::SearchOrder::kBestFirst;
   std::fprintf(out, "  \"ucp_bnb\": [\n");
   first = true;
   for (const auto& [rows, cols, density] :
@@ -173,14 +170,10 @@ int main(int argc, char** argv) {
     t0 = Clock::now();
     const ucp::CoverSolution s = ucp::solve_exact(p, force_bnb);
     const double t_ms = ms_since(t0);
-    const ucp::CoverSolution bf = ucp::solve_exact(p, best_first);
 
-    if (std::abs(v1.cost - s.cost) > 1e-9 ||
-        std::abs(v1.cost - bf.cost) > 1e-9) {
-      std::fprintf(stderr,
-                   "COST MISMATCH on %dx%d: legacy %.9f, v2 %.9f, "
-                   "best-first %.9f\n",
-                   rows, cols, v1.cost, s.cost, bf.cost);
+    if (std::abs(v1.cost - s.cost) > 1e-9) {
+      std::fprintf(stderr, "COST MISMATCH on %dx%d: legacy %.9f, v2 %.9f\n",
+                   rows, cols, v1.cost, s.cost);
       ++failures;
     }
     // Acceptance gate for the v2 solver on the hardest instance: at least
@@ -206,12 +199,10 @@ int main(int argc, char** argv) {
                  "\"measured_density\": %.4f, \"backend\": \"%s\", "
                  "\"cost\": %.6f, \"nodes_explored\": %zu, "
                  "\"wall_ms\": %.3f, \"legacy_nodes\": %zu, "
-                 "\"legacy_wall_ms\": %.3f, \"best_first_nodes\": %zu, "
-                 "\"optimal\": %s}",
+                 "\"legacy_wall_ms\": %.3f, \"optimal\": %s}",
                  first ? "" : ",\n", rows, cols, density, s.density,
                  s.backend.c_str(), s.cost, s.nodes_explored, t_ms,
-                 v1.nodes_explored, t_v1, bf.nodes_explored,
-                 s.optimal ? "true" : "false");
+                 v1.nodes_explored, t_v1, s.optimal ? "true" : "false");
     first = false;
   }
   std::fprintf(out, "\n  ],\n");
@@ -366,15 +357,12 @@ int main(int argc, char** argv) {
 
   // --- Cover-solver backend matrix --------------------------------------
   // Deliberately after the metrics delta (the extra solves here must not
-  // perturb the exact-match event counts). Every registered backend plus
-  // the portfolio runs the pinned solver corpus; everything emitted is a
-  // deterministic pure function of the instance (costs, node counts, the
-  // portfolio winner), so tools/check_bench_regression.py diffs the whole
-  // section exactly (costs with a float tolerance). Gates:
-  //   * every applicable backend proves the reference cost;
-  //   * the portfolio winner, cost, and cover are identical across pool
-  //     sizes 1/2/8 and across repeated runs (the determinism contract of
-  //     ucp/cover_solver.hpp).
+  // perturb the exact-match event counts). Every registered backend runs
+  // the pinned solver corpus; everything emitted is a deterministic pure
+  // function of the instance (costs, node counts), so
+  // tools/check_bench_regression.py diffs the whole section exactly (costs
+  // with a float tolerance). Gate: every applicable backend proves the
+  // reference cost.
   {
     std::fprintf(out, "  \"cover_solver_matrix\": [\n");
     first = true;
@@ -409,61 +397,21 @@ int main(int argc, char** argv) {
                      s.nodes_explored, s.optimal ? "true" : "false");
         first_backend = false;
       }
-
-      // Portfolio determinism sweep: pool sizes 1/2/8, two runs each.
-      ucp::CoverSolution base;
-      bool deterministic = true;
-      for (const int workers : {1, 2, 8}) {
-        support::ThreadPool pool(static_cast<std::size_t>(workers));
-        for (int rep = 0; rep < 2; ++rep) {
-          ucp::BnbOptions opts;
-          opts.backend = "portfolio";
-          opts.pool = &pool;
-          const ucp::CoverSolution r = ucp::solve_exact(p, opts);
-          if (workers == 1 && rep == 0) {
-            base = r;
-          } else if (r.backend != base.backend || r.cost != base.cost ||
-                     r.chosen != base.chosen) {
-            deterministic = false;
-          }
-        }
-      }
-      if (!deterministic || !base.optimal ||
-          std::abs(base.cost - reference.cost) > 1e-9) {
-        std::fprintf(stderr,
-                     "PORTFOLIO DETERMINISM VIOLATION on %dx%d: winner "
-                     "'%s', cost %.9f vs reference %.9f, deterministic=%d\n",
-                     rows, cols, base.backend.c_str(), base.cost,
-                     reference.cost, deterministic ? 1 : 0);
-        ++failures;
-      }
-      std::fprintf(out,
-                   "}, \"portfolio\": {\"winner\": \"%s\", \"cost\": %.6f, "
-                   "\"deterministic\": %s}}",
-                   base.backend.c_str(), base.cost,
-                   deterministic ? "true" : "false");
+      std::fprintf(out, "}}");
     }
     std::fprintf(out, "\n  ],\n");
   }
 
   // --- Parallel branch-and-bound on the hardest corpus instance ---------
-  // Also deliberately after the metrics delta: free-run node counts are
-  // schedule-dependent. Acceptance gates (docs/performance.md section 8):
-  //   * rounds mode is bit-identical (cost, cover, nodes, explored-set
-  //     fingerprint) at 1, 2, and 8 threads, and matches the serial cost;
-  //   * free-run proves the same optimal cost at 1 and 4 threads;
-  //   * free-run speedup at 4 threads, tiered by the host: >= 1.5x with
-  //     4+ hardware threads, >= 1.0x (no slowdown beyond noise) with 2-3,
-  //     informational only on a 1-core host (CI container) -- a speedup
-  //     claim measured under pure oversubscription would be fiction.
+  // Acceptance gate (docs/performance.md section 8): parallel_bnb is
+  // bit-identical (cost, cover, nodes, explored-set fingerprint) at 1, 2,
+  // and 8 threads, and matches the serial bnb_v2 cost.
   {
     const ucp::CoverProblem p = random_problem(20, 2000, 0.15, 111);
-    ucp::BnbOptions serial_opt = force_bnb;
-    serial_opt.search_order = ucp::SearchOrder::kBestFirst;
-    const ucp::CoverSolution serial = ucp::solve_exact(p, serial_opt);
+    const ucp::CoverSolution serial = ucp::solve_exact(p, force_bnb);
 
-    ucp::BnbOptions rounds_opt = serial_opt;
-    rounds_opt.mode = ucp::BnbMode::kRounds;
+    ucp::BnbOptions rounds_opt;
+    rounds_opt.backend = "parallel_bnb";
     ucp::CoverSolution rounds_base;
     bool rounds_identical = true;
     for (const int threads : {1, 2, 8}) {
@@ -487,61 +435,15 @@ int main(int argc, char** argv) {
       ++failures;
     }
 
-    ucp::BnbOptions free_opt = serial_opt;
-    free_opt.mode = ucp::BnbMode::kFreeRun;
-    bool free_optimal = true;
-    double free_cost = 0.0;
-    double t_free_1 = 1e100, t_free_4 = 1e100;
-    for (const int threads : {1, 4}) {
-      free_opt.threads = threads;
-      double& best = threads == 1 ? t_free_1 : t_free_4;
-      for (int rep = 0; rep < 3; ++rep) {
-        const auto t0 = Clock::now();
-        const ucp::CoverSolution f = ucp::solve_exact(p, free_opt);
-        best = std::min(best, ms_since(t0));
-        free_cost = f.cost;
-        if (!f.optimal || std::abs(f.cost - serial.cost) > 1e-9) {
-          free_optimal = false;
-        }
-      }
-    }
-    if (!free_optimal) {
-      std::fprintf(stderr,
-                   "PARALLEL BNB FREE-RUN VIOLATION on 20x2000: cost %.9f "
-                   "vs serial %.9f (or optimality not proven)\n",
-                   free_cost, serial.cost);
-      ++failures;
-    }
-
-    const unsigned hw = std::thread::hardware_concurrency();
-    const double free_speedup = t_free_4 > 0.0 ? t_free_1 / t_free_4 : 0.0;
-    const double required_speedup = hw >= 4 ? 1.5 : (hw >= 2 ? 1.0 : 0.0);
-    const bool speedup_enforced = hw >= 2;
-    const bool free_speedup_ok =
-        !speedup_enforced || free_speedup >= required_speedup;
-    if (!free_speedup_ok) {
-      std::fprintf(stderr,
-                   "PARALLEL BNB SPEEDUP REGRESSION: free-run 4-thread "
-                   "speedup %.2fx < required %.2fx on a %u-thread host\n",
-                   free_speedup, required_speedup, hw);
-      ++failures;
-    }
-
     std::fprintf(
         out,
         "  \"parallel_bnb\": {\"rows\": 20, \"cols\": 2000, "
         "\"serial_cost\": %.6f, \"rounds_cost\": %.6f, "
         "\"rounds_nodes\": %zu, \"rounds_fingerprint\": \"%016llx\", "
-        "\"rounds_threads_identical\": %s, \"free_cost\": %.6f, "
-        "\"free_optimal\": %s, \"free_wall_ms_t1\": %.3f, "
-        "\"free_wall_ms_t4\": %.3f, \"free_speedup_t4\": %.3f, "
-        "\"speedup_enforced\": %s, \"free_speedup_ok\": %s},\n",
+        "\"rounds_threads_identical\": %s},\n",
         serial.cost, rounds_base.cost, rounds_base.nodes_explored,
         static_cast<unsigned long long>(rounds_base.explored_fingerprint),
-        rounds_identical ? "true" : "false", free_cost,
-        free_optimal ? "true" : "false", t_free_1, t_free_4, free_speedup,
-        speedup_enforced ? "true" : "false",
-        free_speedup_ok ? "true" : "false");
+        rounds_identical ? "true" : "false");
   }
 
   // --- Partitioned synthesis scaling gate -------------------------------

@@ -34,31 +34,13 @@
 //                            (default 64)
 //   --partition-cluster-arcs N  target maximum arcs per cluster
 //                            (default 24)
-//   --cover-solver NAME      cover-solver backend: a registered name
-//                            (dense_dp, bnb_v2, hitting_set, parallel_bnb,
-//                            dfs_v1), 'portfolio' to race them and return
-//                            the deterministic fixed-priority winner, or
-//                            'heuristic' to pick per instance from
-//                            rows x cols x density. Default: the legacy
-//                            automatic dispatch. Subsumes --search-order
-//                            and --bnb-mode (docs/performance.md)
-//   --search-order dfs|best-first
-//                            DEPRECATED: prefer --cover-solver
-//                            (dfs -> dfs_v1, best-first -> bnb_v2).
-//                            cover-solver node order (default dfs); both
-//                            prove the same optimal cost
-//   --bnb-mode serial|rounds|free
-//                            DEPRECATED: prefer --cover-solver
-//                            (rounds/free -> parallel_bnb; free also needs
-//                            --bnb-mode free for the asynchronous engine).
-//                            cover-solver engine (default serial). 'rounds'
-//                            is the deterministic parallel engine (same
-//                            result at every thread count); 'free' is the
-//                            fastest, same proven-optimal cost
-//                            (docs/performance.md section 8)
-//   --ucp-threads N          cover-solver worker threads for the parallel
-//                            modes (default 0 = all hardware threads);
-//                            shares one pool with --threads
+//   --cover-solver NAME      cover-solver backend: dense_dp, bnb_v2 or
+//                            parallel_bnb (the deterministic parallel
+//                            engine). Default: dense_dp up to 20 rows,
+//                            bnb_v2 above (docs/performance.md)
+//   --ucp-threads N          parallel_bnb worker threads (default 0 = all
+//                            hardware threads); shares one pool with
+//                            --threads
 //   --no-lagrangian          disable the solver's Lagrangian node bounds
 //   --no-rc-fixing           disable reduced-cost column fixing
 //   --no-grid-prefilter      disable the geometric grid pre-filter
@@ -163,17 +145,8 @@ int usage(const char* argv0) {
          "(default 24)\n"
          "  --cover-solver NAME   backend (" +
              cdcs::ucp::registered_cover_solver_list() +
-             "),\n"
-             "                     'portfolio' (deterministic race) or "
-             "'heuristic'\n"
-             "  --search-order dfs|best-first   DEPRECATED (use "
-             "--cover-solver:\n"
-             "                     dfs -> dfs_v1, best-first -> bnb_v2)\n"
-             "  --bnb-mode serial|rounds|free   DEPRECATED (use "
-             "--cover-solver\n"
-             "                     parallel_bnb; rounds = deterministic, "
-             "free = fastest)\n"
-         "  --ucp-threads N    cover-solver worker threads (0 = all "
+             ")\n"
+         "  --ucp-threads N    parallel_bnb worker threads (0 = all "
          "hardware)\n"
          "  --no-lagrangian    disable Lagrangian solver bounds\n"
          "  --no-rc-fixing     disable reduced-cost column fixing\n"
@@ -303,34 +276,13 @@ int run(int argc, char** argv, Observability& obs) {
           static_cast<std::size_t>(std::atoi(next().c_str()));
     } else if (arg == "--cover-solver") {
       const std::string v = next();
-      if (v != "portfolio" && v != "heuristic" &&
-          ucp::find_cover_solver(v) == nullptr) {
+      if (ucp::find_cover_solver(v) == nullptr) {
         std::cerr << "unknown cover-solver backend '" << v
                   << "' (registered: " << ucp::registered_cover_solver_list()
-                  << "; also: portfolio, heuristic)\n";
+                  << ")\n";
         return usage(argv[0]);
       }
       options.solver.backend = v;
-    } else if (arg == "--search-order") {
-      const std::string v = next();
-      if (v == "dfs") {
-        options.solver.search_order = ucp::SearchOrder::kDepthFirst;
-      } else if (v == "best-first") {
-        options.solver.search_order = ucp::SearchOrder::kBestFirst;
-      } else {
-        return usage(argv[0]);
-      }
-    } else if (arg == "--bnb-mode") {
-      const std::string v = next();
-      if (v == "serial") {
-        options.solver.mode = ucp::BnbMode::kSerial;
-      } else if (v == "rounds") {
-        options.solver.mode = ucp::BnbMode::kRounds;
-      } else if (v == "free") {
-        options.solver.mode = ucp::BnbMode::kFreeRun;
-      } else {
-        return usage(argv[0]);
-      }
     } else if (arg == "--ucp-threads") {
       options.solver.threads = std::atoi(next().c_str());
     } else if (arg == "--no-lagrangian") {

@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <sstream>
 
-#include "ucp/cover_solver.hpp"
+#include "ucp/cover.hpp"
 
 namespace cdcs::io {
 namespace {
@@ -105,13 +105,6 @@ std::string describe(const synth::SynthesisResult& result,
     os << " via " << result.cover.backend;
   }
   os << '\n';
-  if (!result.cover.portfolio.empty()) {
-    os << "  portfolio:";
-    for (const ucp::PortfolioMember& member : result.cover.portfolio) {
-      os << ' ' << member.backend << '=' << ucp::to_string(member.outcome);
-    }
-    os << '\n';
-  }
   if (include_perf_line &&
       (stats.threads_used > 1 ||
        stats.pricing_cache_hits + stats.pricing_cache_misses > 0)) {
@@ -271,19 +264,6 @@ std::string describe_perf(const support::MetricsSnapshot& m,
       os << "  degradation: stage=" << to_string(result->degradation.stage)
          << " -- " << result->degradation.reason << "\n";
     }
-  }
-
-  // Portfolio race outcomes ("ucp.portfolio.<outcome>.<backend>").
-  {
-    const std::string prefix = "ucp.portfolio.";
-    bool first = true;
-    for (const auto& [name, value] : m.counters) {
-      if (name.rfind(prefix, 0) != 0) continue;
-      os << (first ? "  portfolio:" : ",") << " "
-         << name.substr(prefix.size()) << " x" << value;
-      first = false;
-    }
-    if (!first) os << "\n";
   }
 
   if (const std::uint64_t degraded = counter_or(m, "synth.degraded_runs");

@@ -255,12 +255,4 @@ std::map<std::string, FaultInjector::SiteStats> FaultInjector::stats() const {
   return out;
 }
 
-void record_fault_fire(std::string_view site) {
-  auto& registry = MetricsRegistry::global();
-  registry.counter("fault.fires").add(1);
-  registry.counter("fault.fires." + std::string(site)).add(1);
-  flight_record("fault", std::string(site) + " fired");
-  maybe_dump_postmortem("fault", std::string(site));
-}
-
 }  // namespace cdcs::support

@@ -22,10 +22,6 @@
 // Accounting: every evaluation bumps "fault.hits" and every firing bumps
 // "fault.fires" plus "fault.fires.<site>" in the global metrics registry
 // (support/metrics.hpp), so traced runs show exactly which faults fired.
-// The legacy synth::FaultInjection bools are shims over the same sites
-// (synth/options.hpp maps each bool to its site and routes the fire through
-// record_fault_fire), so bool-driven and plan-driven failures are counted
-// identically.
 #pragma once
 
 #include <atomic>
@@ -55,10 +51,10 @@ inline constexpr std::string_view kPricerMerge = "pricer.merge";
 inline constexpr std::string_view kUcpSolve = "ucp.solve";
 inline constexpr std::string_view kUcpIncumbent = "ucp.incumbent";
 inline constexpr std::string_view kUcpGreedy = "ucp.greedy";
-/// Consulted by the parallel B&B engines while draining the shared frontier
-/// (once per round in kRounds, once per pop in kFreeRun). A firing kills
-/// the consulting worker mid-solve; the solve degrades all-or-nothing to
-/// its current incumbent (CoverStop::kAborted), never a torn one.
+/// Consulted by every cover-solver backend: bnb_v2 per branch node, the
+/// dense DP at entry and each deadline poll, parallel_bnb once per round.
+/// A firing abandons the solve all-or-nothing: it degrades to its current
+/// incumbent (CoverStop::kAborted), never a torn one.
 inline constexpr std::string_view kUcpFrontier = "ucp.frontier";
 }  // namespace fault_sites
 
@@ -152,11 +148,5 @@ class FaultInjector {
   std::map<std::string, Site, std::less<>> sites_;
   std::atomic<std::uint64_t> total_fires_{0};
 };
-
-/// Books one fault firing at `site` in the global metrics registry
-/// ("fault.fires" + "fault.fires.<site>"). FaultInjector does this
-/// internally; the legacy FaultInjection bool shims call it directly so
-/// bool-driven fires are counted the same way.
-void record_fault_fire(std::string_view site);
 
 }  // namespace cdcs::support

@@ -1,7 +1,7 @@
 // Flight recorder + postmortem artifacts: an always-on bounded ring of the
 // most recent structured events (stage transitions, incumbent updates,
-// degradation-ladder rungs, fault fires, journal appends, backend and
-// portfolio outcomes), dumpable -- together with a metrics snapshot and the
+// degradation-ladder rungs, fault fires, journal appends, cover-solver
+// backend outcomes), dumpable -- together with a metrics snapshot and the
 // trace ring -- to one JSON artifact when something goes wrong
 // (docs/observability.md).
 //
@@ -32,9 +32,9 @@
 namespace cdcs::support {
 
 /// One recorded event. `kind` is a small closed vocabulary ("stage",
-/// "ladder", "incumbent", "fault", "journal", "backend", "portfolio",
-/// "postmortem"); `detail` is free-form human-readable text; `scope` is the
-/// emitting thread's ObsContext path at record time ("" when unscoped).
+/// "ladder", "incumbent", "fault", "journal", "backend", "postmortem");
+/// `detail` is free-form human-readable text; `scope` is the emitting
+/// thread's ObsContext path at record time ("" when unscoped).
 struct FlightEvent {
   std::uint64_t seq{0};          ///< global emission order, never reused
   std::int64_t timestamp_us{0};  ///< monotonic since recorder creation

@@ -22,66 +22,24 @@ namespace cdcs::synth {
 
 class PricingCache;
 
-/// Deterministic fault-injection hooks for robustness testing. The general
-/// mechanism is the `injector` (a support::FaultInjector armed with a
-/// --fault-plan; see support/fault.hpp and docs/robustness.md): every
-/// instrumented failure edge calls fires(<site>) and degrades when it
-/// returns true. The four legacy bools are SHIMS over the same sites --
-/// each forces its site unconditionally, and its firings are booked
-/// through the same metrics counters -- kept so existing callers and
-/// scripts keep working. All off in production.
+/// Deterministic fault-injection hooks for robustness testing: a
+/// support::FaultInjector armed with a --fault-plan (see support/fault.hpp
+/// and docs/robustness.md). Every instrumented failure edge calls
+/// fires(<site>) and degrades when it returns true. Off in production.
 struct FaultInjection {
-  /// Every merging/chain/tree pricer call returns nullopt: candidate
-  /// generation yields only the point-to-point singletons.
-  /// Shim for fault site "pricer.merge".
-  bool fail_merging_pricers = false;
-  /// The cover solver sees an already-expired deadline even when the
-  /// caller's deadline is unlimited. Shim for fault site "ucp.solve".
-  bool expire_solver_deadline = false;
-  /// Discard the solver's incumbent (as if branch-and-bound had not found
-  /// one yet), forcing the greedy-cover fallback stage. Shim for fault
-  /// site "ucp.incumbent".
-  bool drop_incumbent = false;
-  /// Make the greedy cover report failure, forcing the final
-  /// point-to-point-only fallback stage. Shim for fault site "ucp.greedy".
-  bool fail_greedy_cover = false;
-
   /// Plan-driven injector shared across the pipeline, the engine, and the
   /// journal (so one plan sees every site's hits in order). Null = no
   /// plan armed.
   std::shared_ptr<support::FaultInjector> injector;
 
-  /// True when the failure edge `site` must fire now: consults the armed
-  /// injector first (counting the hit either way), then the legacy bool
-  /// shim mapped to the site. Shim-driven fires are booked in the same
-  /// metrics counters as plan-driven ones.
+  /// True when the failure edge `site` must fire now (the injector counts
+  /// the hit either way).
   bool fires(std::string_view site) const {
-    bool fired = injector != nullptr && injector->should_fail(site);
-    if (!fired && legacy_bool(site)) {
-      support::record_fault_fire(site);
-      fired = true;
-    }
-    return fired;
-  }
-
-  bool legacy_bool(std::string_view site) const {
-    namespace fsite = support::fault_sites;
-    // All-off fast path: fires() sits on the per-subset enumeration hot
-    // path, so skip the site-name comparisons in the common case.
-    if (!(fail_merging_pricers || expire_solver_deadline || drop_incumbent ||
-          fail_greedy_cover)) {
-      return false;
-    }
-    if (site == fsite::kPricerMerge) return fail_merging_pricers;
-    if (site == fsite::kUcpSolve) return expire_solver_deadline;
-    if (site == fsite::kUcpIncumbent) return drop_incumbent;
-    if (site == fsite::kUcpGreedy) return fail_greedy_cover;
-    return false;
+    return injector != nullptr && injector->should_fail(site);
   }
 
   bool any_armed() const {
-    return fail_merging_pricers || expire_solver_deadline || drop_incumbent ||
-           fail_greedy_cover || (injector != nullptr && !injector->plan().empty());
+    return injector != nullptr && !injector->plan().empty();
   }
 };
 
@@ -218,8 +176,8 @@ struct SynthesisOptions {
   /// PartitioningOptions. Off by default.
   PartitioningOptions partitioning;
 
-  /// Cover-solver configuration (Lagrangian bounds, reduced-cost fixing,
-  /// search order, ...). The 3-argument synthesize() overload uses this;
+  /// Cover-solver configuration (backend, Lagrangian bounds, reduced-cost
+  /// fixing, ...). The 3-argument synthesize() overload uses this;
   /// the 4-argument overload overrides it explicitly. The synthesizer
   /// additionally seeds `solver.warm_start` with the point-to-point
   /// singleton cover when the caller left it empty.

@@ -159,10 +159,10 @@ support::Expected<SynthesisResult> synthesize_partitioned(
 
   // Parallelism budget: the outer pool fans whole clusters out, and any
   // threads it cannot absorb (more hardware than clusters) are granted to
-  // the node level INSIDE each cluster solve -- pricing and, in a parallel
-  // BnbMode, the B&B tree itself. On hosts where clusters >= threads the
-  // per-cluster budget is 1 and the computation (hence every pinned
-  // fingerprint) is exactly the old serial-inside-clusters one.
+  // the node level INSIDE each cluster solve -- pricing and, with the
+  // parallel_bnb backend, the B&B tree itself. On hosts where clusters >=
+  // threads the per-cluster budget is 1 and the computation (hence every
+  // pinned fingerprint) is exactly the old serial-inside-clusters one.
   const std::size_t total_threads =
       support::resolve_thread_count(options.threads);
   const std::size_t workers = std::min(total_threads, part.clusters.size());
@@ -184,10 +184,8 @@ support::Expected<SynthesisResult> synthesize_partitioned(
                                       : cap;
   }
   // Backend selection (cluster_solver.backend) rides along verbatim: each
-  // cluster's cover goes through solve_exact's registry dispatch, so
-  // "heuristic" re-picks a backend PER CLUSTER from that cluster's own
-  // rows x cols x density -- small clusters hit the dense DP, wide sparse
-  // ones the hitting-set solver -- and "portfolio" races within a cluster.
+  // cluster's cover goes through solve_exact's registry dispatch, and the
+  // default picks per cluster from its own row count.
   ucp::BnbOptions cluster_solver = solver_options;
   cluster_solver.warm_start.clear();
   cluster_solver.warm_multipliers.clear();

@@ -14,7 +14,6 @@
 #include "synth/assemble.hpp"
 #include "synth/candidate_generator.hpp"
 #include "ucp/bnb.hpp"
-#include "ucp/cover_solver.hpp"
 #include "ucp/greedy.hpp"
 
 namespace cdcs::synth {
@@ -46,20 +45,16 @@ std::vector<double> cover_signature(std::size_t num_rows,
       (std::uint64_t{solver.use_column_dominance} << 1) |
       (std::uint64_t{solver.use_mis_lower_bound} << 2) |
       (std::uint64_t{solver.use_lagrangian_bound} << 3) |
-      (std::uint64_t{solver.use_reduced_cost_fixing} << 4) |
-      (std::uint64_t{solver.search_order == ucp::SearchOrder::kBestFirst}
-       << 5)));
+      (std::uint64_t{solver.use_reduced_cost_fixing} << 4)));
   sig.push_back(static_cast<double>(solver.column_dominance_max_depth));
   sig.push_back(static_cast<double>(solver.lagrangian_root_iterations));
   sig.push_back(static_cast<double>(solver.lagrangian_node_iterations));
   sig.push_back(static_cast<double>(solver.reduced_cost_fixing_period));
   sig.push_back(static_cast<double>(solver.best_first_max_frontier));
-  sig.push_back(static_cast<double>(solver.dense_dp_max_rows));
-  // Engine mode and its round granularity change the explored tree, so they
-  // are part of the solve's identity. Thread count deliberately is NOT:
-  // kRounds is bit-identical at every worker count (the determinism
-  // contract), and kFreeRun never reaches the reuse path at all.
-  sig.push_back(static_cast<double>(static_cast<int>(solver.mode)));
+  // parallel_bnb's round granularity changes the explored tree, so it is
+  // part of the solve's identity. Thread count deliberately is NOT: the
+  // rounds engine is bit-identical at every worker count (the determinism
+  // contract).
   sig.push_back(static_cast<double>(solver.rounds_batch_size));
   sig.push_back(static_cast<double>(solver.warm_start.size()));
   for (std::size_t j : solver.warm_start) {
@@ -100,8 +95,8 @@ ucp::BnbOptions effective_solver_options(const SynthesisOptions& options,
   if (options.fault_injection.fires(support::fault_sites::kUcpSolve)) {
     solver.deadline = support::Deadline::expire_after_checks(0);
   }
-  // Let the parallel engines consult the armed plan's "ucp.frontier" site
-  // and share the caller's worker pool when one is mounted.
+  // Let the cover backends consult the armed plan's "ucp.frontier" site
+  // and parallel_bnb share the caller's worker pool when one is mounted.
   if (solver.fault_injector == nullptr &&
       options.fault_injection.injector != nullptr) {
     solver.fault_injector = options.fault_injection.injector.get();
@@ -134,18 +129,12 @@ support::Expected<CoverOutcome> cover_and_ladder(
   // Cover stage: reuse the session's previous solution when this instance
   // is bit-identical to the one it solved (same matrix, same solver
   // configuration, no deadline in play -- an expired deadline makes the
-  // result time-dependent, which a signature cannot capture). Free-run
-  // solves are excluded (the explored tree, hence nodes_explored and which
-  // of several optimal covers comes back, varies run to run), as are solves
-  // with an armed fault injector (its hit counters are stateful: replaying
-  // a cached result would skip consultations the plan is counting on).
-  // Portfolio solves are excluded too: the race's member outcomes depend on
-  // pool timing, so the recorded portfolio report is not a pure function of
-  // the signature even though the winner is.
+  // result time-dependent, which a signature cannot capture). Solves with
+  // an armed fault injector are excluded too (its hit counters are
+  // stateful: replaying a cached result would skip consultations the plan
+  // is counting on).
   const bool reusable = session != nullptr && solver.deadline.unlimited() &&
-                        solver.mode != ucp::BnbMode::kFreeRun &&
-                        solver.fault_injector == nullptr &&
-                        solver.backend != "portfolio";
+                        solver.fault_injector == nullptr;
   std::vector<double> signature;
   if (reusable) {
     signature = cover_signature(num_rows, set, solver);
@@ -168,16 +157,6 @@ support::Expected<CoverOutcome> cover_and_ladder(
         "backend", "cover backend=" + result.cover.backend + " stop=" +
                        std::string(to_string(result.cover.stop)) +
                        (result.cover.optimal ? " optimal" : " incumbent"));
-    if (!result.cover.portfolio.empty()) {
-      std::string summary = "race";
-      for (const ucp::PortfolioMember& m : result.cover.portfolio) {
-        summary += ' ';
-        summary += m.backend;
-        summary += '=';
-        summary += to_string(m.outcome);
-      }
-      support::flight_record("portfolio", std::move(summary));
-    }
     if (session != nullptr) {
       session->cover_solves += 1;
       if (reusable) {
@@ -357,12 +336,9 @@ support::Expected<SynthesisResult> run_pipeline(
   if (opts.pool == nullptr && solver.pool == nullptr) {
     const std::size_t pricing_workers =
         support::resolve_thread_count(opts.threads);
-    // The portfolio races serial members across the pool, so it wants
-    // workers even when `mode` is kSerial; otherwise only the parallel
-    // engine does.
+    // Only the parallel_bnb backend runs cover-solver workers.
     const std::size_t solver_workers =
-        solver.backend == "portfolio" ||
-                solver.mode != ucp::BnbMode::kSerial
+        solver.backend == "parallel_bnb"
             ? support::resolve_thread_count(solver.threads)
             : 1;
     const std::size_t pool_size = std::max(pricing_workers, solver_workers);

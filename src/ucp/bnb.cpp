@@ -1,7 +1,6 @@
 #include "ucp/bnb.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <limits>
 #include <string>
 #include <utility>
@@ -11,24 +10,19 @@
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
 #include "ucp/bnb_core.hpp"
-#include "ucp/cover_solver.hpp"
-#include "ucp/dp.hpp"
 #include "ucp/lagrangian.hpp"
-#include "ucp/parallel_bnb.hpp"
 
 namespace cdcs::ucp {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-using detail::FrontierNode;
 using detail::NodeEvaluator;
 using detail::SearchState;
-using detail::frontier_after;
 
 // The search itself is the classic include/exclude branch-and-bound; the
 // reductions, bounds, and branching rules live in ucp/bnb_core.hpp
-// (NodeEvaluator), shared verbatim with the parallel engines
+// (NodeEvaluator), shared verbatim with the parallel engine
 // (ucp/parallel_bnb.cpp) and running word-parallel over the
 // CoverProblem::row_cover transpose bitsets:
 //   * essential columns: popcount(row_cover(r) & available) with an early
@@ -41,11 +35,11 @@ using detail::frontier_after;
 //     the evaluator), instead of rescanning the row's full column set.
 // On top of the v1 machinery, v2 adds per-node subgradient Lagrangian bounds
 // (warm-started from the parent's multipliers), reduced-cost column fixing
-// against the incumbent, warm-start incumbent seeding, and an optional
-// best-first frontier. With those features disabled the predicates, their
-// visit order, and all tie-breaks are EXACTLY the v1 solver's, so
-// nodes_explored is identical to the legacy implementation (pinned by
-// Exact.SeedCorpusNodeCounts in tests/test_ucp.cpp).
+// against the incumbent, and warm-start incumbent seeding. With those
+// features disabled the predicates, their visit order, and all tie-breaks
+// are EXACTLY the v1 solver's, so nodes_explored is identical to the legacy
+// implementation (pinned by Exact.SeedCorpusNodeCounts in
+// tests/test_ucp.cpp).
 // Search telemetry (all of it write-only: nothing below feeds back into the
 // branching decisions, so traced and untraced runs explore the same tree):
 //   * every kProgressPeriod nodes, counter events ucp.nodes / ucp.incumbent /
@@ -80,12 +74,7 @@ class Solver {
       root_lambda = opt_.warm_multipliers;
     }
 
-    complete_ = true;
-    if (opt_.search_order == SearchOrder::kBestFirst) {
-      run_best_first(std::move(root), std::move(root_lambda));
-    } else {
-      branch(std::move(root), 0.0, {}, 0, std::move(root_lambda));
-    }
+    branch(std::move(root), 0.0, {}, 0, std::move(root_lambda));
     report_progress();  // final sample, so short solves chart too
 
     auto& registry = support::MetricsRegistry::global();
@@ -101,13 +90,11 @@ class Solver {
     sol.deadline_expired = deadline_hit_;
     sol.stop = stop_;
     sol.root_multipliers = std::move(root_multipliers_);
+    // The root's MIS/Lagrangian bound plus any essential-column cost; 0 when
+    // the root was never evaluated (e.g. instant deadline).
+    sol.lower_bound = root_bound_;
     return sol;
   }
-
-  /// Lower bound established at the root node (max of the MIS and Lagrangian
-  /// bounds plus any essential-column cost); 0 when the root was never
-  /// evaluated (e.g. instant deadline).
-  double root_bound() const { return root_bound_; }
 
  private:
   /// New incumbent found: record it plus its telemetry (counted locally;
@@ -170,7 +157,7 @@ class Solver {
       if (stop_ == CoverStop::kCompleted) stop_ = CoverStop::kDeadline;
       return;
     }
-    // Same all-or-nothing kill site the parallel engines poll: a firing
+    // Same all-or-nothing kill site the parallel engine polls: a firing
     // abandons the search with the incumbent intact, never a torn cover.
     // Unarmed runs skip the consult entirely, so the pinned trees are
     // byte-identical with or without this check.
@@ -225,99 +212,6 @@ class Solver {
     }
   }
 
-  // ---- Best-first frontier ------------------------------------------------
-
-  void run_best_first(SearchState root, std::vector<double> root_lambda) {
-    std::vector<FrontierNode> heap;
-    std::uint64_t next_seq = 0;
-    heap.push_back(FrontierNode{std::move(root), 0.0, {},
-                                std::move(root_lambda), 0.0, 0, next_seq++});
-
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), frontier_after);
-      FrontierNode node = std::move(heap.back());
-      heap.pop_back();
-
-      // Everything left on the frontier is at least as bad: the incumbent
-      // is proven optimal and the search is complete.
-      if (node.priority >= best_cost_) break;
-      if (nodes_ >= opt_.max_nodes) {
-        complete_ = false;
-        if (stop_ == CoverStop::kCompleted) stop_ = CoverStop::kNodeBudget;
-        break;
-      }
-      if (opt_.deadline.expired()) {
-        complete_ = false;
-        deadline_hit_ = true;
-        if (stop_ == CoverStop::kCompleted) stop_ = CoverStop::kDeadline;
-        break;
-      }
-      if (opt_.fault_injector != nullptr &&
-          opt_.fault_injector->should_fail(
-              support::fault_sites::kUcpFrontier)) {
-        complete_ = false;
-        if (stop_ == CoverStop::kCompleted) stop_ = CoverStop::kAborted;
-        break;
-      }
-      ++nodes_;
-      maybe_report_progress();
-
-      if (!eval_.reduce(node.s, node.cost, node.chosen, node.depth,
-                        best_cost_)) {
-        continue;
-      }
-      if (node.s.uncovered.none()) {
-        if (node.cost < best_cost_) accept_incumbent(node.cost, node.chosen);
-        if (node.depth == 0) root_bound_ = node.cost;
-        continue;
-      }
-      LagrangianBound lagr;
-      bool lagr_ran = false;
-      const double bound = eval_.node_bound(node.s, node.cost, node.depth,
-                                            node.lambda, best_cost_, lagr,
-                                            lagr_ran);
-      if (node.depth == 0) {
-        root_bound_ = node.cost + bound;
-        if (lagr_ran) root_multipliers_ = lagr.multipliers;
-      }
-      if (node.cost + bound >= best_cost_) continue;
-      if (lagr_ran && should_fix(node.depth)) {
-        rc_fixed_ += eval_.fix_columns(node.s, node.cost, best_cost_, lagr);
-      }
-
-      const std::vector<std::size_t> cols = eval_.branch_columns(node.s);
-      const std::vector<double>& child_lambda =
-          lagr_ran ? lagr.multipliers : node.lambda;
-      for (std::size_t j : cols) {
-        const double child_cost = node.cost + p_.column(j).weight;
-        if (child_cost >= best_cost_) {
-          node.s.available.reset(j);
-          continue;
-        }
-        FrontierNode child;
-        child.s = node.s;
-        child.s.uncovered.subtract(p_.column(j).rows);
-        child.s.available.reset(j);
-        child.cost = child_cost;
-        child.chosen = node.chosen;
-        child.chosen.push_back(j);
-        child.lambda = child_lambda;
-        child.priority = std::max(node.cost + bound, child_cost);
-        child.depth = node.depth + 1;
-        child.seq = next_seq++;
-        heap.push_back(std::move(child));
-        std::push_heap(heap.begin(), heap.end(), frontier_after);
-        // Sibling branches assume column j excluded.
-        node.s.available.reset(j);
-      }
-      if (heap.size() > opt_.best_first_max_frontier) {
-        complete_ = false;
-        if (stop_ == CoverStop::kCompleted) stop_ = CoverStop::kFrontierCap;
-        break;
-      }
-    }
-  }
-
   const CoverProblem& p_;
   const BnbOptions& opt_;
   NodeEvaluator eval_;
@@ -337,134 +231,15 @@ class Solver {
   CoverStop stop_{CoverStop::kCompleted};
 };
 
-/// Best incumbent available without branching: greedy, improved by the
-/// caller's warm start when that is a valid, cheaper cover.
-CoverSolution seeded_fallback(const CoverProblem& problem,
-                              const BnbOptions& options) {
-  CoverSolution sol;
-  sol.cost = detail::seed_incumbent(problem, options, sol.chosen);
-  return sol;
-}
-
 }  // namespace
 
 namespace detail {
 
-CoverSolution solve_exact_auto(const CoverProblem& problem,
+CoverSolution solve_serial_bnb(const CoverProblem& problem,
                                const BnbOptions& options) {
-  CoverSolution sol;
-  double bnb_root_bound = 0.0;
-  if (problem.num_rows() <=
-      std::min(options.dense_dp_max_rows, kDenseDpMaxRows)) {
-    support::Span dp_span("ucp.dense_dp", "ucp");
-    support::MetricsRegistry::global().counter("ucp.dp_solves").add(1);
-    if (!options.deadline.expired()) {
-      sol = solve_dp(problem, options.deadline, options.max_nodes,
-                     options.fault_injector);
-    } else {
-      sol.deadline_expired = true;
-      sol.stop = CoverStop::kDeadline;
-    }
-    if (!sol.optimal && sol.stop != CoverStop::kCompleted) {
-      // DP abandoned (or never started) under the deadline, node budget, or
-      // an injected fault: hand back the seeded incumbent (greedy / warm
-      // start) instead of nothing, keeping the stop reason.
-      const std::size_t dp_states = sol.nodes_explored;
-      const CoverStop stop = sol.stop;
-      const bool deadline_hit = sol.deadline_expired;
-      sol = seeded_fallback(problem, options);
-      sol.optimal = false;
-      sol.deadline_expired = deadline_hit;
-      sol.stop = stop;
-      sol.nodes_explored = dp_states;
-    }
-    sol.backend = "dense_dp";
-  } else if (options.mode != BnbMode::kSerial) {
-    support::Span bnb_span("ucp.bnb", "ucp");
-    sol = solve_parallel_bnb(problem, options, &bnb_root_bound);
-    sol.backend = "parallel_bnb";
-  } else {
-    support::Span bnb_span("ucp.bnb", "ucp");
-    Solver solver(problem, options);
-    sol = solver.run();
-    bnb_root_bound = solver.root_bound();
-    // The v1 reference configuration (DFS, Lagrangian machinery off) is the
-    // pinned legacy tree; anything else is the v2 solver.
-    sol.backend = (options.search_order == SearchOrder::kDepthFirst &&
-                   !options.use_lagrangian_bound &&
-                   !options.use_reduced_cost_fixing)
-                      ? "dfs_v1"
-                      : "bnb_v2";
-  }
-  if (sol.optimal) {
-    sol.lower_bound = sol.cost;
-  } else {
-    // Degraded exit: report the strongest proven root bound so callers get
-    // an honest optimality gap -- the Lagrangian root bound when enabled
-    // (computed during the search, or here when the search never evaluated
-    // its root), else the independent-rows bound.
-    double lb = independent_rows_lower_bound(problem);
-    lb = std::max(lb, bnb_root_bound);
-    if (options.use_lagrangian_bound && bnb_root_bound == 0.0) {
-      SubgradientOptions sopt;
-      sopt.max_iterations = options.lagrangian_root_iterations;
-      lb = std::max(lb, lagrangian_root_bound(problem, sopt));
-    }
-    sol.lower_bound = lb;
-  }
-  return sol;
+  return Solver(problem, options).run();
 }
 
 }  // namespace detail
-
-CoverSolution solve_exact(const CoverProblem& problem,
-                          const BnbOptions& options) {
-  support::Span span("ucp.solve", "ucp",
-                     "{\"rows\":" + std::to_string(problem.num_rows()) +
-                         ",\"cols\":" + std::to_string(problem.num_columns()) +
-                         "}");
-  CoverSolution sol;
-  if (options.backend.empty()) {
-    sol = detail::solve_exact_auto(problem, options);
-  } else if (options.backend == "portfolio") {
-    sol = solve_portfolio(problem, options);
-  } else {
-    const std::string name =
-        options.backend == "heuristic"
-            ? std::string(select_cover_backend(problem.num_rows(),
-                                               problem.num_columns(),
-                                               cover_density(problem)))
-            : options.backend;
-    const CoverSolver* solver = find_cover_solver(name);
-    if (solver == nullptr) {
-      throw std::invalid_argument("unknown cover-solver backend '" + name +
-                                  "' (registered: " +
-                                  registered_cover_solver_list() + ")");
-    }
-    if (!solver->applicable(problem)) {
-      throw std::invalid_argument(
-          "cover-solver backend '" + name + "' cannot handle a " +
-          std::to_string(problem.num_rows()) + "x" +
-          std::to_string(problem.num_columns()) + " instance");
-    }
-    sol = solver->solve(problem, options);
-    sol.backend = name;
-  }
-  sol.rows = problem.num_rows();
-  sol.cols = problem.num_columns();
-  sol.density = cover_density(problem);
-  auto& registry = support::MetricsRegistry::global();
-  registry.counter("ucp.backend." + sol.backend + ".solves").add(1);
-  registry.counter("ucp.backend." + sol.backend + ".nodes")
-      .add(sol.nodes_explored);
-  for (const PortfolioMember& m : sol.portfolio) {
-    std::string key = "ucp.portfolio.";
-    key.append(to_string(m.outcome));
-    key += '.';
-    key += m.backend;
-    registry.counter(key).add(1);
-  }
-  return sol;
-}
 
 }  // namespace cdcs::ucp

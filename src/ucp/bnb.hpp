@@ -25,11 +25,10 @@
 //     provided warm start, so pruning has a real upper bound at node zero,
 //   * branching on the hardest row (fewest available columns), trying its
 //     columns cheapest-first, with the standard inclusion/exclusion
-//     completeness argument -- explored depth-first (the reference tree) or
-//     best-first on the node lower bound behind `search_order`.
+//     completeness argument, explored depth-first.
 // Every configuration returns the same optimal cover cost; the legacy
-// configuration (Lagrangian + fixing off, DFS) reproduces the v1 search
-// tree node-for-node, which determinism tests pin. The solver is exact
+// configuration (Lagrangian + fixing off) reproduces the v1 search tree
+// node-for-node, which determinism tests pin. The solver is exact
 // whenever it finishes within the node budget; the `optimal` flag reports
 // this.
 //
@@ -48,25 +47,20 @@ namespace cdcs::ucp {
 /// Non-optimal exits report the Lagrangian root bound (fallback:
 /// independent-rows bound) in CoverSolution::lower_bound.
 ///
-/// Backend dispatch (ucp/cover_solver.hpp): with `options.backend` empty
-/// this is the legacy automatic dispatch every pinned node count was
-/// recorded against -- dense DP below the row cutoff, then BnbOptions::mode
-/// picks the engine -- with CoverSolution::backend labelled after the fact.
-/// A registered backend name forces that backend, "portfolio" races the
-/// racing backends and returns the fixed-priority winner, and "heuristic"
-/// picks a backend from the instance's rows x cols x density features.
+/// Runs the backend `options.backend` names (ucp/cover_solver.hpp); empty
+/// means dense_dp up to kDefaultDenseDpRows rows and bnb_v2 above.
 /// Throws std::invalid_argument for unknown names or a named backend that
 /// cannot handle the instance (e.g. dense_dp above kDenseDpMaxRows rows).
+/// Defined with the registry in ucp/cover_solver.cpp.
 CoverSolution solve_exact(const CoverProblem& problem,
                           const BnbOptions& options = {});
 
 namespace detail {
-/// The legacy automatic dispatch behind solve_exact, without the backend
-/// routing, tracing span, or per-backend metrics. Internal: the registered
-/// backends (ucp/cover_solver.cpp) and the hitting-set sub-solves
-/// (ucp/hitting_set.cpp) call it with forced options; everyone else goes
-/// through solve_exact. `options.backend` is ignored.
-CoverSolution solve_exact_auto(const CoverProblem& problem,
+/// The bnb_v2 engine: serial depth-first branch-and-bound. `lower_bound`
+/// holds the bound established at the root node (0 when the root was never
+/// evaluated); solve_exact turns it into the reported bound. Internal:
+/// callers go through solve_exact.
+CoverSolution solve_serial_bnb(const CoverProblem& problem,
                                const BnbOptions& options);
 }  // namespace detail
 

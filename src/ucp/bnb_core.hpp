@@ -1,5 +1,5 @@
 // Shared node-level machinery of the exact UCP branch-and-bound, split out
-// of ucp/bnb.cpp so the serial solver (bnb.cpp) and the parallel engines
+// of ucp/bnb.cpp so the serial solver (bnb.cpp) and the parallel engine
 // (parallel_bnb.cpp) expand nodes through ONE implementation of the
 // reductions, bounds, and branching rules. Everything here is logic-identical
 // to the pre-split solver -- the pinned v1 node counts depend on it -- with
@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -28,27 +27,6 @@ struct SearchState {
   Bitset uncovered;  ///< rows still to cover
   Bitset available;  ///< columns still selectable
 };
-
-/// A frontier entry of the best-first search (serial kBestFirst and both
-/// parallel modes share the representation).
-struct FrontierNode {
-  SearchState s;
-  double cost;
-  std::vector<std::size_t> chosen;
-  std::vector<double> lambda;
-  /// Admissible lower bound on any completion through this node
-  /// (inherited from the parent's node bound at creation).
-  double priority;
-  int depth;
-  std::uint64_t seq;  ///< creation order; deterministic tie-break
-};
-
-/// Min-heap order on (priority, seq): std::push_heap/pop_heap expect a
-/// "less" comparator for a max-heap, so invert both components.
-inline bool frontier_after(const FrontierNode& a, const FrontierNode& b) {
-  if (a.priority != b.priority) return a.priority > b.priority;
-  return a.seq > b.seq;
-}
 
 // Stateless-per-node view of the search machinery. Construction is NOT
 // thread-safe (it warms CoverProblem's lazy row_cover transpose); every

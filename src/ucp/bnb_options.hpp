@@ -16,38 +16,6 @@ class ThreadPool;
 
 namespace cdcs::ucp {
 
-/// Node-expansion order of the branch-and-bound.
-enum class SearchOrder {
-  /// Classic recursive include/exclude DFS -- the reference tree whose node
-  /// counts are pinned for determinism.
-  kDepthFirst,
-  /// Explicit frontier ordered by node lower bound (ties by creation order,
-  /// so still fully deterministic). Reaches the optimum sooner on wide
-  /// trees; proves optimality the moment the best frontier bound meets the
-  /// incumbent. Costs memory proportional to the frontier.
-  kBestFirst,
-};
-
-/// Which branch-and-bound engine runs the search (docs/performance.md sec 8).
-/// Every mode proves the same optimal cover cost; they differ in the tree
-/// they explore and in what is deterministic about it.
-enum class BnbMode {
-  /// The single-threaded reference solver; `search_order` picks its tree.
-  /// The only mode whose node counts are pinned against the v1 solver.
-  kSerial,
-  /// Round-synchronous parallel best-first: each round drains the top
-  /// `rounds_batch_size` frontier nodes, expands them as pure functions of
-  /// the round-start incumbent on the worker pool, and merges children in
-  /// (priority, seq) order. The explored-node set, final cost, and
-  /// CoverSolution::explored_fingerprint are bit-identical at every thread
-  /// count (pinned at 1/2/8 by ParallelBnbDeterminism tests).
-  kRounds,
-  /// Asynchronous workers over a shared frontier with an atomic monotone
-  /// incumbent: maximum speed, same proven-optimal cost, but the explored
-  /// tree (and nodes_explored) varies run to run.
-  kFreeRun,
-};
-
 struct BnbOptions {
   std::size_t max_nodes = 10'000'000;
   /// Wall-clock budget (plus cooperative cancellation); polled once per
@@ -78,35 +46,27 @@ struct BnbOptions {
   bool use_reduced_cost_fixing = true;
   std::size_t reduced_cost_fixing_period = 64;
 
-  /// Node-expansion order; kDepthFirst is the pinned reference tree.
-  /// Ignored by the parallel modes, which are always best-first.
-  SearchOrder search_order = SearchOrder::kDepthFirst;
-  /// Frontier cap for kBestFirst and the parallel modes; beyond it the
-  /// search stops and returns the incumbent (optimal = false) with
-  /// CoverSolution::stop = CoverStop::kFrontierCap.
+  /// Frontier cap of parallel_bnb; beyond it the search stops and returns
+  /// the incumbent (optimal = false) with CoverSolution::stop =
+  /// CoverStop::kFrontierCap.
   std::size_t best_first_max_frontier = 1'000'000;
 
-  /// Which engine runs the search. kSerial is the pinned reference; the
-  /// parallel modes fan node expansion over a thread pool (see `threads`
-  /// and `pool`).
-  BnbMode mode = BnbMode::kSerial;
-  /// Worker count for the parallel modes; <= 0 means all hardware threads.
-  /// A value of 1 still runs the parallel engine (on the calling thread),
+  /// Worker count for parallel_bnb; <= 0 means all hardware threads. A
+  /// value of 1 still runs the parallel engine (on the calling thread),
   /// which the determinism tests exploit to pin thread-count invariance.
   int threads = 0;
-  /// Optional borrowed pool for the parallel modes (not owned; must outlive
+  /// Optional borrowed pool for parallel_bnb (not owned; must outlive
   /// the solve). When null and `threads` resolves above 1 the solver makes
   /// its own. run_pipeline mounts one shared pool here and in
   /// SynthesisOptions::pool so `--threads` and `--ucp-threads` share it.
   support::ThreadPool* pool = nullptr;
-  /// Nodes drained from the frontier per round in kRounds mode. Part of
+  /// Nodes drained from the frontier per parallel_bnb round. Part of
   /// the deterministic contract: changing it changes the explored tree
   /// (it is folded into the pipeline's cover signature).
   std::size_t rounds_batch_size = 16;
   /// Optional borrowed fault injector (not owned). Every backend consults
-  /// the "ucp.frontier" site -- the serial solvers per branch node, the
-  /// dense DP at entry and each deadline poll, the hitting-set loop once
-  /// per iteration, the parallel engines per round/dequeue -- and aborts
+  /// the "ucp.frontier" site -- bnb_v2 per branch node, the dense DP at
+  /// entry and each deadline poll, parallel_bnb once per round -- and aborts
   /// the solve (all-or-nothing: incumbent intact, optimal = false,
   /// stop = kAborted) when it fires.
   support::FaultInjector* fault_injector = nullptr;
@@ -126,21 +86,11 @@ struct BnbOptions {
   /// node-for-node, which determinism tests pin.
   std::vector<double> warm_multipliers;
 
-  /// Instances with at most this many rows are solved by the exact dense
-  /// subset DP (ucp/dp.hpp) instead of branching -- orders of magnitude
-  /// faster on the narrow-and-wide matrices synthesis produces. Set to 0 to
-  /// force branch-and-bound.
-  std::size_t dense_dp_max_rows = 20;
-
-  /// Cover-solver backend selection (ucp/cover_solver.hpp). Empty (the
-  /// default) keeps solve_exact's legacy automatic dispatch -- dense DP
-  /// below the row cutoff, then the engine `mode` picks -- which is what
-  /// every pinned node count and fingerprint is recorded against. A
-  /// registered name ("dense_dp", "dfs_v1", "bnb_v2", "parallel_bnb",
-  /// "hitting_set") forces that backend; "portfolio" races the racing
-  /// backends on `pool` and returns the fixed-priority winner;
-  /// "heuristic" picks one backend per instance from its
-  /// rows x cols x density features. Unknown names throw
+  /// The cover-solver backend (ucp/cover_solver.hpp), the one solver
+  /// selector: "dense_dp" (exact subset DP, at most kDenseDpMaxRows rows),
+  /// "bnb_v2" (serial depth-first branch-and-bound) or "parallel_bnb" (the
+  /// deterministic rounds engine). Empty (the default) runs dense_dp up to
+  /// kDefaultDenseDpRows rows and bnb_v2 above. Unknown names throw
   /// std::invalid_argument.
   std::string backend;
 };

@@ -73,7 +73,7 @@ class CoverProblem {
 enum class CoverStop {
   kCompleted,    ///< search finished; `optimal` is the proof
   kNodeBudget,   ///< BnbOptions::max_nodes exhausted
-  kFrontierCap,  ///< best-first frontier hit best_first_max_frontier
+  kFrontierCap,  ///< parallel_bnb's frontier hit best_first_max_frontier
   kDeadline,     ///< wall-clock deadline expired (deadline_expired mirrors)
   kAborted,      ///< injected fault ("ucp.frontier") killed the solve
 };
@@ -82,26 +82,6 @@ enum class CoverStop {
 /// postmortems ("completed", "node_budget", "frontier_cap", "deadline",
 /// "aborted").
 std::string_view to_string(CoverStop stop);
-
-/// What happened to one backend in a portfolio race (ucp/cover_solver.hpp).
-enum class BackendOutcome {
-  kWon,        ///< its solution is the one the portfolio returned
-  kLost,       ///< proved the same optimum, but a higher-priority backend won
-  kCancelled,  ///< stopped by cross-cancellation (or never started) after a
-               ///< higher-priority backend proved optimality
-  kDegraded,   ///< ran to its own budget without proving optimality
-};
-
-/// One backend's contribution to a portfolio race, in fixed priority order.
-struct PortfolioMember {
-  std::string backend;
-  BackendOutcome outcome{BackendOutcome::kCancelled};
-  double cost{0.0};
-  double lower_bound{0.0};
-  std::size_t nodes_explored{0};
-  bool optimal{false};
-  CoverStop stop{CoverStop::kCompleted};
-};
 
 struct CoverSolution {
   std::vector<std::size_t> chosen;  ///< column indices, ascending
@@ -119,8 +99,8 @@ struct CoverSolution {
   bool deadline_expired{false};
   /// Why the search stopped (kCompleted unless a budget cut it short).
   CoverStop stop{CoverStop::kCompleted};
-  /// Order-independent hash of the explored-node set, filled by the kRounds
-  /// parallel engine (0 elsewhere). The ParallelBnbDeterminism tests pin it
+  /// Order-independent hash of the explored-node set, filled by
+  /// parallel_bnb (0 elsewhere). The ParallelBnbDeterminism tests pin it
   /// bit-identical across 1/2/8 worker threads.
   std::uint64_t explored_fingerprint{0};
   /// The Lagrangian multipliers the root subgradient ascent converged to
@@ -130,17 +110,11 @@ struct CoverSolution {
   /// a near-identical problem.
   std::vector<double> root_multipliers;
   /// Registry name of the backend that produced this solution
-  /// (ucp/cover_solver.hpp): the explicitly selected one, the fixed-priority
-  /// portfolio winner, or the name solve_exact's automatic dispatch mapped
-  /// the legacy options onto ("dense_dp", "dfs_v1", "bnb_v2",
-  /// "parallel_bnb").
+  /// (ucp/cover_solver.hpp): "dense_dp", "bnb_v2" or "parallel_bnb".
   std::string backend;
-  /// Per-backend outcomes of a portfolio race, in fixed priority order.
-  /// Empty for single-backend solves.
-  std::vector<PortfolioMember> portfolio;
   /// Instance features, stamped by solve_exact on every solve so downstream
-  /// consumers (reports, BENCH_pr.json) can train backend-selection
-  /// heuristics on rows x cols x density without re-deriving them.
+  /// consumers (reports, BENCH_pr.json) can read rows x cols x density
+  /// without re-deriving them.
   std::size_t rows{0};
   std::size_t cols{0};
   double density{0.0};

@@ -1,26 +1,19 @@
 #include "ucp/cover_solver.hpp"
 
 #include <algorithm>
-#include <future>
-#include <limits>
-#include <utility>
+#include <stdexcept>
+#include <string>
 
-#include "support/deadline.hpp"
-#include "support/thread_pool.hpp"
+#include "support/metrics.hpp"
+#include "support/trace.hpp"
 #include "ucp/bnb.hpp"
+#include "ucp/bnb_core.hpp"
 #include "ucp/dp.hpp"
-#include "ucp/hitting_set.hpp"
+#include "ucp/lagrangian.hpp"
+#include "ucp/parallel_bnb.hpp"
 
 namespace cdcs::ucp {
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Every backend is a thin forced-options wrapper over the legacy automatic
-/// dispatch (detail::solve_exact_auto), so selecting the backend that the
-/// auto dispatch would have picked is byte-identical to not selecting one
-/// at all -- which is what keeps every pinned node count and fingerprint
-/// valid under explicit backend selection.
 
 class DenseDpSolver final : public CoverSolver {
  public:
@@ -30,28 +23,28 @@ class DenseDpSolver final : public CoverSolver {
   }
   CoverSolution solve(const CoverProblem& problem,
                       const BnbOptions& options) const override {
-    BnbOptions forced = options;
-    forced.backend.clear();
-    forced.dense_dp_max_rows = kDenseDpMaxRows;
-    return detail::solve_exact_auto(problem, forced);
-  }
-};
-
-class DfsV1Solver final : public CoverSolver {
- public:
-  std::string_view name() const override { return "dfs_v1"; }
-  CoverSolution solve(const CoverProblem& problem,
-                      const BnbOptions& options) const override {
-    // The pinned v1 reference configuration (tests/test_ucp.cpp
-    // legacy_options): DFS with the v2 bound machinery off.
-    BnbOptions forced = options;
-    forced.backend.clear();
-    forced.dense_dp_max_rows = 0;
-    forced.mode = BnbMode::kSerial;
-    forced.search_order = SearchOrder::kDepthFirst;
-    forced.use_lagrangian_bound = false;
-    forced.use_reduced_cost_fixing = false;
-    return detail::solve_exact_auto(problem, forced);
+    support::Span dp_span("ucp.dense_dp", "ucp");
+    support::MetricsRegistry::global().counter("ucp.dp_solves").add(1);
+    CoverSolution sol;
+    if (!options.deadline.expired()) {
+      sol = solve_dp(problem, options.deadline, options.max_nodes,
+                     options.fault_injector);
+    } else {
+      sol.deadline_expired = true;
+      sol.stop = CoverStop::kDeadline;
+    }
+    if (!sol.optimal && sol.stop != CoverStop::kCompleted) {
+      // DP abandoned (or never started) under the deadline, node budget, or
+      // an injected fault: hand back the seeded incumbent (greedy / warm
+      // start) instead of nothing, keeping the stop reason.
+      CoverSolution fallback;
+      fallback.cost = detail::seed_incumbent(problem, options, fallback.chosen);
+      fallback.deadline_expired = sol.deadline_expired;
+      fallback.stop = sol.stop;
+      fallback.nodes_explored = sol.nodes_explored;
+      sol = std::move(fallback);
+    }
+    return sol;
   }
 };
 
@@ -60,59 +53,53 @@ class BnbV2Solver final : public CoverSolver {
   std::string_view name() const override { return "bnb_v2"; }
   CoverSolution solve(const CoverProblem& problem,
                       const BnbOptions& options) const override {
-    // Serial best-first with whatever bound configuration the caller set
-    // (Lagrangian + reduced-cost fixing on by default).
-    BnbOptions forced = options;
-    forced.backend.clear();
-    forced.dense_dp_max_rows = 0;
-    forced.mode = BnbMode::kSerial;
-    forced.search_order = SearchOrder::kBestFirst;
-    return detail::solve_exact_auto(problem, forced);
+    support::Span bnb_span("ucp.bnb", "ucp");
+    return detail::solve_serial_bnb(problem, options);
   }
 };
 
 class ParallelBnbSolver final : public CoverSolver {
  public:
   std::string_view name() const override { return "parallel_bnb"; }
-  /// The parallel engine wants the worker pool for itself; racing it inside
-  /// the portfolio would fight the other members for the same threads, and
-  /// rounds mode explores the same best-first tree bnb_v2 already covers.
-  bool races_in_portfolio() const override { return false; }
   CoverSolution solve(const CoverProblem& problem,
                       const BnbOptions& options) const override {
-    BnbOptions forced = options;
-    forced.backend.clear();
-    forced.dense_dp_max_rows = 0;
-    // Deterministic rounds unless the caller explicitly asked to free-run.
-    forced.mode = options.mode == BnbMode::kFreeRun ? BnbMode::kFreeRun
-                                                    : BnbMode::kRounds;
-    return detail::solve_exact_auto(problem, forced);
+    support::Span bnb_span("ucp.bnb", "ucp");
+    return solve_parallel_bnb(problem, options);
   }
 };
 
-class HittingSetSolver final : public CoverSolver {
- public:
-  std::string_view name() const override { return "hitting_set"; }
-  CoverSolution solve(const CoverProblem& problem,
-                      const BnbOptions& options) const override {
-    return solve_hitting_set(problem, options);
+/// The backend solve_exact runs for `options.backend`; throws for unknown
+/// names and for a named backend that cannot handle the instance.
+const CoverSolver& route(const CoverProblem& problem,
+                         const BnbOptions& options) {
+  if (options.backend.empty()) {
+    return *find_cover_solver(problem.num_rows() <= kDefaultDenseDpRows
+                                  ? "dense_dp"
+                                  : "bnb_v2");
   }
-};
+  const CoverSolver* solver = find_cover_solver(options.backend);
+  if (solver == nullptr) {
+    throw std::invalid_argument("unknown cover-solver backend '" +
+                                options.backend + "' (registered: " +
+                                registered_cover_solver_list() + ")");
+  }
+  if (!solver->applicable(problem)) {
+    throw std::invalid_argument(
+        "cover-solver backend '" + options.backend + "' cannot handle a " +
+        std::to_string(problem.num_rows()) + "x" +
+        std::to_string(problem.num_columns()) + " instance");
+  }
+  return *solver;
+}
 
 }  // namespace
 
 const std::vector<const CoverSolver*>& registered_cover_solvers() {
-  // Registry order IS portfolio priority order (header comment): the dense
-  // DP first (unbeatable when the table fits), then serial best-first, then
-  // the hitting-set loop, then the opt-out parallel engine, with the v1
-  // reference tree last (it exists for reproducibility, not speed).
   static const DenseDpSolver dense_dp;
   static const BnbV2Solver bnb_v2;
-  static const HittingSetSolver hitting_set;
   static const ParallelBnbSolver parallel_bnb;
-  static const DfsV1Solver dfs_v1;
-  static const std::vector<const CoverSolver*> all = {
-      &dense_dp, &bnb_v2, &hitting_set, &parallel_bnb, &dfs_v1};
+  static const std::vector<const CoverSolver*> all = {&dense_dp, &bnb_v2,
+                                                      &parallel_bnb};
   return all;
 }
 
@@ -150,154 +137,38 @@ double cover_density(const CoverProblem& problem) {
          (static_cast<double>(rows) * static_cast<double>(cols));
 }
 
-std::string_view select_cover_backend(std::size_t rows, std::size_t cols,
-                                      double density) {
-  // Trained on the BENCH_pr.json cover_solver_matrix features: the dense DP
-  // dominates whenever the 2^rows table fits; very wide sparse matrices --
-  // where only a handful of rows ever bind -- converge in a few tiny
-  // hitting-set cores; everything else goes to serial best-first B&B.
-  if (rows <= kDenseDpMaxRows) return "dense_dp";
-  if (cols >= rows * 8 && density <= 0.25) return "hitting_set";
-  return "bnb_v2";
-}
-
-std::string_view to_string(BackendOutcome outcome) {
-  switch (outcome) {
-    case BackendOutcome::kWon:
-      return "won";
-    case BackendOutcome::kLost:
-      return "lost";
-    case BackendOutcome::kCancelled:
-      return "cancelled";
-    case BackendOutcome::kDegraded:
-      return "degraded";
-  }
-  return "unknown";
-}
-
-CoverSolution solve_portfolio(const CoverProblem& problem,
-                              const BnbOptions& options) {
-  std::vector<const CoverSolver*> members;
-  for (const CoverSolver* solver : registered_cover_solvers()) {
-    if (solver->races_in_portfolio() && solver->applicable(problem)) {
-      members.push_back(solver);
-    }
-  }
-  // bnb_v2 / hitting_set / dfs_v1 are applicable to every instance, so the
-  // roster is never empty.
-  const std::size_t n = members.size();
-
-  // Per-member cancel tokens on a COPY of the caller's deadline: a member
-  // keeps the caller's wall-clock/check budget, and cross-cancellation by a
-  // higher-priority prover latches only that member's copy.
-  std::vector<support::CancelToken> tokens(n);
-  std::vector<BnbOptions> member_options(n, options);
-  for (std::size_t i = 0; i < n; ++i) {
-    BnbOptions& o = member_options[i];
-    o.backend.clear();
-    o.pool = nullptr;  // members are serial engines; the pool runs the race
-    o.threads = 1;
-    o.deadline = options.deadline;
-    o.deadline.attach(tokens[i]);
-  }
-
-  std::vector<CoverSolution> results(n);
-  std::vector<char> ran(n, 0);
-
-  // NodeEvaluator construction warms CoverProblem's lazy row_cover
-  // transpose, which is NOT safe to build from racing threads; warm it once
-  // here before any member starts.
-  if (problem.num_rows() > 0 && problem.num_columns() > 0) {
-    problem.row_cover(0);
-  }
-
-  // Priority-filtered cross-cancellation: a member that proves optimality
-  // cancels every LOWER-priority member, never a higher one. Members below
-  // the eventual winner therefore always run to completion uncancelled,
-  // which is what makes the winner -- and its exact solution bytes -- a
-  // pure function of (instance, options).
-  auto run_member = [&](std::size_t i) {
-    results[i] = members[i]->solve(problem, member_options[i]);
-    ran[i] = 1;
-    if (results[i].optimal) {
-      for (std::size_t j = i + 1; j < n; ++j) tokens[j].cancel();
-    }
-  };
-
-  // A fault injector's hit schedule is deterministic only when the sites
-  // are consulted in one order, so an armed plan forces the sequential
-  // path; so does the absence of a usable pool.
-  const bool race = options.pool != nullptr && options.pool->size() > 1 &&
-                    options.fault_injector == nullptr && n > 1;
-  if (race) {
-    std::vector<std::future<void>> pending;
-    pending.reserve(n - 1);
-    for (std::size_t i = 1; i < n; ++i) {
-      pending.push_back(options.pool->submit([&run_member, i] {
-        run_member(i);
-      }));
-    }
-    run_member(0);
-    for (std::future<void>& f : pending) f.get();
+CoverSolution solve_exact(const CoverProblem& problem,
+                          const BnbOptions& options) {
+  support::Span span("ucp.solve", "ucp",
+                     "{\"rows\":" + std::to_string(problem.num_rows()) +
+                         ",\"cols\":" + std::to_string(problem.num_columns()) +
+                         "}");
+  const CoverSolver& solver = route(problem, options);
+  CoverSolution sol = solver.solve(problem, options);
+  sol.backend = solver.name();
+  if (sol.optimal) {
+    sol.lower_bound = sol.cost;
   } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      run_member(i);
-      if (results[i].optimal) break;  // lower priorities cannot win anyway
+    // Degraded exit: report the strongest proven root bound so callers get
+    // an honest optimality gap -- the engine's root bound when it evaluated
+    // one, else the Lagrangian root bound (when enabled), never below the
+    // independent-rows bound.
+    const double root_bound = sol.lower_bound;
+    double lb = std::max(independent_rows_lower_bound(problem), root_bound);
+    if (options.use_lagrangian_bound && root_bound == 0.0) {
+      SubgradientOptions sopt;
+      sopt.max_iterations = options.lagrangian_root_iterations;
+      lb = std::max(lb, lagrangian_root_bound(problem, sopt));
     }
+    sol.lower_bound = lb;
   }
-
-  // Winner: the lowest-index prover, else the cheapest incumbent (ties to
-  // the lower index), else member 0's (empty/infeasible) result.
-  std::size_t winner = n;
-  for (std::size_t i = 0; i < n && winner == n; ++i) {
-    if (ran[i] && results[i].optimal) winner = i;
-  }
-  if (winner == n) {
-    double best = kInf;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (ran[i] && results[i].cost < best) {
-        best = results[i].cost;
-        winner = i;
-      }
-    }
-    if (winner == n) winner = 0;
-  }
-
-  double strongest_bound = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (ran[i]) strongest_bound = std::max(strongest_bound,
-                                           results[i].lower_bound);
-  }
-
-  CoverSolution sol = results[winner];
-  sol.backend = members[winner]->name();
-  if (!sol.optimal) sol.lower_bound = std::max(sol.lower_bound,
-                                               strongest_bound);
-  sol.portfolio.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    PortfolioMember m;
-    m.backend = members[i]->name();
-    if (!ran[i]) {
-      m.outcome = BackendOutcome::kCancelled;  // never started
-    } else {
-      m.cost = results[i].cost;
-      m.lower_bound = results[i].lower_bound;
-      m.nodes_explored = results[i].nodes_explored;
-      m.optimal = results[i].optimal;
-      m.stop = results[i].stop;
-      if (i == winner) {
-        m.outcome = BackendOutcome::kWon;
-      } else if (results[i].optimal) {
-        m.outcome = BackendOutcome::kLost;
-      } else if (tokens[i].cancelled() &&
-                 results[i].stop == CoverStop::kDeadline) {
-        m.outcome = BackendOutcome::kCancelled;
-      } else {
-        m.outcome = BackendOutcome::kDegraded;
-      }
-    }
-    sol.portfolio.push_back(std::move(m));
-  }
+  sol.rows = problem.num_rows();
+  sol.cols = problem.num_columns();
+  sol.density = cover_density(problem);
+  auto& registry = support::MetricsRegistry::global();
+  registry.counter("ucp.backend." + sol.backend + ".solves").add(1);
+  registry.counter("ucp.backend." + sol.backend + ".nodes")
+      .add(sol.nodes_explored);
   return sol;
 }
 

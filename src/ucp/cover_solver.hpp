@@ -1,27 +1,19 @@
-// Pluggable cover-solver backends and the deterministic race portfolio.
+// The cover-solver backends, behind one string-keyed registry.
 //
-// The UCP layer grew four ways to solve one CoverProblem (dense subset DP,
-// v1 DFS, v2 best-first Lagrangian B&B, parallel rounds/free-run B&B), all
-// selected through ad-hoc BnbOptions flags. This header makes each of them
-// -- plus the implicit-hitting-set solver (ucp/hitting_set.hpp) -- a
-// first-class CoverSolver behind one string-keyed registry, so call sites
-// pick a backend by name (BnbOptions::backend), race the whole roster
-// ("portfolio"), or let per-instance features choose ("heuristic").
+// BnbOptions::backend is the only solver selector, and the registry is the
+// dispatch: solve_exact (ucp/bnb.hpp) looks the name up and calls that
+// backend's engine directly. Three backends are registered:
 //
-// Registry order IS portfolio priority order:
+//     dense_dp      exact subset DP (ucp/dp.hpp), at most kDenseDpMaxRows rows
+//     bnb_v2        serial depth-first branch-and-bound (ucp/bnb.hpp)
+//     parallel_bnb  deterministic rounds engine (ucp/parallel_bnb.hpp)
 //
-//     dense_dp  bnb_v2  hitting_set  parallel_bnb  dfs_v1
-//
-// Portfolio determinism contract (docs/performance.md): the race returns
-// the solution of the LOWEST-PRIORITY-INDEX backend that proves optimality,
-// and a backend can only be cross-cancelled by a prover with a SMALLER
-// index. A backend is therefore never perturbed by anything that could
-// outrank it: whether backend i proves optimality -- and the exact bytes of
-// its solution -- is a pure function of (instance, options), independent of
-// thread count and wall-clock interleaving. Racing merely decides how soon
-// the losers stop burning cycles, never who wins or what is returned.
+// An empty name runs dense_dp up to kDefaultDenseDpRows rows and bnb_v2
+// above, so naming the backend the default would have picked is
+// byte-identical to naming none.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,79 +23,52 @@
 
 namespace cdcs::ucp {
 
+/// Row count up to which the default dispatch runs dense_dp instead of
+/// bnb_v2.
+inline constexpr std::size_t kDefaultDenseDpRows = 20;
+
 /// One registered backend. Stateless and immutable after registration: the
 /// registry hands out const pointers that many threads may use at once.
 class CoverSolver {
  public:
   virtual ~CoverSolver() = default;
 
-  /// Registry key ("dense_dp", "dfs_v1", "bnb_v2", "parallel_bnb",
-  /// "hitting_set").
+  /// Registry key ("dense_dp", "bnb_v2", "parallel_bnb").
   virtual std::string_view name() const = 0;
 
-  /// False when this backend structurally cannot solve the instance (e.g.
-  /// the dense DP above kDenseDpMaxRows rows). The portfolio skips
-  /// inapplicable members; explicit selection of one throws.
+  /// False when this backend structurally cannot solve the instance (the
+  /// dense DP above kDenseDpMaxRows rows); solve_exact throws on an
+  /// explicit selection of an inapplicable backend.
   virtual bool applicable(const CoverProblem& problem) const {
     (void)problem;
     return true;
   }
 
-  /// Whether the portfolio races this backend. parallel_bnb opts out: it
-  /// wants the worker pool for itself, which would fight the race for the
-  /// same threads, and explores the identical tree as bnb_v2 anyway.
-  virtual bool races_in_portfolio() const { return true; }
-
-  /// Solves the instance. `options.backend` is ignored (the caller already
-  /// routed); every other BnbOptions field is honoured where it applies
-  /// (deadline, max_nodes, fault_injector, warm starts, frontier cap).
-  /// The returned CoverSolution carries the shared contract: cost/chosen,
-  /// `optimal`, `lower_bound`, `stop`, `nodes_explored`,
-  /// `explored_fingerprint` where the engine hashes one.
+  /// Runs the backend's engine. `options.backend` is ignored (the caller
+  /// already routed); every other BnbOptions field is honoured where it
+  /// applies (deadline, max_nodes, fault_injector, warm starts, frontier
+  /// cap). The returned CoverSolution carries cost/chosen, `optimal`,
+  /// `stop`, `nodes_explored`, `explored_fingerprint` where the engine
+  /// hashes one, and in `lower_bound` the engine's root bound (0 if none),
+  /// which solve_exact turns into the reported bound.
   virtual CoverSolution solve(const CoverProblem& problem,
                               const BnbOptions& options) const = 0;
 };
 
-/// All registered backends, in fixed priority order (also the portfolio's
-/// race priority). The roster is compiled in; there is no dynamic
-/// registration, which keeps the order -- and with it every determinism
-/// pin -- a property of the binary, not of initialization races.
+/// All registered backends, in a fixed order. The roster is compiled in;
+/// there is no dynamic registration.
 const std::vector<const CoverSolver*>& registered_cover_solvers();
 
 /// Registry lookup; null for unknown names.
 const CoverSolver* find_cover_solver(std::string_view name);
 
-/// Registered names in priority order, for CLI validation and --help.
+/// Registered names in registry order, for CLI validation and --help.
 std::vector<std::string> registered_cover_solver_names();
 
-/// "dense_dp, bnb_v2, ..." -- the names joined for diagnostics.
+/// "dense_dp, bnb_v2, parallel_bnb" -- the names joined for diagnostics.
 std::string registered_cover_solver_list();
 
 /// Matrix density: fraction of nonzero entries (0 for degenerate shapes).
 double cover_density(const CoverProblem& problem);
-
-/// Per-instance backend choice from the rows x cols x density features the
-/// bench harness records (BENCH_pr.json cover_solver_matrix): the dense DP
-/// whenever the row-subset table fits, the hitting-set solver for very wide
-/// sparse matrices where few rows bind, best-first B&B otherwise. Always
-/// returns an applicable registered backend.
-std::string_view select_cover_backend(std::size_t rows, std::size_t cols,
-                                      double density);
-
-/// Races every applicable racing backend on `options.pool` (sequentially
-/// on the caller's thread when no pool with >1 workers is mounted, or when
-/// a fault injector is armed -- racing members would otherwise consume the
-/// plan's deterministic hit schedule in pool-timing order). Cancellation is
-/// priority-filtered as documented above. The returned solution is the
-/// winner's, with `backend` = the winner's name and `portfolio` recording
-/// every member's outcome in priority order. With no prover, the cheapest
-/// incumbent wins (ties to the smaller index) and `lower_bound` is the max
-/// over the members' proven bounds.
-CoverSolution solve_portfolio(const CoverProblem& problem,
-                              const BnbOptions& options);
-
-/// Outcome labels for reports and metrics ("won", "lost", "cancelled",
-/// "degraded").
-std::string_view to_string(BackendOutcome outcome);
 
 }  // namespace cdcs::ucp

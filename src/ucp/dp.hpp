@@ -17,8 +17,8 @@
 // matrices), and only those a column before the cheapest-first cut needs.
 // Time is O(reachable states * avg-columns-per-row), memory 2^(R-1) table
 // entries -- milliseconds for R <= 20 regardless of column count.
-// solve_exact() dispatches here automatically below the row threshold (see
-// BnbOptions::dense_dp_max_rows).
+// This is the dense_dp backend (ucp/cover_solver.hpp), which solve_exact()
+// runs by default up to kDefaultDenseDpRows rows.
 #pragma once
 
 #include <cstddef>

@@ -1,14 +1,9 @@
 #include "ucp/parallel_bnb.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <cstring>
-#include <future>
-#include <limits>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,11 +19,29 @@
 namespace cdcs::ucp {
 namespace {
 
-using detail::FrontierNode;
 using detail::NodeEvaluator;
 using detail::SearchState;
-using detail::frontier_after;
 using detail::kInfCost;
+
+/// A frontier entry: one open subproblem of the best-first search.
+struct FrontierNode {
+  SearchState s;
+  double cost;
+  std::vector<std::size_t> chosen;
+  std::vector<double> lambda;
+  /// Admissible lower bound on any completion through this node
+  /// (inherited from the parent's node bound at creation).
+  double priority;
+  int depth;
+  std::uint64_t seq;  ///< creation order; deterministic tie-break
+};
+
+/// Min-heap order on (priority, seq): std::push_heap/pop_heap expect a
+/// "less" comparator for a max-heap, so invert both components.
+bool frontier_after(const FrontierNode& a, const FrontierNode& b) {
+  if (a.priority != b.priority) return a.priority > b.priority;
+  return a.seq > b.seq;
+}
 
 constexpr std::size_t kProgressPeriod = 1024;
 
@@ -64,8 +77,8 @@ struct Expansion {
 
 /// Expands one node against an incumbent-cost snapshot. PURE: reads only
 /// the node, the snapshot, and the const evaluator, so concurrent calls
-/// with the same inputs produce identical outputs -- the determinism of
-/// kRounds mode rests on this.
+/// with the same inputs produce identical outputs -- the engine's
+/// determinism rests on this.
 Expansion expand_node(const NodeEvaluator& eval, FrontierNode node,
                       double best_cost) {
   const CoverProblem& p = eval.problem();
@@ -119,12 +132,9 @@ Expansion expand_node(const NodeEvaluator& eval, FrontierNode node,
     child.chosen.push_back(j);
     child.lambda = child_lambda;
     // Clamped to the parent's priority so priorities are monotone
-    // NONDECREASING down every root-to-leaf path (the serial engine's
-    // max(node.cost + bound, child_cost) alone already is in practice, but
-    // the clamp makes it an invariant). It buys the free-run termination
-    // proof: when a worker observes heap-top priority >= incumbent with no
-    // node in flight, every future descendant is bounded below the same
-    // way, so the incumbent is globally optimal.
+    // NONDECREASING down every root-to-leaf path: once the heap top meets
+    // the incumbent, every future descendant is bounded below the same way,
+    // so the incumbent is globally optimal.
     child.priority = std::max({node.priority, node.cost + bound, child_cost});
     child.depth = node.depth + 1;
     child.seq = 0;  // assigned by the merge step, in deterministic order
@@ -147,16 +157,7 @@ FrontierNode make_root(const CoverProblem& p, const BnbOptions& opt) {
                       0.0, 0, 0};
 }
 
-void flush_run_metrics(std::size_t rc_fixed, std::size_t incumbent_updates) {
-  auto& registry = support::MetricsRegistry::global();
-  registry.counter("ucp.rc_fixed_columns").add(rc_fixed);
-  registry.counter("ucp.incumbent_updates").add(incumbent_updates);
-}
-
-// ---- Deterministic round-synchronous engine (kRounds) ---------------------
-
-CoverSolution run_rounds(const CoverProblem& p, const BnbOptions& opt,
-                         double* root_bound_out) {
+CoverSolution run_rounds(const CoverProblem& p, const BnbOptions& opt) {
   support::TraceSink* sink = support::trace_sink();
   NodeEvaluator eval(p, opt);
   auto& frontier_gauge =
@@ -305,7 +306,9 @@ CoverSolution run_rounds(const CoverProblem& p, const BnbOptions& opt,
   if (sink != nullptr) {
     support::trace_counter("ucp.nodes", static_cast<double>(nodes), "ucp");
   }
-  flush_run_metrics(rc_fixed, incumbent_updates);
+  auto& registry = support::MetricsRegistry::global();
+  registry.counter("ucp.rc_fixed_columns").add(rc_fixed);
+  registry.counter("ucp.incumbent_updates").add(incumbent_updates);
 
   CoverSolution sol;
   sol.chosen = std::move(best);
@@ -317,242 +320,22 @@ CoverSolution run_rounds(const CoverProblem& p, const BnbOptions& opt,
   sol.stop = stop;
   sol.explored_fingerprint = fingerprint;
   sol.root_multipliers = std::move(root_multipliers);
-  if (root_bound_out != nullptr) *root_bound_out = root_bound;
-  return sol;
-}
-
-// ---- Asynchronous engine (kFreeRun) ---------------------------------------
-
-struct FreeRunShared {
-  const NodeEvaluator& eval;
-  const BnbOptions& opt;
-  support::TraceSink* sink;
-
-  // Frontier state, guarded by mu. `active` counts nodes popped but not yet
-  // merged back; `live` counts workers that have not exited.
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<FrontierNode> heap;
-  std::uint64_t next_seq{1};
-  int active{0};
-  int live{0};
-  bool done{false};
-  bool complete{true};
-  bool deadline_hit{false};
-  CoverStop stop{CoverStop::kCompleted};
-  std::size_t nodes{0};
-  double root_bound{0.0};
-  std::vector<double> root_multipliers;
-
-  // The incumbent: {cost, cover} live under their own mutex so a reader
-  // never sees a cost paired with another cover (no torn incumbent). The
-  // atomic mirrors the guarded cost for lock-free pruning reads; it is
-  // stored INSIDE the lock, so it only ever decreases, and a stale (higher)
-  // read can only make a worker prune LESS -- never wrongly.
-  std::mutex incumbent_mu;
-  std::vector<std::size_t> best;
-  double best_cost_guarded{kInfCost};
-  std::atomic<double> best_cost{kInfCost};
-
-  std::atomic<std::size_t> rc_fixed{0};
-  std::atomic<std::size_t> incumbent_updates{0};
-
-  FreeRunShared(const NodeEvaluator& e, const BnbOptions& o,
-                support::TraceSink* s)
-      : eval(e), opt(o), sink(s) {}
-
-  /// Terminal condition reached (budget/deadline/frontier cap): record it
-  /// (first reason wins) and wake everyone. Caller holds mu.
-  void halt(CoverStop reason) {
-    complete = false;
-    if (stop == CoverStop::kCompleted) stop = reason;
-    done = true;
-    cv.notify_all();
-  }
-
-  void try_accept(double cost, std::vector<std::size_t>&& chosen,
-                  std::size_t nodes_hint) {
-    std::lock_guard<std::mutex> g(incumbent_mu);
-    if (cost >= best_cost_guarded) return;
-    best_cost_guarded = cost;
-    best = std::move(chosen);
-    best_cost.store(cost, std::memory_order_release);
-    incumbent_updates.fetch_add(1, std::memory_order_relaxed);
-    if (sink != nullptr) {
-      support::trace_instant("ucp.incumbent_improved", "ucp",
-                             "{\"cost\":" + std::to_string(cost) +
-                                 ",\"nodes\":" + std::to_string(nodes_hint) +
-                                 "}");
-    }
-    support::flight_record("incumbent",
-                           "cost=" + std::to_string(cost) +
-                               " nodes=" + std::to_string(nodes_hint));
-  }
-};
-
-void free_run_worker(FreeRunShared& sh) {
-  auto& frontier_gauge =
-      support::MetricsRegistry::global().gauge("ucp.frontier_depth");
-  std::size_t local_nodes = 0;
-  std::unique_lock<std::mutex> lock(sh.mu);
-  while (!sh.done) {
-    const double best_now = sh.best_cost.load(std::memory_order_relaxed);
-    const bool has_work =
-        !sh.heap.empty() && sh.heap.front().priority < best_now;
-    if (!has_work) {
-      if (sh.active == 0) {
-        // Frontier empty or dominated with no node in flight: since child
-        // priorities are clamped monotone, every unexplored descendant is
-        // bounded >= the incumbent, which is therefore globally optimal.
-        sh.done = true;
-        sh.cv.notify_all();
-        break;
-      }
-      sh.cv.wait(lock);
-      continue;
-    }
-    if (sh.nodes >= sh.opt.max_nodes) {
-      sh.halt(CoverStop::kNodeBudget);
-      break;
-    }
-    if (sh.opt.deadline.expired()) {
-      sh.deadline_hit = true;
-      sh.halt(CoverStop::kDeadline);
-      break;
-    }
-    if (sh.opt.fault_injector != nullptr &&
-        sh.opt.fault_injector->should_fail(
-            support::fault_sites::kUcpFrontier)) {
-      // This worker dies; survivors finish the search. The result stays a
-      // valid cover but is no longer CLAIMED optimal (conservative: the
-      // survivors usually do prove it).
-      sh.complete = false;
-      if (sh.stop == CoverStop::kCompleted) sh.stop = CoverStop::kAborted;
-      break;
-    }
-
-    std::pop_heap(sh.heap.begin(), sh.heap.end(), frontier_after);
-    FrontierNode node = std::move(sh.heap.back());
-    sh.heap.pop_back();
-    ++sh.nodes;
-    ++sh.active;
-    lock.unlock();
-
-    ++local_nodes;
-    if (sh.sink != nullptr && local_nodes % kProgressPeriod == 0) {
-      // Per-thread node-rate track (events carry the emitting thread's id).
-      support::trace_counter("ucp.nodes", static_cast<double>(local_nodes),
-                             "ucp");
-    }
-    const double snapshot = sh.best_cost.load(std::memory_order_acquire);
-    Expansion r = expand_node(sh.eval, std::move(node), snapshot);
-    if (r.rc_fixed > 0) {
-      sh.rc_fixed.fetch_add(r.rc_fixed, std::memory_order_relaxed);
-    }
-    if (r.feasible && r.solved) {
-      sh.try_accept(r.cost, std::move(r.chosen), local_nodes);
-    }
-
-    lock.lock();
-    --sh.active;
-    if (r.feasible && r.depth == 0) {
-      sh.root_bound = r.bound;
-      if (!r.multipliers.empty()) {
-        sh.root_multipliers = std::move(r.multipliers);
-      }
-    }
-    if (r.feasible && !r.solved && !r.pruned) {
-      const double best_merge = sh.best_cost.load(std::memory_order_relaxed);
-      for (FrontierNode& child : r.children) {
-        if (child.cost >= best_merge) continue;
-        child.seq = sh.next_seq++;
-        sh.heap.push_back(std::move(child));
-        std::push_heap(sh.heap.begin(), sh.heap.end(), frontier_after);
-      }
-      frontier_gauge.set_max(static_cast<double>(sh.heap.size()));
-      if (sh.heap.size() > sh.opt.best_first_max_frontier) {
-        sh.halt(CoverStop::kFrontierCap);
-        break;
-      }
-    }
-    sh.cv.notify_all();
-  }
-  if (!lock.owns_lock()) lock.lock();
-  // Last worker out closes the shop even on the all-workers-died-by-fault
-  // path, so the driver never waits on a frontier nobody will drain.
-  if (--sh.live == 0 && !sh.done) {
-    sh.done = true;
-  }
-  lock.unlock();
-  sh.cv.notify_all();
-  if (sh.sink != nullptr && local_nodes > 0) {
-    support::trace_counter("ucp.nodes", static_cast<double>(local_nodes),
-                           "ucp");
-  }
-}
-
-CoverSolution run_free(const CoverProblem& p, const BnbOptions& opt,
-                       double* root_bound_out) {
-  support::TraceSink* sink = support::trace_sink();
-  NodeEvaluator eval(p, opt);
-  FreeRunShared sh(eval, opt, sink);
-  sh.best_cost_guarded = detail::seed_incumbent(p, opt, sh.best);
-  sh.best_cost.store(sh.best_cost_guarded, std::memory_order_relaxed);
-  sh.heap.push_back(make_root(p, opt));
-
-  const std::size_t workers = support::resolve_thread_count(opt.threads);
-  std::unique_ptr<support::ThreadPool> owned;
-  support::ThreadPool* pool = opt.pool;
-  if (pool == nullptr && workers > 1) {
-    owned = std::make_unique<support::ThreadPool>(workers - 1);
-    pool = owned.get();
-  }
-  const std::size_t helpers =
-      (pool != nullptr && workers > 1) ? workers - 1 : 0;
-  sh.live = static_cast<int>(1 + helpers);
-
-  std::vector<std::future<void>> futures;
-  futures.reserve(helpers);
-  for (std::size_t i = 0; i < helpers; ++i) {
-    futures.push_back(pool->submit([&sh] { free_run_worker(sh); }));
-  }
-  // The calling thread is worker 0: even if the (possibly borrowed) pool is
-  // saturated and never schedules a helper, the solve still completes.
-  free_run_worker(sh);
-  for (std::future<void>& f : futures) f.get();
-
-  flush_run_metrics(sh.rc_fixed.load(), sh.incumbent_updates.load());
-
-  CoverSolution sol;
-  sol.chosen = std::move(sh.best);
-  std::sort(sol.chosen.begin(), sol.chosen.end());
-  sol.cost = sh.best_cost_guarded;
-  sol.optimal = sh.complete && sol.cost < kInfCost;
-  sol.nodes_explored = sh.nodes;
-  sol.deadline_expired = sh.deadline_hit;
-  sol.stop = sh.stop;
-  sol.root_multipliers = std::move(sh.root_multipliers);
-  if (root_bound_out != nullptr) *root_bound_out = sh.root_bound;
+  sol.lower_bound = root_bound;
   return sol;
 }
 
 }  // namespace
 
 CoverSolution solve_parallel_bnb(const CoverProblem& problem,
-                                 const BnbOptions& options,
-                                 double* root_bound) {
+                                 const BnbOptions& options) {
   support::Span span(
-      options.mode == BnbMode::kRounds ? "ucp.bnb_rounds" : "ucp.bnb_free",
-      "ucp",
+      "ucp.bnb_rounds", "ucp",
       "{\"rows\":" + std::to_string(problem.num_rows()) +
           ",\"cols\":" + std::to_string(problem.num_columns()) +
           ",\"threads\":" +
           std::to_string(support::resolve_thread_count(options.threads)) +
           "}");
-  if (options.mode == BnbMode::kRounds) {
-    return run_rounds(problem, options, root_bound);
-  }
-  return run_free(problem, options, root_bound);
+  return run_rounds(problem, options);
 }
 
 }  // namespace cdcs::ucp

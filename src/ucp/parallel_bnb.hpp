@@ -1,21 +1,15 @@
-// Parallel branch-and-bound engines for the weighted UCP (docs/performance.md
-// section 8). Selected by BnbOptions::mode:
+// Deterministic parallel branch-and-bound for the weighted UCP, the
+// parallel_bnb backend (docs/performance.md section 8).
 //
-//   kRounds  -- round-synchronous deterministic engine: each round pops the
-//               top rounds_batch_size frontier nodes sequentially, expands
-//               them in parallel as PURE functions of the round-start
-//               incumbent, and merges children sequentially in batch order.
-//               The explored tree is a function of (instance, options) only,
-//               so nodes_explored, the final cover, and
-//               CoverSolution::explored_fingerprint are bit-identical at any
-//               thread count.
-//   kFreeRun -- asynchronous workers over one shared frontier with an atomic
-//               monotone incumbent: maximum speed; the explored tree varies
-//               run to run but the returned cost is the same proven optimum
-//               (stale incumbent reads only ever UNDER-prune).
+// Round-synchronous: each round pops the top rounds_batch_size frontier
+// nodes sequentially, expands them in parallel as PURE functions of the
+// round-start incumbent, and merges children sequentially in batch order.
+// The explored tree is a function of (instance, options) only, so
+// nodes_explored, the final cover, and CoverSolution::explored_fingerprint
+// are bit-identical at any thread count.
 //
-// Internal header: callers go through ucp::solve_exact, which dispatches
-// here when mode != kSerial (and the instance is above the dense-DP cutoff).
+// Internal header: callers go through ucp::solve_exact with
+// BnbOptions::backend = "parallel_bnb".
 #pragma once
 
 #include "ucp/bnb_options.hpp"
@@ -23,11 +17,10 @@
 
 namespace cdcs::ucp {
 
-/// Runs the parallel engine selected by `options.mode` (must not be
-/// kSerial). Fills `*root_bound` (when non-null) with the lower bound
-/// established at the root node, for honest-gap reporting on degraded exits.
+/// Runs the rounds engine on `options.threads` workers (borrowing
+/// `options.pool` when set). `lower_bound` holds the bound established at
+/// the root node; solve_exact turns it into the reported bound.
 CoverSolution solve_parallel_bnb(const CoverProblem& problem,
-                                 const BnbOptions& options,
-                                 double* root_bound);
+                                 const BnbOptions& options);
 
 }  // namespace cdcs::ucp

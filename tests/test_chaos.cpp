@@ -164,12 +164,10 @@ TEST(ChaosSoak, JournaledSessionsSurviveEveryFaultSite) {
     options.threads = 1 + i % 2;
     options.fault_injection.injector = std::make_shared<FaultInjector>(*plan);
     // Cover solves go through the deterministic parallel engine so the
-    // rotation exercises the ucp.frontier site; WAN instances sit under
-    // the dense-DP row cutoff, so the shortcut must be off for
-    // branch-and-bound (and its frontier) to run at all.
-    options.solver.mode = ucp::BnbMode::kRounds;
+    // rotation exercises its ucp.frontier site; WAN instances sit under the
+    // dense-DP row cutoff, so the backend is named explicitly.
+    options.solver.backend = "parallel_bnb";
     options.solver.threads = options.threads;
-    options.solver.dense_dp_max_rows = 0;
 
     synth::Engine engine(base, lib, options);
     const std::string journal = temp_path("soak_" + std::to_string(i % 8) +

@@ -1,20 +1,19 @@
-// Pluggable cover-solver backends and the deterministic race portfolio
-// (ucp/cover_solver.hpp): registry surface, per-backend byte-identity with
-// the legacy dispatch, the CoverStop contract across every backend, and the
-// portfolio's thread-count-invariant winner.
+// The cover-solver backend registry (ucp/cover_solver.hpp): registry
+// surface, byte-identity of the default dispatch with the backend it
+// picks, and the CoverStop contract across every backend.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <bit>
+#include <cstdint>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "support/deadline.hpp"
 #include "support/fault.hpp"
-#include "support/thread_pool.hpp"
 #include "ucp/bnb.hpp"
 #include "ucp/cover_solver.hpp"
-#include "ucp/hitting_set.hpp"
 
 namespace {
 
@@ -46,25 +45,17 @@ CoverProblem corpus_problem(int rows, int cols, double density,
   return p;
 }
 
-/// The v1 reference configuration (tests/test_ucp.cpp legacy_options).
-BnbOptions legacy_options() {
-  BnbOptions o;
-  o.dense_dp_max_rows = 0;
-  o.use_lagrangian_bound = false;
-  o.use_reduced_cost_fixing = false;
-  return o;
-}
-
-BnbOptions backend_options(const char* name) {
+BnbOptions backend_options(const std::string& name) {
   BnbOptions o;
   o.backend = name;
   return o;
 }
 
+
 TEST(CoverSolverRegistry, FixedPriorityOrder) {
   const std::vector<std::string> names = ucp::registered_cover_solver_names();
-  const std::vector<std::string> expected = {
-      "dense_dp", "bnb_v2", "hitting_set", "parallel_bnb", "dfs_v1"};
+  const std::vector<std::string> expected = {"dense_dp", "bnb_v2",
+                                             "parallel_bnb"};
   EXPECT_EQ(names, expected);
   for (const std::string& n : names) {
     const ucp::CoverSolver* s = ucp::find_cover_solver(n);
@@ -73,7 +64,7 @@ TEST(CoverSolverRegistry, FixedPriorityOrder) {
   }
   EXPECT_EQ(ucp::find_cover_solver("no_such_backend"), nullptr);
   EXPECT_EQ(ucp::registered_cover_solver_list(),
-            "dense_dp, bnb_v2, hitting_set, parallel_bnb, dfs_v1");
+            "dense_dp, bnb_v2, parallel_bnb");
 }
 
 TEST(CoverSolverRegistry, UnknownOrInapplicableBackendThrows) {
@@ -98,18 +89,18 @@ TEST(CoverSolverRegistry, SolutionCarriesInstanceFeatures) {
   EXPECT_DOUBLE_EQ(s.density, ucp::cover_density(p));
 }
 
-// Every backend proves the same optimal cost on the corpus, and the dfs_v1
-// backend reproduces the pinned v1 reference tree byte-for-byte.
+// Every backend proves the same optimal cost on the corpus. (The v1
+// reference tree, bnb_v2 with the v2 bounds off, is pinned by
+// Exact.SeedCorpusNodeCounts.)
 TEST(CoverSolverMatrix, AllBackendsProveEqualCost) {
   const struct {
     int rows, cols;
     double density;
-    std::size_t pinned_v1_nodes;
   } kCorpus[] = {
-      {10, 30, 0.30, 7},
-      {12, 200, 0.25, 33},
-      {15, 60, 0.25, 98},
-      {20, 100, 0.20, 123},
+      {10, 30, 0.30},
+      {12, 200, 0.25},
+      {15, 60, 0.25},
+      {20, 100, 0.20},
   };
   for (const auto& c : kCorpus) {
     const CoverProblem p =
@@ -119,7 +110,7 @@ TEST(CoverSolverMatrix, AllBackendsProveEqualCost) {
     for (const ucp::CoverSolver* solver : ucp::registered_cover_solvers()) {
       if (!solver->applicable(p)) continue;
       const CoverSolution s =
-          ucp::solve_exact(p, backend_options(std::string(solver->name()).c_str()));
+          ucp::solve_exact(p, backend_options(std::string(solver->name())));
       EXPECT_TRUE(s.optimal) << solver->name();
       EXPECT_NEAR(s.cost, reference.cost, 1e-9)
           << solver->name() << " on " << c.rows << "x" << c.cols;
@@ -127,73 +118,49 @@ TEST(CoverSolverMatrix, AllBackendsProveEqualCost) {
       EXPECT_TRUE(p.covers_all(s.chosen)) << solver->name();
       EXPECT_EQ(s.backend, solver->name());
     }
-    // Pinned v1 reference tree, node-for-node through the registry.
-    const CoverSolution v1 = ucp::solve_exact(p, backend_options("dfs_v1"));
-    EXPECT_EQ(v1.nodes_explored, c.pinned_v1_nodes)
-        << c.rows << "x" << c.cols;
   }
 }
 
-// Selecting the backend the legacy dispatch would have picked is
-// byte-identical to not selecting one at all.
+// Naming the backend the default dispatch picks is byte-identical to naming
+// none: dense_dp up to kDefaultDenseDpRows rows, bnb_v2 above.
 TEST(CoverSolverMatrix, BackendSelectionIsByteIdenticalToLegacyDispatch) {
-  const CoverProblem p = corpus_problem(15, 60, 0.25, 106);
-
-  const CoverSolution legacy = ucp::solve_exact(p, legacy_options());
-  BnbOptions forced = legacy_options();
-  forced.backend = "dfs_v1";
-  const CoverSolution via_registry = ucp::solve_exact(p, forced);
-  EXPECT_EQ(legacy.backend, "dfs_v1");  // auto dispatch labels after the fact
-  EXPECT_EQ(via_registry.chosen, legacy.chosen);
-  EXPECT_DOUBLE_EQ(via_registry.cost, legacy.cost);
-  EXPECT_EQ(via_registry.nodes_explored, legacy.nodes_explored);
-
-  BnbOptions bf;
-  bf.dense_dp_max_rows = 0;
-  bf.search_order = ucp::SearchOrder::kBestFirst;
-  const CoverSolution v2 = ucp::solve_exact(p, bf);
-  const CoverSolution v2_named = ucp::solve_exact(p, backend_options("bnb_v2"));
-  EXPECT_EQ(v2.backend, "bnb_v2");
-  EXPECT_EQ(v2_named.chosen, v2.chosen);
-  EXPECT_EQ(v2_named.nodes_explored, v2.nodes_explored);
+  const struct {
+    int rows, cols;
+    double density;
+    unsigned seed;
+    const char* picked;
+  } kCases[] = {
+      {15, 60, 0.25, 106, "dense_dp"},
+      {20, 100, 0.20, 111, "dense_dp"},
+      {21, 100, 0.20, 111, "bnb_v2"},
+      {30, 120, 0.15, 131, "bnb_v2"},
+  };
+  for (const auto& c : kCases) {
+    const CoverProblem p = corpus_problem(c.rows, c.cols, c.density, c.seed);
+    const CoverSolution automatic = ucp::solve_exact(p, {});
+    const CoverSolution named = ucp::solve_exact(p, backend_options(c.picked));
+    EXPECT_EQ(automatic.backend, c.picked) << c.rows << "x" << c.cols;
+    EXPECT_EQ(named.chosen, automatic.chosen);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(named.cost),
+              std::bit_cast<std::uint64_t>(automatic.cost));
+    EXPECT_EQ(named.nodes_explored, automatic.nodes_explored);
+  }
 }
 
-TEST(CoverSolverHeuristic, SelectsByInstanceFeatures) {
-  EXPECT_EQ(ucp::select_cover_backend(10, 100, 0.30), "dense_dp");
-  EXPECT_EQ(ucp::select_cover_backend(24, 10, 0.90), "dense_dp");
-  EXPECT_EQ(ucp::select_cover_backend(100, 1000, 0.05), "hitting_set");
-  EXPECT_EQ(ucp::select_cover_backend(100, 300, 0.05), "bnb_v2");  // too narrow
-  EXPECT_EQ(ucp::select_cover_backend(100, 1000, 0.50), "bnb_v2");  // too dense
-
-  const CoverProblem small = corpus_problem(10, 30, 0.30, 101);
-  const CoverSolution s = ucp::solve_exact(small, backend_options("heuristic"));
-  EXPECT_TRUE(s.optimal);
-  EXPECT_EQ(s.backend, "dense_dp");
-}
-
-TEST(HittingSet, ProvesOptimumAndHonoursWarmStart) {
-  const CoverProblem p = corpus_problem(12, 200, 0.25, 103);
-  const CoverSolution reference = ucp::solve_exact(p, {});
-  const CoverSolution hs = ucp::solve_hitting_set(p, {});
-  EXPECT_TRUE(hs.optimal);
-  EXPECT_NEAR(hs.cost, reference.cost, 1e-9);
-  EXPECT_TRUE(p.covers_all(hs.chosen));
-  EXPECT_DOUBLE_EQ(hs.lower_bound, hs.cost);
-  EXPECT_GT(hs.nodes_explored, 0u);
-}
-
-TEST(HittingSet, InfeasibleAndTrivialInstances) {
-  CoverProblem empty(0);
-  const CoverSolution e = ucp::solve_hitting_set(empty, {});
-  EXPECT_TRUE(e.optimal);
-  EXPECT_DOUBLE_EQ(e.cost, 0.0);
-
-  CoverProblem infeasible(2);
-  infeasible.add_column({0}, 1.0);  // row 1 uncoverable
-  const CoverSolution inf = ucp::solve_hitting_set(infeasible, {});
-  EXPECT_FALSE(inf.optimal);
-  EXPECT_TRUE(std::isinf(inf.cost));
-  EXPECT_TRUE(inf.chosen.empty());
+// Above the cutoff the default runs serial depth-first B&B, and "bnb_v2"
+// names that same tree: both reproduce the pinned cover, cost bits and node
+// count (a best-first tree explores 16 nodes here, not 30).
+TEST(CoverSolverMatrix, DefaultAboveCutoffIsBnbV2) {
+  const CoverProblem p = corpus_problem(22, 150, 0.2, 320);
+  const std::vector<std::size_t> kChosen = {0, 13, 27, 82, 134, 141};
+  for (const BnbOptions& options : {BnbOptions{}, backend_options("bnb_v2")}) {
+    const CoverSolution s = ucp::solve_exact(p, options);
+    EXPECT_TRUE(s.optimal);
+    EXPECT_EQ(s.backend, "bnb_v2");
+    EXPECT_EQ(s.chosen, kChosen);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(s.cost), 0x40207d0a1f8963d1u);
+    EXPECT_EQ(s.nodes_explored, 30u);
+  }
 }
 
 // The CoverStop contract across every backend: the same budget produces the
@@ -201,8 +168,7 @@ TEST(HittingSet, InfeasibleAndTrivialInstances) {
 TEST(CoverStopContract, DeadlineStopsEveryBackend) {
   const CoverProblem p = corpus_problem(15, 60, 0.25, 106);
   const double optimum = ucp::solve_exact(p, {}).cost;
-  for (const char* name :
-       {"dense_dp", "bnb_v2", "hitting_set", "parallel_bnb", "dfs_v1"}) {
+  for (const std::string& name : ucp::registered_cover_solver_names()) {
     BnbOptions o = backend_options(name);
     o.deadline = support::Deadline::expire_after_checks(0);
     const CoverSolution s = ucp::solve_exact(p, o);
@@ -218,8 +184,7 @@ TEST(CoverStopContract, DeadlineStopsEveryBackend) {
 TEST(CoverStopContract, NodeBudgetStopsEveryBackend) {
   const CoverProblem p = corpus_problem(15, 60, 0.25, 106);
   const double optimum = ucp::solve_exact(p, {}).cost;
-  for (const char* name :
-       {"dense_dp", "bnb_v2", "hitting_set", "parallel_bnb", "dfs_v1"}) {
+  for (const std::string& name : ucp::registered_cover_solver_names()) {
     BnbOptions o = backend_options(name);
     o.max_nodes = 1;
     const CoverSolution s = ucp::solve_exact(p, o);
@@ -235,23 +200,27 @@ TEST(CoverStopContract, NodeBudgetStopsEveryBackend) {
 TEST(CoverStopContract, FrontierCapStopsFrontierBackends) {
   const CoverProblem p = corpus_problem(15, 60, 0.25, 106);
   const double optimum = ucp::solve_exact(p, {}).cost;
-  // Only the frontier-carrying engines can hit the cap; dense_dp and the
-  // recursive dfs_v1 have no frontier by construction.
-  for (const char* name : {"bnb_v2", "hitting_set", "parallel_bnb"}) {
+  // Only parallel_bnb carries a frontier; dense_dp and the recursive bnb_v2
+  // have none by construction and ignore the cap.
+  for (const std::string& name : ucp::registered_cover_solver_names()) {
     BnbOptions o = backend_options(name);
     o.best_first_max_frontier = 1;
     const CoverSolution s = ucp::solve_exact(p, o);
-    EXPECT_FALSE(s.optimal) << name;
-    EXPECT_EQ(s.stop, CoverStop::kFrontierCap) << name;
     EXPECT_TRUE(p.covers_all(s.chosen)) << name;
     EXPECT_LE(s.lower_bound, optimum + 1e-9) << name;
+    if (name == "parallel_bnb") {
+      EXPECT_FALSE(s.optimal) << name;
+      EXPECT_EQ(s.stop, CoverStop::kFrontierCap) << name;
+    } else {
+      EXPECT_TRUE(s.optimal) << name;
+      EXPECT_EQ(s.stop, CoverStop::kCompleted) << name;
+    }
   }
 }
 
 TEST(CoverStopContract, InjectedFaultAbortsEveryBackend) {
   const CoverProblem p = corpus_problem(15, 60, 0.25, 106);
-  for (const char* name :
-       {"dense_dp", "bnb_v2", "hitting_set", "parallel_bnb", "dfs_v1"}) {
+  for (const std::string& name : ucp::registered_cover_solver_names()) {
     auto plan = support::FaultPlan::parse("ucp.frontier@1");
     ASSERT_TRUE(plan.ok());
     support::FaultInjector injector(*plan);
@@ -261,119 +230,6 @@ TEST(CoverStopContract, InjectedFaultAbortsEveryBackend) {
     EXPECT_FALSE(s.optimal) << name;
     EXPECT_EQ(s.stop, CoverStop::kAborted) << name;
   }
-}
-
-// The determinism contract: the portfolio winner, cost, and exact cover are
-// a pure function of (instance, options) -- identical across pool sizes and
-// repeated runs.
-TEST(PortfolioDeterminism, WinnerIsThreadCountInvariant) {
-  const struct {
-    int rows, cols;
-    double density;
-    unsigned seed;
-    const char* expected_winner;
-  } kCases[] = {
-      {10, 30, 0.30, 101, "dense_dp"},
-      {15, 60, 0.25, 106, "dense_dp"},
-      // dense_dp inapplicable above kDenseDpMaxRows rows: the next racing
-      // prover in priority order wins.
-      {30, 120, 0.15, 131, "bnb_v2"},
-  };
-  for (const auto& c : kCases) {
-    const CoverProblem p = corpus_problem(c.rows, c.cols, c.density, c.seed);
-    const double optimum = ucp::solve_exact(p, {}).cost;
-    CoverSolution base;
-    for (const int workers : {1, 2, 8}) {
-      support::ThreadPool pool(static_cast<std::size_t>(workers));
-      for (int rep = 0; rep < 2; ++rep) {
-        BnbOptions o = backend_options("portfolio");
-        o.pool = &pool;
-        const CoverSolution s = ucp::solve_exact(p, o);
-        ASSERT_TRUE(s.optimal)
-            << c.rows << "x" << c.cols << " workers=" << workers;
-        EXPECT_NEAR(s.cost, optimum, 1e-9);
-        EXPECT_EQ(s.backend, c.expected_winner)
-            << c.rows << "x" << c.cols << " workers=" << workers;
-        if (workers == 1 && rep == 0) {
-          base = s;
-        } else {
-          EXPECT_EQ(s.chosen, base.chosen)
-              << c.rows << "x" << c.cols << " workers=" << workers;
-          EXPECT_DOUBLE_EQ(s.cost, base.cost);
-          EXPECT_EQ(s.backend, base.backend);
-        }
-      }
-    }
-  }
-}
-
-TEST(PortfolioDeterminism, ReportsMembersInPriorityOrder) {
-  const CoverProblem p = corpus_problem(10, 30, 0.30, 101);
-  support::ThreadPool pool(2);
-  BnbOptions o = backend_options("portfolio");
-  o.pool = &pool;
-  const CoverSolution s = ucp::solve_exact(p, o);
-  // parallel_bnb opts out of racing; everything else is applicable here.
-  const std::vector<std::string> expected = {"dense_dp", "bnb_v2",
-                                             "hitting_set", "dfs_v1"};
-  ASSERT_EQ(s.portfolio.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(s.portfolio[i].backend, expected[i]);
-  }
-  EXPECT_EQ(s.portfolio[0].outcome, ucp::BackendOutcome::kWon);
-  EXPECT_EQ(s.portfolio[0].backend, s.backend);
-  EXPECT_EQ(ucp::to_string(ucp::BackendOutcome::kWon), "won");
-  EXPECT_EQ(ucp::to_string(ucp::BackendOutcome::kLost), "lost");
-  EXPECT_EQ(ucp::to_string(ucp::BackendOutcome::kCancelled), "cancelled");
-  EXPECT_EQ(ucp::to_string(ucp::BackendOutcome::kDegraded), "degraded");
-}
-
-TEST(PortfolioDeterminism, ArmedInjectorForcesSequentialRace) {
-  // With a fault plan armed the portfolio must not race (racing members
-  // would consume the plan's hit schedule in pool-timing order). The @1
-  // rule kills the highest-priority member (dense_dp); the injector is
-  // then spent, so bnb_v2 -- next in fixed priority -- proves and wins.
-  // Fully deterministic because the members run in priority order.
-  const CoverProblem p = corpus_problem(10, 30, 0.30, 101);
-  const double optimum = ucp::solve_exact(p, {}).cost;
-  support::ThreadPool pool(4);
-  for (int rep = 0; rep < 2; ++rep) {
-    auto plan = support::FaultPlan::parse("ucp.frontier@1");
-    ASSERT_TRUE(plan.ok());
-    support::FaultInjector injector(*plan);
-    BnbOptions o = backend_options("portfolio");
-    o.pool = &pool;
-    o.fault_injector = &injector;
-    const CoverSolution s = ucp::solve_exact(p, o);
-    EXPECT_TRUE(s.optimal);
-    EXPECT_NEAR(s.cost, optimum, 1e-9);
-    EXPECT_EQ(s.backend, "bnb_v2");
-    ASSERT_GE(s.portfolio.size(), 2u);
-    EXPECT_EQ(s.portfolio[0].backend, "dense_dp");
-    EXPECT_EQ(s.portfolio[0].outcome, ucp::BackendOutcome::kDegraded);
-    EXPECT_EQ(s.portfolio[0].stop, CoverStop::kAborted);
-    EXPECT_EQ(s.portfolio[1].outcome, ucp::BackendOutcome::kWon);
-  }
-}
-
-TEST(PortfolioDeterminism, NoPoolRunsSequentiallyAndStillWins) {
-  const CoverProblem p = corpus_problem(15, 60, 0.25, 106);
-  const double optimum = ucp::solve_exact(p, {}).cost;
-  const CoverSolution s = ucp::solve_exact(p, backend_options("portfolio"));
-  EXPECT_TRUE(s.optimal);
-  EXPECT_NEAR(s.cost, optimum, 1e-9);
-  EXPECT_EQ(s.backend, "dense_dp");
-  // Sequential mode stops after the first prover: lower-priority members
-  // never start and report as cancelled.
-  bool saw_won = false;
-  for (const ucp::PortfolioMember& m : s.portfolio) {
-    if (m.outcome == ucp::BackendOutcome::kWon) {
-      saw_won = true;
-    } else if (saw_won) {
-      EXPECT_EQ(m.outcome, ucp::BackendOutcome::kCancelled) << m.backend;
-    }
-  }
-  EXPECT_TRUE(saw_won);
 }
 
 }  // namespace

@@ -34,8 +34,7 @@ struct Wan {
 };
 
 /// Arms `opts` with a parsed --fault-plan style spec (the scriptable way
-/// to reach each ladder rung; the legacy bools are pinned separately in
-/// LegacyBoolsStillDriveTheLadder).
+/// to reach each ladder rung).
 void arm(SynthesisOptions& opts, const std::string& spec) {
   opts.fault_injection.injector =
       std::make_shared<FaultInjector>(FaultPlan::parse(spec).value());
@@ -160,29 +159,6 @@ TEST(Degradation, FailedPricersLeaveOnlySingletons) {
       baseline::point_to_point_baseline(w.cg, w.lib);
   EXPECT_NEAR(result.total_cost, ptp.cost, 1e-6 * ptp.cost);
   EXPECT_TRUE(result.validation.ok());
-}
-
-TEST(Degradation, LegacyBoolsStillDriveTheLadder) {
-  // The pre-FaultPlan switches are shims over the same sites (see
-  // synth/options.hpp) and must keep forcing their rungs.
-  Wan w;
-  {
-    SynthesisOptions opts;
-    opts.fault_injection.expire_solver_deadline = true;
-    const SynthesisResult result =
-        synth::synthesize(w.cg, w.lib, opts).value();
-    EXPECT_EQ(result.degradation.stage, SynthesisStage::kIncumbent);
-    EXPECT_TRUE(result.validation.ok());
-  }
-  {
-    SynthesisOptions opts;
-    opts.fault_injection.drop_incumbent = true;
-    opts.fault_injection.fail_greedy_cover = true;
-    const SynthesisResult result =
-        synth::synthesize(w.cg, w.lib, opts).value();
-    EXPECT_EQ(result.degradation.stage, SynthesisStage::kPointToPoint);
-    EXPECT_TRUE(result.validation.ok());
-  }
 }
 
 TEST(Degradation, DegradedCostNeverBeatsTheReportedLowerBound) {

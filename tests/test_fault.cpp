@@ -1,12 +1,10 @@
 // support::FaultPlan / FaultInjector unit tests: spec parsing and
 // round-tripping, the three trigger kinds, schedule determinism (identical
 // seed + plan => identical fault schedule, the chaos-soak prerequisite),
-// thread-safety of the hit counters, and the legacy FaultInjection bool
-// shims booking through the same accounting (synth/options.hpp).
+// and thread-safety of the hit counters.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,13 +12,9 @@
 #include <gtest/gtest.h>
 
 #include "support/fault.hpp"
-#include "support/metrics.hpp"
-#include "synth/options.hpp"
 
 namespace cdcs::support {
 namespace {
-
-using cdcs::synth::FaultInjection;
 
 TEST(FaultPlan, ParsesEveryTriggerKindAndSeed) {
   const auto plan = FaultPlan::parse(
@@ -165,50 +159,6 @@ TEST(FaultInjector, ConcurrentNthHitFiresExactlyOnce) {
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(fired.load(), 1);
   EXPECT_EQ(inj.stats().at("engine.apply").hits, 400u);
-}
-
-TEST(FaultShims, LegacyBoolsMapToTheirSites) {
-  FaultInjection fi;
-  fi.fail_merging_pricers = true;
-  fi.expire_solver_deadline = true;
-  fi.drop_incumbent = true;
-  fi.fail_greedy_cover = true;
-  EXPECT_TRUE(fi.fires(fault_sites::kPricerMerge));
-  EXPECT_TRUE(fi.fires(fault_sites::kUcpSolve));
-  EXPECT_TRUE(fi.fires(fault_sites::kUcpIncumbent));
-  EXPECT_TRUE(fi.fires(fault_sites::kUcpGreedy));
-  // Bools never cover the durability sites.
-  EXPECT_FALSE(fi.fires(fault_sites::kEngineApply));
-  EXPECT_FALSE(fi.fires(fault_sites::kJournalWrite));
-}
-
-TEST(FaultShims, BoolFiresAreBookedInTheMetricsRegistry) {
-  auto& fires = MetricsRegistry::global().counter("fault.fires");
-  auto& site_fires =
-      MetricsRegistry::global().counter("fault.fires.pricer.merge");
-  const auto before = fires.value();
-  const auto site_before = site_fires.value();
-
-  FaultInjection fi;
-  fi.fail_merging_pricers = true;
-  EXPECT_TRUE(fi.fires(fault_sites::kPricerMerge));
-  EXPECT_EQ(fires.value(), before + 1);
-  EXPECT_EQ(site_fires.value(), site_before + 1);
-}
-
-TEST(FaultShims, PlanAndBoolAgreeOnFiring) {
-  // A plan rule takes precedence (the injector is consulted first); the
-  // bool only forces sites the plan leaves quiet.
-  FaultInjection fi;
-  fi.injector = std::make_shared<FaultInjector>(
-      FaultPlan::parse("pricer.merge@2").value());
-  EXPECT_FALSE(fi.fires(fault_sites::kPricerMerge));  // hit 1: not yet
-  EXPECT_TRUE(fi.fires(fault_sites::kPricerMerge));   // hit 2: plan fires
-  EXPECT_FALSE(fi.fires(fault_sites::kPricerMerge));  // hit 3: once-only
-
-  fi.fail_merging_pricers = true;  // the shim now forces it every time
-  EXPECT_TRUE(fi.fires(fault_sites::kPricerMerge));
-  EXPECT_TRUE(fi.fires(fault_sites::kPricerMerge));
 }
 
 TEST(FaultSites, RegistryIsStableAndComplete) {

@@ -172,7 +172,7 @@ TEST(Lagrangian, DeadlineExpiryReportsRootBound) {
   const CoverProblem p = random_problem(25, 120, 0.2, 77);
 
   BnbOptions opt;
-  opt.dense_dp_max_rows = 0;
+  opt.backend = "bnb_v2";
   opt.deadline = support::Deadline::expire_after_checks(0);
   const CoverSolution s = solve_exact(p, opt);
 
@@ -195,15 +195,17 @@ TEST(Lagrangian, DeadlineExpiryReportsRootBound) {
   EXPECT_LE(d.lower_bound, d.cost + 1e-9);
 }
 
-// Best-first search returns the same proven-optimal cost as DFS even on
-// instances with many cost ties, and its frontier cap degrades gracefully.
+// The best-first parallel_bnb returns the same proven-optimal cost as the
+// depth-first bnb_v2 even on instances with many cost ties, and its
+// frontier cap degrades gracefully.
 TEST(Lagrangian, BestFirstMatchesDfsAndCapsGracefully) {
   for (unsigned seed = 300; seed < 306; ++seed) {
     const CoverProblem p = random_problem(14, 80, 0.25, seed);
     BnbOptions dfs;
-    dfs.dense_dp_max_rows = 0;
-    BnbOptions bfs = dfs;
-    bfs.search_order = SearchOrder::kBestFirst;
+    dfs.backend = "bnb_v2";
+    BnbOptions bfs;
+    bfs.backend = "parallel_bnb";
+    bfs.threads = 1;
 
     const CoverSolution a = solve_exact(p, dfs);
     const CoverSolution b = solve_exact(p, bfs);
@@ -215,8 +217,8 @@ TEST(Lagrangian, BestFirstMatchesDfsAndCapsGracefully) {
   // A tiny frontier cap must still return a feasible cover, just unproven.
   const CoverProblem p = random_problem(22, 150, 0.2, 321);
   BnbOptions capped;
-  capped.dense_dp_max_rows = 0;
-  capped.search_order = SearchOrder::kBestFirst;
+  capped.backend = "parallel_bnb";
+  capped.threads = 1;
   capped.best_first_max_frontier = 2;
   capped.use_lagrangian_bound = false;  // keep the root from proving optimality
   capped.use_reduced_cost_fixing = false;

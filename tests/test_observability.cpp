@@ -266,10 +266,9 @@ TEST(TraceSchema, CoverEnginesHaveTheirOwnSpans) {
   const std::set<std::string> dp = span_names({});
   EXPECT_EQ(dp.count("ucp.dense_dp"), 1u);
   EXPECT_EQ(dp.count("ucp.bnb"), 0u);
-  for (const ucp::BnbMode mode : {ucp::BnbMode::kSerial, ucp::BnbMode::kRounds}) {
+  for (const char* backend : {"bnb_v2", "parallel_bnb"}) {
     ucp::BnbOptions bnb;
-    bnb.dense_dp_max_rows = 0;
-    bnb.mode = mode;
+    bnb.backend = backend;
     bnb.threads = 2;
     const std::set<std::string> names = span_names(bnb);
     EXPECT_EQ(names.count("ucp.solve"), 1u);

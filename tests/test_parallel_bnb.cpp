@@ -1,17 +1,17 @@
-// The parallel branch-and-bound contract (docs/performance.md section 8):
+// The parallel_bnb contract (docs/performance.md section 8):
 //
-//   * kRounds is DETERMINISTIC across thread counts: the explored-node set
-//     (pinned via CoverSolution::explored_fingerprint), node count, chosen
-//     cover, and cost are bit-identical at 1, 2, and 8 workers, on the
-//     solver corpus and through the whole synthesis pipeline.
-//   * kFreeRun is deterministic only in its ANSWER: every run returns the
-//     same proven-optimal cost the serial solver proves.
+//   * the rounds engine is DETERMINISTIC across thread counts: the
+//     explored-node set (pinned via CoverSolution::explored_fingerprint),
+//     node count, chosen cover, and cost are bit-identical at 1, 2, and 8
+//     workers, on the solver corpus and through the whole synthesis
+//     pipeline, and the cost is the one serial bnb_v2 proves.
 //   * A firing ucp.frontier fault degrades a solve all-or-nothing: the
 //     returned incumbent is a valid cover (never torn), just no longer
 //     claimed optimal.
 //
 // The ParallelBnbConcurrency suite doubles as the TSan target for the
-// shared-frontier engine (.github/workflows/ci.yml tsan job).
+// rounds engine (.github/workflows/ci.yml tsan job).
+#include <cstdint>
 #include <random>
 #include <sstream>
 #include <vector>
@@ -55,20 +55,29 @@ struct CorpusInstance {
   int rows, cols;
   double density;
   unsigned seed;
+  /// The rounds engine's explored tree at the default batch size.
+  std::size_t rounds_nodes;
+  std::uint64_t rounds_fingerprint;
 };
 
 const CorpusInstance kCorpus[] = {
-    {10, 30, 0.30, 101},
-    {12, 200, 0.25, 103},
-    {15, 60, 0.25, 106},
-    {20, 100, 0.20, 111},
-    {20, 2000, 0.15, 111},  // the bench_perf_summary headline instance
+    {10, 30, 0.30, 101, 4, 16541765940544332065u},
+    {12, 200, 0.25, 103, 11, 14405111966531092392u},
+    {15, 60, 0.25, 106, 24, 7928290202329275620u},
+    {20, 100, 0.20, 111, 29, 17295474699760951989u},
+    // the bench_perf_summary headline instance
+    {20, 2000, 0.15, 111, 228, 15031904695916508000u},
 };
 
-BnbOptions parallel_options(BnbMode mode, int threads) {
+BnbOptions serial_options() {
   BnbOptions opt;
-  opt.dense_dp_max_rows = 0;  // force branch-and-bound
-  opt.mode = mode;
+  opt.backend = "bnb_v2";  // branch-and-bound even on <= 20 rows
+  return opt;
+}
+
+BnbOptions parallel_options(int threads) {
+  BnbOptions opt;
+  opt.backend = "parallel_bnb";
   opt.threads = threads;
   return opt;
 }
@@ -77,22 +86,22 @@ TEST(ParallelBnbDeterminism, RoundsBitIdenticalAcrossThreadCounts) {
   for (const CorpusInstance& c : kCorpus) {
     const CoverProblem p = corpus_problem(c.rows, c.cols, c.density, c.seed);
 
-    const CoverSolution serial =
-        solve_exact(p, parallel_options(BnbMode::kSerial, 1));
+    const CoverSolution serial = solve_exact(p, serial_options());
     ASSERT_TRUE(serial.optimal);
     EXPECT_EQ(serial.explored_fingerprint, 0u);  // serial does not hash
 
     CoverSolution baseline;
     for (const int threads : {1, 2, 8}) {
-      const CoverSolution s =
-          solve_exact(p, parallel_options(BnbMode::kRounds, threads));
+      const CoverSolution s = solve_exact(p, parallel_options(threads));
       EXPECT_TRUE(s.optimal) << threads;
       EXPECT_TRUE(p.covers_all(s.chosen)) << threads;
       EXPECT_NEAR(s.cost, serial.cost, 1e-9)
           << c.rows << "x" << c.cols << " threads=" << threads;
       if (threads == 1) {
         baseline = s;
-        EXPECT_NE(s.explored_fingerprint, 0u);
+        EXPECT_EQ(s.nodes_explored, c.rounds_nodes);
+        EXPECT_EQ(s.explored_fingerprint, c.rounds_fingerprint)
+            << c.rows << "x" << c.cols;
         continue;
       }
       // The determinism contract: not "same cost", the SAME computation.
@@ -107,11 +116,10 @@ TEST(ParallelBnbDeterminism, RoundsBitIdenticalAcrossThreadCounts) {
 
 TEST(ParallelBnbDeterminism, RoundsBatchSizeChangesTreeNotAnswer) {
   const CoverProblem p = corpus_problem(15, 60, 0.25, 106);
-  const CoverSolution serial =
-      solve_exact(p, parallel_options(BnbMode::kSerial, 1));
+  const CoverSolution serial = solve_exact(p, serial_options());
   for (const std::size_t batch : {std::size_t{1}, std::size_t{4},
                                   std::size_t{64}}) {
-    BnbOptions opt = parallel_options(BnbMode::kRounds, 2);
+    BnbOptions opt = parallel_options(2);
     opt.rounds_batch_size = batch;
     const CoverSolution s = solve_exact(p, opt);
     EXPECT_TRUE(s.optimal) << batch;
@@ -119,31 +127,13 @@ TEST(ParallelBnbDeterminism, RoundsBatchSizeChangesTreeNotAnswer) {
   }
 }
 
-TEST(ParallelBnbDeterminism, FreeRunProvesTheSerialOptimum) {
-  for (const CorpusInstance& c : kCorpus) {
-    const CoverProblem p = corpus_problem(c.rows, c.cols, c.density, c.seed);
-    const CoverSolution serial =
-        solve_exact(p, parallel_options(BnbMode::kSerial, 1));
-    ASSERT_TRUE(serial.optimal);
-    for (const int threads : {1, 2, 8}) {
-      const CoverSolution s =
-          solve_exact(p, parallel_options(BnbMode::kFreeRun, threads));
-      EXPECT_TRUE(s.optimal)
-          << c.rows << "x" << c.cols << " threads=" << threads;
-      EXPECT_TRUE(p.covers_all(s.chosen)) << threads;
-      EXPECT_NEAR(s.cost, serial.cost, 1e-9)
-          << c.rows << "x" << c.cols << " threads=" << threads;
-    }
-  }
-}
-
 TEST(ParallelBnbDeterminism, StopReasonDistinguishesBudgets) {
   const CoverProblem p = corpus_problem(15, 60, 0.25, 106);
 
-  BnbOptions done = parallel_options(BnbMode::kRounds, 2);
+  BnbOptions done = parallel_options(2);
   EXPECT_EQ(solve_exact(p, done).stop, CoverStop::kCompleted);
 
-  BnbOptions budget = parallel_options(BnbMode::kRounds, 2);
+  BnbOptions budget = parallel_options(2);
   budget.max_nodes = 1;
   const CoverSolution b = solve_exact(p, budget);
   EXPECT_FALSE(b.optimal);
@@ -151,14 +141,14 @@ TEST(ParallelBnbDeterminism, StopReasonDistinguishesBudgets) {
   EXPECT_FALSE(b.deadline_expired);
   EXPECT_TRUE(p.covers_all(b.chosen));  // incumbent survives the cutoff
 
-  BnbOptions late = parallel_options(BnbMode::kRounds, 2);
+  BnbOptions late = parallel_options(2);
   late.deadline = support::Deadline::expire_after_checks(0);
   const CoverSolution d = solve_exact(p, late);
   EXPECT_FALSE(d.optimal);
   EXPECT_EQ(d.stop, CoverStop::kDeadline);
   EXPECT_TRUE(d.deadline_expired);
 
-  BnbOptions cramped = parallel_options(BnbMode::kRounds, 2);
+  BnbOptions cramped = parallel_options(2);
   cramped.best_first_max_frontier = 2;
   const CoverSolution f = solve_exact(p, cramped);
   EXPECT_FALSE(f.optimal);
@@ -184,15 +174,14 @@ std::string pipeline_fingerprint(const synth::SynthesisResult& r) {
 void expect_pipeline_rounds_invariant(const model::ConstraintGraph& cg,
                                       const commlib::Library& lib) {
   synth::SynthesisOptions serial;
-  serial.solver.dense_dp_max_rows = 0;  // force B&B (WAN is only 19 rows)
+  serial.solver.backend = "bnb_v2";  // B&B even on WAN's 19 rows
   const auto want = synth::synthesize(cg, lib, serial);
   ASSERT_TRUE(want.ok()) << want.status().to_string();
 
   std::string baseline;
   for (const int threads : {1, 2, 8}) {
     synth::SynthesisOptions options;
-    options.solver.dense_dp_max_rows = 0;
-    options.solver.mode = BnbMode::kRounds;
+    options.solver.backend = "parallel_bnb";
     options.solver.threads = threads;
     const auto run = synth::synthesize(cg, lib, options);
     ASSERT_TRUE(run.ok()) << run.status().to_string();
@@ -227,30 +216,11 @@ TEST(ParallelBnbDeterminism, PipelineNocMesh) {
 
 // ---- Concurrency / robustness (TSan targets) ------------------------------
 
-TEST(ParallelBnbConcurrency, FreeRunStressRepeats) {
-  // Hammer the shared frontier + atomic incumbent from 8 workers, several
-  // times, on two instances; every run must prove the same optimum.
-  const CorpusInstance instances[] = {{15, 60, 0.25, 106}, {20, 100, 0.20, 111}};
-  for (const CorpusInstance& c : instances) {
-    const CoverProblem p = corpus_problem(c.rows, c.cols, c.density, c.seed);
-    const CoverSolution serial =
-        solve_exact(p, parallel_options(BnbMode::kSerial, 1));
-    for (int repeat = 0; repeat < 3; ++repeat) {
-      const CoverSolution s =
-          solve_exact(p, parallel_options(BnbMode::kFreeRun, 8));
-      ASSERT_TRUE(s.optimal);
-      ASSERT_TRUE(p.covers_all(s.chosen));
-      EXPECT_NEAR(s.cost, serial.cost, 1e-9);
-    }
-  }
-}
-
 TEST(ParallelBnbConcurrency, RoundsStressSmallBatches) {
   // Small batches maximize round turnover (merge/fan-out churn) under TSan.
   const CoverProblem p = corpus_problem(20, 100, 0.20, 111);
-  const CoverSolution serial =
-      solve_exact(p, parallel_options(BnbMode::kSerial, 1));
-  BnbOptions opt = parallel_options(BnbMode::kRounds, 8);
+  const CoverSolution serial = solve_exact(p, serial_options());
+  BnbOptions opt = parallel_options(8);
   opt.rounds_batch_size = 2;
   for (int repeat = 0; repeat < 3; ++repeat) {
     const CoverSolution s = solve_exact(p, opt);
@@ -261,14 +231,13 @@ TEST(ParallelBnbConcurrency, RoundsStressSmallBatches) {
 
 TEST(ParallelBnbConcurrency, RoundsFrontierFaultAbortsAllOrNothing) {
   const CoverProblem p = corpus_problem(15, 60, 0.25, 106);
-  const CoverSolution serial =
-      solve_exact(p, parallel_options(BnbMode::kSerial, 1));
+  const CoverSolution serial = solve_exact(p, serial_options());
 
   auto plan = support::FaultPlan::parse("ucp.frontier@1");
   ASSERT_TRUE(plan.ok());
   support::FaultInjector injector(*plan);
 
-  BnbOptions opt = parallel_options(BnbMode::kRounds, 2);
+  BnbOptions opt = parallel_options(2);
   opt.fault_injector = &injector;
   const CoverSolution s = solve_exact(p, opt);
   // First frontier consultation fires: the solve aborts before expanding a
@@ -279,28 +248,6 @@ TEST(ParallelBnbConcurrency, RoundsFrontierFaultAbortsAllOrNothing) {
   EXPECT_EQ(s.nodes_explored, 0u);
   EXPECT_TRUE(p.covers_all(s.chosen));
   EXPECT_GE(s.cost, serial.cost - 1e-9);  // never better than the optimum
-  EXPECT_GT(injector.total_fires(), 0u);
-}
-
-TEST(ParallelBnbConcurrency, FreeRunWorkerDeathLeavesValidCover) {
-  const CoverProblem p = corpus_problem(15, 60, 0.25, 106);
-  const CoverSolution serial =
-      solve_exact(p, parallel_options(BnbMode::kSerial, 1));
-
-  auto plan = support::FaultPlan::parse("ucp.frontier@3");
-  ASSERT_TRUE(plan.ok());
-  support::FaultInjector injector(*plan);
-
-  BnbOptions opt = parallel_options(BnbMode::kFreeRun, 4);
-  opt.fault_injector = &injector;
-  const CoverSolution s = solve_exact(p, opt);
-  // One worker died mid-solve; the survivors finished the search. The
-  // result is conservative (not claimed optimal) but must be a coherent
-  // cover at least as good as the greedy seed and never below the optimum.
-  EXPECT_EQ(s.stop, CoverStop::kAborted);
-  EXPECT_FALSE(s.optimal);
-  EXPECT_TRUE(p.covers_all(s.chosen));
-  EXPECT_GE(s.cost, serial.cost - 1e-9);
   EXPECT_GT(injector.total_fires(), 0u);
 }
 

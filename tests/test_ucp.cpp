@@ -252,9 +252,9 @@ TEST_P(ExactVsBruteForce, RandomMatrices) {
   EXPECT_NEAR(s.cost, oracle, 1e-9);
   EXPECT_NEAR(p.cost_of(s.chosen), s.cost, 1e-9);
 
-  // Forced branch-and-bound must agree.
+  // Named branch-and-bound must agree.
   BnbOptions branch_only;
-  branch_only.dense_dp_max_rows = 0;
+  branch_only.backend = "bnb_v2";
   const CoverSolution b = solve_exact(p, branch_only);
   EXPECT_TRUE(b.optimal);
   EXPECT_TRUE(p.covers_all(b.chosen));
@@ -761,7 +761,7 @@ TEST(Exact, NodeBudgetReturnsIncumbent) {
   for (int r = 0; r < 6; ++r) p.add_column({static_cast<std::size_t>(r)}, 9.0);
   BnbOptions tight;
   tight.max_nodes = 1;
-  tight.dense_dp_max_rows = 0;  // force the branching path under test
+  tight.backend = "bnb_v2";  // the branching path under test
   // With the root Lagrangian bound on, one node can be enough to PROVE the
   // greedy incumbent optimal; disable it so the budget genuinely bites.
   tight.use_lagrangian_bound = false;
@@ -793,15 +793,14 @@ CoverProblem corpus_problem(int rows, int cols, double density,
   return p;
 }
 
-/// The v1 reference configuration: Lagrangian bounds and reduced-cost
-/// fixing off, DFS order. Solver v2 promises this reproduces the legacy
+/// The v1 reference configuration: bnb_v2 with Lagrangian bounds and
+/// reduced-cost fixing off. Solver v2 promises this reproduces the legacy
 /// search tree node-for-node.
 BnbOptions legacy_options() {
   BnbOptions opt;
-  opt.dense_dp_max_rows = 0;  // force branch-and-bound
+  opt.backend = "bnb_v2";
   opt.use_lagrangian_bound = false;
   opt.use_reduced_cost_fixing = false;
-  opt.search_order = SearchOrder::kDepthFirst;
   return opt;
 }
 
@@ -846,10 +845,9 @@ TEST(Exact, SeedCorpusNodeCounts) {
   EXPECT_EQ(solve_exact(p, no_lb).nodes_explored, 126u);
 }
 
-// Solver v2 contract: every configuration (legacy DFS, v2 DFS with
-// Lagrangian bounds + reduced-cost fixing, best-first) proves the SAME
-// optimal cover cost on the corpus, and the v2 bounds never expand more
-// nodes than the legacy tree.
+// Solver v2 contract: both configurations (legacy, v2 with Lagrangian
+// bounds + reduced-cost fixing) prove the SAME optimal cover cost on the
+// corpus, and the v2 bounds never expand more nodes than the legacy tree.
 TEST(Exact, SolverV2CostEqualityAndNodeReduction) {
   const struct {
     int rows, cols;
@@ -867,22 +865,14 @@ TEST(Exact, SolverV2CostEqualityAndNodeReduction) {
     const CoverSolution legacy = solve_exact(p, legacy_options());
 
     BnbOptions v2;
-    v2.dense_dp_max_rows = 0;
+    v2.backend = "bnb_v2";
     const CoverSolution dfs = solve_exact(p, v2);
-
-    BnbOptions best_first = v2;
-    best_first.search_order = SearchOrder::kBestFirst;
-    const CoverSolution bfs = solve_exact(p, best_first);
 
     ASSERT_TRUE(legacy.optimal);
     ASSERT_TRUE(dfs.optimal);
-    ASSERT_TRUE(bfs.optimal);
     EXPECT_NEAR(dfs.cost, legacy.cost, 1e-9)
         << c.rows << "x" << c.cols << " density " << c.density;
-    EXPECT_NEAR(bfs.cost, legacy.cost, 1e-9)
-        << c.rows << "x" << c.cols << " density " << c.density;
     EXPECT_TRUE(p.covers_all(dfs.chosen));
-    EXPECT_TRUE(p.covers_all(bfs.chosen));
     EXPECT_LE(dfs.nodes_explored, legacy.nodes_explored);
     // Optimal exits report a tight bound.
     EXPECT_NEAR(dfs.lower_bound, dfs.cost, 1e-9);
@@ -894,7 +884,7 @@ TEST(Exact, SolverV2CostEqualityAndNodeReduction) {
 TEST(Exact, WarmStartSeedsIncumbent) {
   const CoverProblem p = corpus_problem(15, 60, 0.25, 91 + 15);
   BnbOptions plain;
-  plain.dense_dp_max_rows = 0;
+  plain.backend = "bnb_v2";
   const CoverSolution base = solve_exact(p, plain);
   ASSERT_TRUE(base.optimal);
 
@@ -932,7 +922,7 @@ TEST(Exact, WarmMultipliersResolveSameOptimum) {
     const CoverProblem p =
         corpus_problem(c.rows, c.cols, c.density, 91 + c.rows);
     BnbOptions cold;
-    cold.dense_dp_max_rows = 0;
+    cold.backend = "bnb_v2";
     const CoverSolution base = solve_exact(p, cold);
     ASSERT_TRUE(base.optimal);
     ASSERT_EQ(base.root_multipliers.size(), p.num_rows());
@@ -964,7 +954,7 @@ TEST(Exact, WarmMultipliersResolveSameOptimum) {
 TEST(Exact, EmptyWarmMultipliersIsColdTree) {
   const CoverProblem p = corpus_problem(20, 100, 0.2, 111);
   BnbOptions cold;
-  cold.dense_dp_max_rows = 0;
+  cold.backend = "bnb_v2";
   const CoverSolution a = solve_exact(p, cold);
   const CoverSolution b = solve_exact(p, cold);
   EXPECT_EQ(a.nodes_explored, b.nodes_explored);

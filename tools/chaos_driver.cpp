@@ -172,8 +172,8 @@ int main(int argc, char** argv) {
 
   const model::ConstraintGraph base = workloads::wan2002();
   const commlib::Library lib = commlib::wan_library();
-  std::vector<std::string> backends = ucp::registered_cover_solver_names();
-  backends.push_back("portfolio");
+  const std::vector<std::string> backends =
+      ucp::registered_cover_solver_names();
 
   if (!args.postmortem_dir.empty()) {
     support::set_postmortem_dir(args.postmortem_dir);
@@ -204,19 +204,13 @@ int main(int argc, char** argv) {
     synth::SynthesisOptions options;
     options.threads = args.threads;
     options.fault_injection.injector = std::make_shared<FaultInjector>(*plan);
-    // Rotate the cover solves across EVERY registered backend plus the
-    // portfolio, so the rotating plans exercise the ucp.frontier fault site
-    // in each engine (serial per branch node, dense DP per deadline poll,
-    // hitting-set per iteration, parallel per round; the portfolio runs
-    // sequentially under an armed injector). The dense-DP shortcut stays
-    // off for the auto-dispatch-equivalent backends so branch-and-bound
-    // actually runs on WAN's 19 rows; mode kRounds keeps parallel_bnb on
-    // its deterministic engine.
+    // Rotate the cover solves across every registered backend, so the
+    // rotating plans exercise the ucp.frontier fault site in each engine
+    // (dense DP per deadline poll, bnb_v2 per branch node, parallel_bnb per
+    // round).
     options.solver.backend = backends[static_cast<std::size_t>(i) %
                                       backends.size()];
-    options.solver.mode = ucp::BnbMode::kRounds;
     options.solver.threads = args.threads;
-    options.solver.dense_dp_max_rows = 0;
 
     synth::Engine engine(base, lib, options);
     // open_journal consults the io.journal.open fault site, so it may be

@@ -8,7 +8,8 @@ and fails (exit 1) on:
   * any cover-cost difference on the ucp_bnb corpus (the solver is exact:
     costs are machine-independent and must match to 1e-6);
   * any node-count increase on any instance (node counts are deterministic;
-    growth means the bounds or reductions got weaker);
+    growth means the bounds or reductions got weaker), and any change of
+    the ucp_bnb legacy_nodes, the pinned v1 reference tree;
   * a wall-clock regression beyond 20%, measured machine-independently as
     the v2/legacy wall RATIO per instance (both sides of the ratio come
     from the same run on the same machine, so CI hardware drops out);
@@ -33,15 +34,11 @@ and fails (exit 1) on:
     fresh run's host has more than one hardware thread (on the 1-core CI
     container the sweep is pure oversubscription and proves nothing);
   * drift in the "cover_solver_matrix" section: every backend's cover cost
-    (1e-6) and proven optimality per instance, no per-backend node-count
-    growth, and the portfolio winner -- which the fixed-priority race makes
-    a pure function of the instance -- must match the baseline exactly,
-    with its deterministic flag true on every run;
-  * drift in the "parallel_bnb" section: rounds-mode cost (1e-6) and
+    (1e-6) and proven optimality per instance, and no per-backend
+    node-count growth;
+  * drift in the "parallel_bnb" section: rounds-engine cost (1e-6) and
     explored-node count (no growth) against the baseline, plus the
-    rounds_threads_identical / free_optimal / free_speedup_ok flags,
-    which must hold on every run (speedup enforcement is tiered inside
-    bench_perf_summary by the host's hardware_threads).
+    rounds_threads_identical flag, which must hold on every run.
 
 Absolute wall-clock milliseconds are intentionally NOT compared: the
 baseline was recorded on a different machine than CI runs on.
@@ -92,6 +89,11 @@ def main():
             errors.append(
                 f"{key}: nodes_explored grew "
                 f"{b['nodes_explored']} -> {e['nodes_explored']}"
+            )
+        if "legacy_nodes" in b and e.get("legacy_nodes") != b["legacy_nodes"]:
+            errors.append(
+                f"{key}: v1 reference tree changed, legacy_nodes "
+                f"{b['legacy_nodes']} -> {e.get('legacy_nodes')}"
             )
         if not e.get("optimal", False):
             errors.append(f"{key}: solver no longer proves optimality")
@@ -275,10 +277,8 @@ def main():
 
     # Cover-solver backend matrix. Everything in the section is a
     # deterministic pure function of the pinned instances: per-backend node
-    # counts (exact solvers, fixed seeds), costs, and the portfolio winner
-    # (the fixed-priority race contract in ucp/cover_solver.hpp). Costs get
-    # the usual float tolerance; node counts must not grow; the winner must
-    # not drift.
+    # counts (exact solvers, fixed seeds) and costs. Costs get the usual
+    # float tolerance; node counts must not grow.
     b_matrix = {(e["rows"], e["cols"]): e
                 for e in base.get("cover_solver_matrix", [])}
     e_matrix = {(e["rows"], e["cols"]): e
@@ -312,32 +312,10 @@ def main():
                     f"cover_solver_matrix {key}: backend '{name}' nodes grew "
                     f"{bb['nodes']} -> {eb['nodes']}"
                 )
-        b_pf = b.get("portfolio", {})
-        e_pf = e.get("portfolio", {})
-        if e_pf.get("winner") != b_pf.get("winner"):
-            errors.append(
-                f"cover_solver_matrix {key}: portfolio winner changed "
-                f"'{b_pf.get('winner')}' -> '{e_pf.get('winner')}' (the "
-                "fixed-priority winner is a pure function of the instance)"
-            )
-        if abs(e_pf.get("cost", 0.0) - b_pf.get("cost", 0.0)) > 1e-6:
-            errors.append(
-                f"cover_solver_matrix {key}: portfolio cost changed "
-                f"{b_pf.get('cost')} -> {e_pf.get('cost')}"
-            )
-        if e_pf.get("deterministic") is not True:
-            errors.append(
-                f"cover_solver_matrix {key}: portfolio deterministic = "
-                f"{e_pf.get('deterministic')} (must hold on every run)"
-            )
 
-    # Parallel branch-and-bound. The rounds-mode tree is a pure function of
-    # the instance (that is the determinism contract), so its cost and node
-    # count transfer across machines like the ucp_bnb corpus numbers.
-    # Free-run wall times and the speedup value are machine-dependent and
-    # are NOT compared; the machine-independent evidence is the flag
-    # triple, which bench_perf_summary computes with host-tiered
-    # enforcement (free_speedup_ok is trivially true on a 1-core host).
+    # Parallel branch-and-bound. The rounds engine's tree is a pure function
+    # of the instance (that is the determinism contract), so its cost and
+    # node count transfer across machines like the ucp_bnb corpus numbers.
     b_pb = base.get("parallel_bnb")
     e_pb = fresh.get("parallel_bnb")
     if b_pb is not None:
@@ -356,13 +334,12 @@ def main():
                     f"{b_pb['rounds_nodes']} -> {e_pb['rounds_nodes']} "
                     "(bounds got weaker)"
                 )
-            for key in ("rounds_threads_identical", "free_optimal",
-                        "free_speedup_ok"):
-                if e_pb.get(key) is not True:
-                    errors.append(
-                        f"parallel_bnb.{key} = {e_pb.get(key)} "
-                        "(must hold on every run)"
-                    )
+            if e_pb.get("rounds_threads_identical") is not True:
+                errors.append(
+                    "parallel_bnb.rounds_threads_identical = "
+                    f"{e_pb.get('rounds_threads_identical')} "
+                    "(must hold on every run)"
+                )
 
     if errors:
         fail(errors)
