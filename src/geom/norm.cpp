@@ -1,27 +1,10 @@
 #include "geom/norm.hpp"
 
-#include <cmath>
 #include <ostream>
 #include <stdexcept>
 #include <string>
 
 namespace cdcs::geom {
-
-double length(Point2D v, Norm norm) {
-  switch (norm) {
-    case Norm::kEuclidean:
-      return std::hypot(v.x, v.y);
-    case Norm::kManhattan:
-      return std::abs(v.x) + std::abs(v.y);
-    case Norm::kChebyshev:
-      return std::max(std::abs(v.x), std::abs(v.y));
-  }
-  throw std::logic_error("length: unknown norm");
-}
-
-double distance(Point2D a, Point2D b, Norm norm) {
-  return length(a - b, norm);
-}
 
 std::string_view to_string(Norm norm) {
   switch (norm) {

@@ -8,6 +8,9 @@
 // metric as the arc lengths.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <stdexcept>
 #include <string_view>
 
 #include "geom/point.hpp"
@@ -20,11 +23,24 @@ enum class Norm {
   kChebyshev,  ///< Linf: max(|dx|, |dy|) -- e.g. diagonal-routing fabrics.
 };
 
-/// Distance between two points under the given norm.
-double distance(Point2D a, Point2D b, Norm norm);
+/// Length of the displacement vector under the given norm. Inline: the
+/// pricers' placement loops call it millions of times per synthesis.
+inline double length(Point2D v, Norm norm) {
+  switch (norm) {
+    case Norm::kEuclidean:
+      return std::hypot(v.x, v.y);
+    case Norm::kManhattan:
+      return std::abs(v.x) + std::abs(v.y);
+    case Norm::kChebyshev:
+      return std::max(std::abs(v.x), std::abs(v.y));
+  }
+  throw std::logic_error("length: unknown norm");
+}
 
-/// Length of the displacement vector under the given norm.
-double length(Point2D v, Norm norm);
+/// Distance between two points under the given norm.
+inline double distance(Point2D a, Point2D b, Norm norm) {
+  return length(a - b, norm);
+}
 
 std::string_view to_string(Norm norm);
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <map>
-#include <set>
 #include <stdexcept>
 
 namespace cdcs::geom {
@@ -53,15 +51,16 @@ AllPairs all_pairs(const SteinerGraph& g) {
   return ap;
 }
 
-/// Appends the edges of the shortest path i -> j to `out`.
+/// Appends the edges of the shortest path i -> j to `out` (repeats
+/// allowed; the caller de-duplicates).
 void collect_path(const SteinerGraph& g, const AllPairs& ap, std::size_t i,
-                  std::size_t j, std::set<std::size_t>& out) {
+                  std::size_t j, std::vector<std::size_t>& out) {
   while (j != i) {
     const std::size_t e = ap.via_edge[i * ap.n + j];
     if (e == SIZE_MAX) {
       throw std::runtime_error("steiner: terminals are not connected");
     }
-    out.insert(e);
+    out.push_back(e);
     j = (g.edges[e].a == j) ? g.edges[e].b : g.edges[e].a;
   }
 }
@@ -79,10 +78,11 @@ SteinerTree steiner_in_graph(const SteinerGraph& g,
       throw std::invalid_argument("steiner_in_graph: terminal out of range");
     }
   }
-  {
-    std::set<std::size_t> uniq(terminals.begin(), terminals.end());
-    if (uniq.size() != t) {
-      throw std::invalid_argument("steiner_in_graph: duplicate terminals");
+  for (std::size_t i = 0; i < t; ++i) {
+    for (std::size_t j = i + 1; j < t; ++j) {
+      if (terminals[i] == terminals[j]) {
+        throw std::invalid_argument("steiner_in_graph: duplicate terminals");
+      }
     }
   }
   for (const auto& e : g.edges) {
@@ -105,34 +105,36 @@ SteinerTree steiner_in_graph(const SteinerGraph& g,
   // Dreyfus-Wagner over terminals[0..t-2]; the last terminal is the root
   // the final tree is read off at.
   const std::size_t sets = std::size_t{1} << (t - 1);
-  // dp[mask][v]; split_choice stores the submask when the value came from a
-  // merge at v, walk_from the vertex u the value was walked in from.
-  std::vector<std::vector<double>> dp(sets, std::vector<double>(n, kInf));
-  std::vector<std::vector<std::uint32_t>> split_choice(
-      sets, std::vector<std::uint32_t>(n, 0));
-  std::vector<std::vector<std::size_t>> walk_from(
-      sets, std::vector<std::size_t>(n, SIZE_MAX));
+  // dp[mask * n + v]; split_choice stores the submask when the value came
+  // from a merge at v, walk_from the vertex u the value was walked in from.
+  // Flat sets x n tables: three allocations, whatever the terminal count.
+  std::vector<double> dp(sets * n, kInf);
+  std::vector<std::uint32_t> split_choice(sets * n, 0);
+  std::vector<std::size_t> walk_from(sets * n, SIZE_MAX);
 
   for (std::size_t i = 0; i + 1 < t; ++i) {
-    for (std::size_t v = 0; v < n; ++v) {
-      dp[std::size_t{1} << i][v] = ap.d(terminals[i], v);
-    }
+    double* const row = &dp[(std::size_t{1} << i) * n];
+    for (std::size_t v = 0; v < n; ++v) row[v] = ap.d(terminals[i], v);
   }
 
   std::vector<double> merged(n);
   std::vector<std::uint32_t> merged_split(n);
   for (std::size_t mask = 1; mask < sets; ++mask) {
     if ((mask & (mask - 1)) == 0) continue;  // singleton: base case done
-    // Merge: best split of `mask` at every vertex.
-    for (std::size_t v = 0; v < n; ++v) {
-      merged[v] = kInf;
-      merged_split[v] = 0;
-      // Enumerate submasks containing the lowest set bit (canonical halves).
-      const std::size_t low = mask & (~mask + 1);
-      for (std::size_t sub = (mask - 1) & mask; sub != 0;
-           sub = (sub - 1) & mask) {
-        if (!(sub & low)) continue;
-        const double c = dp[sub][v] + dp[mask ^ sub][v];
+    // Merge: best split of `mask` at every vertex. Every vertex sees the
+    // submasks in the same order, so sweeping them outermost keeps each
+    // vertex's comparisons (and ties) while reading whole table rows.
+    std::fill(merged.begin(), merged.end(), kInf);
+    std::fill(merged_split.begin(), merged_split.end(), 0);
+    // Enumerate submasks containing the lowest set bit (canonical halves).
+    const std::size_t low = mask & (~mask + 1);
+    for (std::size_t sub = (mask - 1) & mask; sub != 0;
+         sub = (sub - 1) & mask) {
+      if (!(sub & low)) continue;
+      const double* const half = &dp[sub * n];
+      const double* const rest = &dp[(mask ^ sub) * n];
+      for (std::size_t v = 0; v < n; ++v) {
+        const double c = half[v] + rest[v];
         if (c < merged[v]) {
           merged[v] = c;
           merged_split[v] = static_cast<std::uint32_t>(sub);
@@ -150,27 +152,30 @@ SteinerTree steiner_in_graph(const SteinerGraph& g,
           from = u;
         }
       }
-      dp[mask][v] = best;
-      walk_from[mask][v] = from;
-      split_choice[mask][v] =
+      dp[mask * n + v] = best;
+      walk_from[mask * n + v] = from;
+      split_choice[mask * n + v] =
           from == SIZE_MAX ? merged_split[v] : merged_split[from];
     }
   }
 
   const std::size_t root = terminals[t - 1];
   const std::size_t full = sets - 1;
-  tree.cost = dp[full][root];
+  tree.cost = dp[full * n + root];
   if (tree.cost == kInf) {
     throw std::runtime_error("steiner_in_graph: terminals are not connected");
   }
 
-  // Edge recovery.
-  std::set<std::size_t> edges;
+  // Edge recovery, into a vector sorted and de-duplicated at the end.
+  std::vector<std::size_t> edges;
+  edges.reserve(n);
   struct Todo {
     std::size_t mask;
     std::size_t v;
   };
-  std::vector<Todo> stack{{full, root}};
+  std::vector<Todo> stack;
+  stack.reserve(t);
+  stack.push_back({full, root});
   while (!stack.empty()) {
     const Todo todo = stack.back();
     stack.pop_back();
@@ -182,16 +187,18 @@ SteinerTree steiner_in_graph(const SteinerGraph& g,
       continue;
     }
     std::size_t merge_at = todo.v;
-    const std::size_t from = walk_from[todo.mask][todo.v];
+    const std::size_t from = walk_from[todo.mask * n + todo.v];
     if (from != SIZE_MAX) {
       collect_path(g, ap, from, todo.v, edges);
       merge_at = from;
     }
-    const std::size_t sub = split_choice[todo.mask][todo.v];
+    const std::size_t sub = split_choice[todo.mask * n + todo.v];
     stack.push_back({sub, merge_at});
     stack.push_back({todo.mask ^ sub, merge_at});
   }
-  tree.edges.assign(edges.begin(), edges.end());
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  tree.edges = std::move(edges);
   return tree;
 }
 
@@ -203,6 +210,8 @@ PlanarSteinerTree steiner_tree_on_hanan_grid(
   }
   std::vector<double> xs;
   std::vector<double> ys;
+  xs.reserve(terminals.size());
+  ys.reserve(terminals.size());
   for (const Point2D& p : terminals) {
     xs.push_back(p.x);
     ys.push_back(p.y);
@@ -220,6 +229,7 @@ PlanarSteinerTree steiner_tree_on_hanan_grid(
 
   SteinerGraph g;
   g.num_vertices = nx * ny;
+  g.edges.reserve(2 * nx * ny);
   std::vector<Point2D> grid_pos(g.num_vertices);
   for (std::size_t iy = 0; iy < ny; ++iy) {
     for (std::size_t ix = 0; ix < nx; ++ix) {
@@ -240,6 +250,7 @@ PlanarSteinerTree steiner_tree_on_hanan_grid(
   // Map terminals to grid vertices; dedupe coincident terminals.
   std::vector<std::size_t> terminal_grid(terminals.size());
   std::vector<std::size_t> unique_terms;
+  unique_terms.reserve(terminals.size());
   for (std::size_t i = 0; i < terminals.size(); ++i) {
     const std::size_t ix =
         std::lower_bound(xs.begin(), xs.end(), terminals[i].x) - xs.begin();
@@ -254,14 +265,19 @@ PlanarSteinerTree steiner_tree_on_hanan_grid(
 
   const SteinerTree raw = steiner_in_graph(g, unique_terms);
 
-  // Compact to the used vertex set.
+  // Compact to the used vertex set: remap[gv] is the tree vertex of grid
+  // vertex gv, SIZE_MAX until first use.
   PlanarSteinerTree out;
   out.cost = raw.cost;
-  std::map<std::size_t, std::size_t> remap;
+  std::vector<std::size_t> remap(g.num_vertices, SIZE_MAX);
+  out.vertices.reserve(unique_terms.size() + raw.edges.size());
+  out.edges.reserve(raw.edges.size());
   auto intern = [&](std::size_t gv) {
-    const auto [it, inserted] = remap.emplace(gv, out.vertices.size());
-    if (inserted) out.vertices.push_back(grid_pos[gv]);
-    return it->second;
+    if (remap[gv] == SIZE_MAX) {
+      remap[gv] = out.vertices.size();
+      out.vertices.push_back(grid_pos[gv]);
+    }
+    return remap[gv];
   };
   for (std::size_t gv : unique_terms) intern(gv);  // terminals first
   for (std::size_t e : raw.edges) {
@@ -271,7 +287,7 @@ PlanarSteinerTree steiner_tree_on_hanan_grid(
   }
   out.terminal_vertex.resize(terminals.size());
   for (std::size_t i = 0; i < terminals.size(); ++i) {
-    out.terminal_vertex[i] = remap.at(terminal_grid[i]);
+    out.terminal_vertex[i] = remap[terminal_grid[i]];
   }
   return out;
 }

@@ -1,6 +1,7 @@
 #include "geom/weiszfeld.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -11,8 +12,9 @@
 namespace cdcs::geom {
 namespace {
 
-/// Exact 1-D weighted median: minimizes sum_i w_i * |x - c_i|.
-double weighted_median(std::vector<std::pair<double, double>> coord_weight) {
+/// Exact 1-D weighted median: minimizes sum_i w_i * |x - c_i|. Sorts
+/// `coord_weight` in place.
+double weighted_median(std::span<std::pair<double, double>> coord_weight) {
   std::sort(coord_weight.begin(), coord_weight.end());
   double total = 0.0;
   for (const auto& [c, w] : coord_weight) total += w;
@@ -24,17 +26,25 @@ double weighted_median(std::vector<std::pair<double, double>> coord_weight) {
   return coord_weight.empty() ? 0.0 : coord_weight.back().first;
 }
 
+/// Terminal counts up to which the Manhattan median sorts on the stack. The
+/// pricers' placement solves (a chain drop's three pulls, a star's hub or
+/// split over its spokes) stay within it; larger inputs use the heap.
+constexpr std::size_t kInlineTerminals = 16;
+
 Point2D manhattan_median(std::span<const Point2D> terminals,
                          std::span<const double> weights) {
-  std::vector<std::pair<double, double>> xs;
-  std::vector<std::pair<double, double>> ys;
-  xs.reserve(terminals.size());
-  ys.reserve(terminals.size());
-  for (std::size_t i = 0; i < terminals.size(); ++i) {
-    xs.emplace_back(terminals[i].x, weights[i]);
-    ys.emplace_back(terminals[i].y, weights[i]);
-  }
-  return {weighted_median(std::move(xs)), weighted_median(std::move(ys))};
+  const std::size_t n = terminals.size();
+  std::array<std::pair<double, double>, kInlineTerminals> inline_buf;
+  std::vector<std::pair<double, double>> heap_buf;
+  if (n > kInlineTerminals) heap_buf.resize(n);
+  const std::span<std::pair<double, double>> buf =
+      n > kInlineTerminals ? std::span(heap_buf)
+                           : std::span(inline_buf).first(n);
+  // One buffer serves both axes: x is taken before y is filled in.
+  for (std::size_t i = 0; i < n; ++i) buf[i] = {terminals[i].x, weights[i]};
+  const double x = weighted_median(buf);
+  for (std::size_t i = 0; i < n; ++i) buf[i] = {terminals[i].y, weights[i]};
+  return {x, weighted_median(buf)};
 }
 
 /// distance(a, b, Norm::kEuclidean), without the per-call norm dispatch.

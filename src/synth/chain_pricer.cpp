@@ -14,27 +14,34 @@ namespace {
 constexpr double kCoincideEps = 1e-9;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-struct OrderEvaluation {
-  std::vector<geom::Point2D> drop_pos;
-  double cost{kInf};
-  std::vector<PtpPlan> segments;
-  std::vector<double> segment_bw;
-  std::vector<PtpPlan> legs;
+/// Per-call buffers of the drop-order search, sized once for k arcs and
+/// overwritten by every order, so scoring an order touches no heap.
+struct OrderScratch {
+  explicit OrderScratch(std::size_t k)
+      : spokes(k), demand(k), leg_slope(k - 1), seg_bw(k),
+        slope_bw(k, std::numeric_limits<double>::quiet_NaN()), seg_slope(k),
+        q(k + 1) {}
+
+  // Laid out per order by the caller, in drop order.
+  std::vector<geom::Point2D> spokes;
+  std::vector<double> demand;
+  std::vector<double> leg_slope;
+
+  std::vector<double> seg_bw;
+  /// seg_slope[j] = length_slope(slope_bw[j]), kept from earlier orders and
+  /// recomputed only when segment j's bandwidth changes (NaN: never set).
+  std::vector<double> slope_bw;
+  std::vector<double> seg_slope;
+  /// Chain points q_0 = root, q_1..q_{k-1} = drops, q_k = terminus.
+  std::vector<geom::Point2D> q;
 };
 
-/// Prices one drop order. `spokes[i]`/`demand[i]` follow the order.
-OrderEvaluation evaluate_order(const geom::Point2D root,
-                               const std::vector<geom::Point2D>& spokes,
-                               const std::vector<double>& demand,
-                               const PtpCostModel& ptp, geom::Norm norm,
-                               model::CapacityPolicy policy,
-                               double node_cost, int refine_rounds) {
-  const std::size_t k = spokes.size();
-  OrderEvaluation out;
-
-  // Cumulative bandwidth carried by segment j (0-based: root->drop1 is 0):
-  // everything not yet dropped.
-  std::vector<double> seg_bw(k, 0.0);
+/// Cumulative bandwidth carried by segment j (0-based: root->drop1 is 0):
+/// everything not yet dropped.
+void segment_bandwidths(const std::vector<double>& demand,
+                        model::CapacityPolicy policy,
+                        std::vector<double>& seg_bw) {
+  const std::size_t k = demand.size();
   for (std::size_t j = 0; j < k; ++j) {
     double bw = 0.0;
     for (std::size_t i = j; i < k; ++i) {
@@ -44,56 +51,54 @@ OrderEvaluation evaluate_order(const geom::Point2D root,
     }
     seg_bw[j] = bw;
   }
+}
 
-  // Chain point sequence q_0 = root, q_1..q_{k-1} = drop nodes, q_k =
-  // terminus (the last spoke's own port). Drops start at their targets.
-  std::vector<geom::Point2D> q(k + 1);
-  q[0] = root;
-  for (std::size_t i = 0; i + 1 < k; ++i) q[i + 1] = spokes[i];
-  q[k] = spokes[k - 1];
+/// Cost of the drop order already laid out in `s.spokes`/`s.demand`, with
+/// the refined chain points left in `s.q`; +infinity when some segment or
+/// leg is unimplementable. Only costs are queried: the winning order's
+/// plans are built once, after the search.
+double score_order(const geom::Point2D root, OrderScratch& s,
+                   const PtpCostModel& ptp, geom::Norm norm,
+                   model::CapacityPolicy policy, double node_cost,
+                   int refine_rounds) {
+  const std::size_t k = s.spokes.size();
+  segment_bandwidths(s.demand, policy, s.seg_bw);
+
+  // Drops start at their targets.
+  s.q[0] = root;
+  for (std::size_t i = 0; i + 1 < k; ++i) s.q[i + 1] = s.spokes[i];
+  s.q[k] = s.spokes[k - 1];
 
   // Fermat-Weber re-centering of interior drops. Drop j is pulled by its
   // two trunk segments and its own leg, weighted by their length slopes.
-  std::vector<double> seg_slope(k);
-  std::vector<double> leg_slope(k - 1);
   for (std::size_t j = 0; j < k; ++j) {
-    seg_slope[j] = ptp.length_slope(seg_bw[j]);
-  }
-  for (std::size_t i = 0; i + 1 < k; ++i) {
-    leg_slope[i] = ptp.length_slope(demand[i]);
+    if (s.seg_bw[j] != s.slope_bw[j]) {
+      s.slope_bw[j] = s.seg_bw[j];
+      s.seg_slope[j] = ptp.length_slope(s.seg_bw[j]);
+    }
   }
   for (int round = 0; round < refine_rounds; ++round) {
     for (std::size_t j = 1; j < k; ++j) {
-      const geom::Point2D pts[] = {q[j - 1], q[j + 1], spokes[j - 1]};
-      const double ws[] = {seg_slope[j - 1], seg_slope[j], leg_slope[j - 1]};
-      q[j] = geom::weighted_geometric_median(pts, ws, norm);
+      const geom::Point2D pts[] = {s.q[j - 1], s.q[j + 1], s.spokes[j - 1]};
+      const double ws[] = {s.seg_slope[j - 1], s.seg_slope[j],
+                           s.leg_slope[j - 1]};
+      s.q[j] = geom::weighted_geometric_median(pts, ws, norm);
     }
   }
 
-  // Final pricing through the point-to-point optimizer.
+  // Segments, then legs, then the drop nodes: the order the plan's cost is
+  // summed in.
   double cost = 0.0;
-  out.segments.reserve(k);
   for (std::size_t j = 0; j < k; ++j) {
-    const auto plan =
-        ptp.plan(geom::distance(q[j], q[j + 1], norm), seg_bw[j]);
-    if (!plan) return out;  // cost stays infinite
-    cost += plan->cost;
-    out.segments.push_back(*plan);
+    cost += ptp.cost(geom::distance(s.q[j], s.q[j + 1], norm), s.seg_bw[j]);
+    if (cost == kInf) return kInf;
   }
-  out.legs.reserve(k - 1);
   for (std::size_t i = 0; i + 1 < k; ++i) {
-    const auto leg =
-        ptp.plan(geom::distance(q[i + 1], spokes[i], norm), demand[i]);
-    if (!leg) return out;
-    cost += leg->cost;
-    out.legs.push_back(*leg);
+    cost += ptp.cost(geom::distance(s.q[i + 1], s.spokes[i], norm),
+                     s.demand[i]);
+    if (cost == kInf) return kInf;
   }
-  cost += static_cast<double>(k - 1) * node_cost;
-
-  out.cost = cost;
-  out.segment_bw = std::move(seg_bw);
-  out.drop_pos.assign(q.begin() + 1, q.end() - 1);
-  return out;
+  return cost + static_cast<double>(k - 1) * node_cost;
 }
 
 }  // namespace
@@ -139,82 +144,96 @@ std::optional<ChainPlan> price_chain_merging(const model::ConstraintGraph& cg,
   const double node_cost = library.node(*drop_node).cost;
   const PtpCostModel ptp(library);
 
-  std::vector<geom::Point2D> spokes;
-  std::vector<double> demands;
-  for (model::ArcId a : subset) {
-    spokes.push_back(source_rooted ? cg.position(cg.target(a))
-                                   : cg.position(cg.source(a)));
-    demands.push_back(cg.bandwidth(a));
+  const std::size_t k = subset.size();
+  std::vector<geom::Point2D> spokes(k);
+  std::vector<double> demands(k);
+  std::vector<double> leg_slopes(k);  // a leg carries its own arc's demand
+  for (std::size_t i = 0; i < k; ++i) {
+    const model::ArcId a = subset[i];
+    spokes[i] = source_rooted ? cg.position(cg.target(a))
+                              : cg.position(cg.source(a));
+    demands[i] = cg.bandwidth(a);
+    leg_slopes[i] = ptp.length_slope(demands[i]);
   }
 
-  const std::size_t k = subset.size();
-  std::vector<std::size_t> order(k);
-  std::iota(order.begin(), order.end(), 0);
-
-  auto evaluate_permutation =
-      [&](const std::vector<std::size_t>& perm) -> OrderEvaluation {
-    std::vector<geom::Point2D> sp;
-    std::vector<double> dm;
-    for (std::size_t i : perm) {
-      sp.push_back(spokes[i]);
-      dm.push_back(demands[i]);
-    }
-    return evaluate_order(root, sp, dm, ptp, norm, policy, node_cost,
-                          options.refine_rounds);
-  };
-
-  OrderEvaluation best;
-  std::vector<std::size_t> best_order;
+  OrderScratch scratch(k);
+  double best_cost = kInf;
+  std::vector<std::size_t> best_order(k);
+  std::vector<geom::Point2D> best_q(k + 1);
   auto consider = [&](const std::vector<std::size_t>& perm) {
     if (deadline && deadline->expired()) return;
-    OrderEvaluation eval = evaluate_permutation(perm);
-    if (eval.cost < best.cost) {
-      best = std::move(eval);
-      best_order = perm;
+    for (std::size_t i = 0; i < k; ++i) {
+      scratch.spokes[i] = spokes[perm[i]];
+      scratch.demand[i] = demands[perm[i]];
+    }
+    for (std::size_t i = 0; i + 1 < k; ++i) {
+      scratch.leg_slope[i] = leg_slopes[perm[i]];
+    }
+    const double cost = score_order(root, scratch, ptp, norm, policy,
+                                    node_cost, options.refine_rounds);
+    if (cost < best_cost) {  // strict: the first of equal orders wins
+      best_cost = cost;
+      std::copy(perm.begin(), perm.end(), best_order.begin());
+      std::copy(scratch.q.begin(), scratch.q.end(), best_q.begin());
     }
   };
 
+  std::vector<std::size_t> perm(k);
+  std::iota(perm.begin(), perm.end(), 0);
   if (k <= static_cast<std::size_t>(options.exhaustive_order_max_k)) {
-    std::vector<std::size_t> perm = order;
-    std::sort(perm.begin(), perm.end());
     do {
       consider(perm);
     } while (std::next_permutation(perm.begin(), perm.end()));
   } else {
     // Nearest-first from the root.
-    std::vector<std::size_t> by_dist = order;
-    std::sort(by_dist.begin(), by_dist.end(), [&](std::size_t a, std::size_t b) {
+    std::sort(perm.begin(), perm.end(), [&](std::size_t a, std::size_t b) {
       return geom::distance(root, spokes[a], norm) <
              geom::distance(root, spokes[b], norm);
     });
-    consider(by_dist);
+    consider(perm);
     // Projection order along root -> centroid.
     geom::Point2D centroid{0, 0};
     for (const geom::Point2D& p : spokes) centroid += p;
     centroid = centroid / static_cast<double>(k);
     const geom::Point2D axis = centroid - root;
-    std::vector<std::size_t> by_proj = order;
-    std::sort(by_proj.begin(), by_proj.end(),
-              [&](std::size_t a, std::size_t b) {
-                const geom::Point2D da = spokes[a] - root;
-                const geom::Point2D db = spokes[b] - root;
-                return da.x * axis.x + da.y * axis.y <
-                       db.x * axis.x + db.y * axis.y;
-              });
-    consider(by_proj);
+    std::iota(perm.begin(), perm.end(), 0);
+    std::sort(perm.begin(), perm.end(), [&](std::size_t a, std::size_t b) {
+      const geom::Point2D da = spokes[a] - root;
+      const geom::Point2D db = spokes[b] - root;
+      return da.x * axis.x + da.y * axis.y < db.x * axis.x + db.y * axis.y;
+    });
+    consider(perm);
   }
 
-  if (!std::isfinite(best.cost)) return std::nullopt;
+  if (!std::isfinite(best_cost)) return std::nullopt;
 
+  // The winner's plan, built once from its stored drop positions: the same
+  // distances and bandwidths its score was summed from, so every plan's
+  // cost is the one scored.
   ChainPlan plan;
   plan.source_rooted = source_rooted;
-  for (std::size_t i : best_order) plan.arcs.push_back(subset[i]);
-  plan.drop_pos = std::move(best.drop_pos);
+  plan.arcs.reserve(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    plan.arcs.push_back(subset[best_order[i]]);
+    scratch.demand[i] = demands[best_order[i]];
+  }
+  plan.drop_pos.assign(best_q.begin() + 1, best_q.end() - 1);
   plan.drop_node = drop_node;
-  plan.segments = std::move(best.segments);
-  plan.segment_bandwidth = std::move(best.segment_bw);
-  plan.legs = std::move(best.legs);
-  plan.cost = best.cost;
+  plan.segment_bandwidth.resize(k);
+  segment_bandwidths(scratch.demand, policy, plan.segment_bandwidth);
+  plan.segments.reserve(k);
+  for (std::size_t j = 0; j < k; ++j) {
+    plan.segments.push_back(*ptp.plan(
+        geom::distance(best_q[j], best_q[j + 1], norm),
+        plan.segment_bandwidth[j]));
+  }
+  plan.legs.reserve(k - 1);
+  for (std::size_t i = 0; i + 1 < k; ++i) {
+    plan.legs.push_back(*ptp.plan(
+        geom::distance(best_q[i + 1], spokes[best_order[i]], norm),
+        scratch.demand[i]));
+  }
+  plan.cost = best_cost;
   return plan;
 }
 

@@ -21,7 +21,10 @@
 // nearest-first from the root and projection order along the root-to-
 // centroid axis. Per order, drop positions start at their targets and are
 // refined by a few rounds of weighted Fermat-Weber re-centering (exact
-// subproblems under linear cost models).
+// subproblems under linear cost models). Orders are compared by cost
+// alone: each is scored through PtpCostModel::cost in buffers allocated
+// once per call and reused by every order, and only the winning order's
+// segment and leg plans are built, once, from its stored drop positions.
 //
 // This module generalizes the paper's single-common-path merging in the
 // direction its successor framework (COSI) explored; candidate generation

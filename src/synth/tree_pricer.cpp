@@ -1,7 +1,7 @@
 #include "synth/tree_pricer.hpp"
 
 #include <algorithm>
-#include <map>
+#include <span>
 #include <stdexcept>
 
 #include "geom/steiner.hpp"
@@ -13,11 +13,19 @@ namespace {
 constexpr double kCoincideEps = 1e-9;
 
 /// Oriented tree scaffolding built from the undirected Steiner result.
+/// Children are stored flat: vertex v's are kids[kid_begin[v] ..
+/// kid_begin[v] + kid_count[v]), one contiguous block per vertex because
+/// the BFS appends all of a vertex's children at once.
 struct Oriented {
-  std::vector<geom::Point2D> pos;
-  std::vector<std::size_t> parent;             // SIZE_MAX for the root
-  std::vector<std::vector<std::size_t>> kids;  // children per vertex
-  std::vector<std::size_t> bfs;                // root first
+  std::vector<std::size_t> parent;     // SIZE_MAX for the root
+  std::vector<std::size_t> kids;
+  std::vector<std::size_t> kid_begin;
+  std::vector<std::size_t> kid_count;
+  std::vector<std::size_t> bfs;        // root first
+
+  std::span<std::size_t> kids_of(std::size_t v) {
+    return {kids.data() + kid_begin[v], kid_count[v]};
+  }
 };
 
 /// BFS-orients the tree from `root`. Returns false on a disconnected or
@@ -25,27 +33,41 @@ struct Oriented {
 bool orient(const geom::PlanarSteinerTree& tree, std::size_t root,
             Oriented& out) {
   const std::size_t n = tree.vertices.size();
-  std::vector<std::vector<std::size_t>> adj(n);
+  // Flat adjacency: vertex v's neighbours are adj[adj_begin[v] ..
+  // adj_begin[v + 1]), in edge order.
+  std::vector<std::size_t> adj_begin(n + 1, 0);
   for (const auto& e : tree.edges) {
-    adj[e.a].push_back(e.b);
-    adj[e.b].push_back(e.a);
+    ++adj_begin[e.a + 1];
+    ++adj_begin[e.b + 1];
   }
-  out.pos = tree.vertices;
+  for (std::size_t v = 0; v < n; ++v) adj_begin[v + 1] += adj_begin[v];
+  std::vector<std::size_t> adj(adj_begin[n]);
+  {
+    std::vector<std::size_t> fill(adj_begin.begin(), adj_begin.end() - 1);
+    for (const auto& e : tree.edges) {
+      adj[fill[e.a]++] = e.b;
+      adj[fill[e.b]++] = e.a;
+    }
+  }
   out.parent.assign(n, SIZE_MAX);
-  out.kids.assign(n, {});
+  out.kids.clear();
+  out.kids.reserve(n);
+  out.kid_begin.assign(n, 0);
+  out.kid_count.assign(n, 0);
   out.bfs.clear();
-  std::vector<bool> seen(n, false);
-  seen[root] = true;
+  out.bfs.reserve(n);
   out.bfs.push_back(root);
   for (std::size_t i = 0; i < out.bfs.size(); ++i) {
     const std::size_t v = out.bfs[i];
-    for (std::size_t w : adj[v]) {
-      if (seen[w]) continue;
-      seen[w] = true;
+    out.kid_begin[v] = out.kids.size();
+    for (std::size_t a = adj_begin[v]; a < adj_begin[v + 1]; ++a) {
+      const std::size_t w = adj[a];
+      if (w == root || out.parent[w] != SIZE_MAX) continue;  // seen
       out.parent[w] = v;
-      out.kids[v].push_back(w);
+      out.kids.push_back(w);
       out.bfs.push_back(w);
     }
+    out.kid_count[v] = out.kids.size() - out.kid_begin[v];
   }
   return out.bfs.size() == n;
 }
@@ -57,17 +79,17 @@ void contract_passthrough(Oriented& t, const std::vector<bool>& is_terminal,
   bool changed = true;
   while (changed) {
     changed = false;
-    for (std::size_t v = 0; v < t.pos.size(); ++v) {
+    for (std::size_t v = 0; v < t.parent.size(); ++v) {
       if (v == root || is_terminal[v]) continue;
-      if (t.parent[v] == SIZE_MAX || t.kids[v].size() != 1) continue;
+      if (t.parent[v] == SIZE_MAX || t.kid_count[v] != 1) continue;
       const std::size_t p = t.parent[v];
-      const std::size_t c = t.kids[v].front();
+      const std::size_t c = t.kids[t.kid_begin[v]];
       // Splice: p adopts c.
-      auto& siblings = t.kids[p];
+      const std::span<std::size_t> siblings = t.kids_of(p);
       *std::find(siblings.begin(), siblings.end(), v) = c;
       t.parent[c] = p;
       t.parent[v] = SIZE_MAX;
-      t.kids[v].clear();
+      t.kid_count[v] = 0;
       changed = true;
     }
   }
@@ -75,7 +97,7 @@ void contract_passthrough(Oriented& t, const std::vector<bool>& is_terminal,
   t.bfs.clear();
   t.bfs.push_back(root);
   for (std::size_t i = 0; i < t.bfs.size(); ++i) {
-    for (std::size_t w : t.kids[t.bfs[i]]) t.bfs.push_back(w);
+    for (std::size_t w : t.kids_of(t.bfs[i])) t.bfs.push_back(w);
   }
 }
 
@@ -111,7 +133,6 @@ std::optional<TreePlan> price_tree_merging(const model::ConstraintGraph& cg,
   if (common_source == common_target) return std::nullopt;
 
   TreePlan plan;
-  plan.arcs = subset;
   plan.source_rooted = common_source;
   const geom::Point2D root_pos = common_source ? first_src : first_dst;
   plan.junction_node = library.cheapest_node(
@@ -119,37 +140,42 @@ std::optional<TreePlan> price_tree_merging(const model::ConstraintGraph& cg,
   if (!plan.junction_node) return std::nullopt;
 
   // Terminals: root first, then the spokes (arc order).
-  std::vector<geom::Point2D> terminals{root_pos};
-  std::vector<double> demand;
-  for (model::ArcId a : subset) {
-    terminals.push_back(common_source ? cg.position(cg.target(a))
-                                      : cg.position(cg.source(a)));
-    demand.push_back(cg.bandwidth(a));
+  const std::size_t k = subset.size();
+  std::vector<geom::Point2D> terminals(k + 1);
+  std::vector<double> demand(k);
+  terminals[0] = root_pos;
+  for (std::size_t i = 0; i < k; ++i) {
+    const model::ArcId a = subset[i];
+    terminals[i + 1] = common_source ? cg.position(cg.target(a))
+                                     : cg.position(cg.source(a));
+    demand[i] = cg.bandwidth(a);
   }
+  plan.arcs = std::move(subset);
 
-  const geom::PlanarSteinerTree steiner =
+  geom::PlanarSteinerTree steiner =
       geom::steiner_tree_on_hanan_grid(terminals, norm);
   const std::size_t root = steiner.terminal_vertex.front();
 
   Oriented tree;
   if (!orient(steiner, root, tree)) return std::nullopt;
 
-  std::vector<bool> is_terminal(tree.pos.size(), false);
+  const std::size_t n = steiner.vertices.size();
+  std::vector<bool> is_terminal(n, false);
   for (std::size_t tv : steiner.terminal_vertex) is_terminal[tv] = true;
   contract_passthrough(tree, is_terminal, root);
 
   // Demand pulled through each vertex = combine over spokes in its subtree;
   // accumulate bottom-up over the BFS order.
-  std::vector<double> pulled(tree.pos.size(), 0.0);
-  plan.spoke_vertex.resize(subset.size());
-  for (std::size_t i = 0; i < subset.size(); ++i) {
+  std::vector<double> pulled(n, 0.0);
+  plan.spoke_vertex.resize(k);
+  for (std::size_t i = 0; i < k; ++i) {
     plan.spoke_vertex[i] = steiner.terminal_vertex[i + 1];
   }
   auto combine = [&](double a, double b) {
     return policy == model::CapacityPolicy::kSharedSum ? a + b
                                                        : std::max(a, b);
   };
-  for (std::size_t i = 0; i < subset.size(); ++i) {
+  for (std::size_t i = 0; i < k; ++i) {
     pulled[plan.spoke_vertex[i]] =
         combine(pulled[plan.spoke_vertex[i]], demand[i]);
   }
@@ -161,11 +187,13 @@ std::optional<TreePlan> price_tree_merging(const model::ConstraintGraph& cg,
   // Price the edges.
   const PtpCostModel ptp(library);
   double cost = 0.0;
+  plan.edges.reserve(tree.bfs.size() - 1);
   for (std::size_t i = 1; i < tree.bfs.size(); ++i) {
     const std::size_t v = tree.bfs[i];
     const std::size_t p = tree.parent[v];
-    const auto edge_plan =
-        ptp.plan(geom::distance(tree.pos[p], tree.pos[v], norm), pulled[v]);
+    const auto edge_plan = ptp.plan(
+        geom::distance(steiner.vertices[p], steiner.vertices[v], norm),
+        pulled[v]);
     if (!edge_plan) return std::nullopt;
     cost += edge_plan->cost;
     plan.edges.push_back(TreePlan::Edge{p, v, pulled[v], *edge_plan});
@@ -174,19 +202,18 @@ std::optional<TreePlan> price_tree_merging(const model::ConstraintGraph& cg,
   // Junction nodes: every non-root vertex with children, plus any vertex
   // serving several coincident spokes (distinct ports at one position must
   // each receive their own drop link from a shared junction).
-  plan.vertices = tree.pos;
-  plan.is_junction.assign(tree.pos.size(), false);
-  std::vector<int> spokes_at(tree.pos.size(), 0);
+  plan.is_junction.assign(n, false);
+  std::vector<int> spokes_at(n, 0);
   for (std::size_t sv : plan.spoke_vertex) ++spokes_at[sv];
   for (std::size_t i = 1; i < tree.bfs.size(); ++i) {
     const std::size_t v = tree.bfs[i];
-    if (!tree.kids[v].empty() || spokes_at[v] > 1) {
+    if (tree.kid_count[v] != 0 || spokes_at[v] > 1) {
       plan.is_junction[v] = true;
       cost += library.node(*plan.junction_node).cost;
     }
   }
-  plan.drop.resize(subset.size());
-  for (std::size_t i = 0; i < subset.size(); ++i) {
+  plan.drop.resize(k);
+  for (std::size_t i = 0; i < k; ++i) {
     if (plan.is_junction[plan.spoke_vertex[i]]) {
       const auto drop_plan = ptp.plan(0.0, demand[i]);
       if (!drop_plan) return std::nullopt;
@@ -194,6 +221,7 @@ std::optional<TreePlan> price_tree_merging(const model::ConstraintGraph& cg,
       plan.drop[i] = drop_plan;
     }
   }
+  plan.vertices = std::move(steiner.vertices);
   plan.cost = cost;
   return plan;
 }

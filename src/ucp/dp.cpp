@@ -181,9 +181,10 @@ CoverSolution solve_dp(const CoverProblem& problem,
     return sol;
   }
   // The table is all-or-nothing: a half-evaluated DP yields no incumbent,
-  // so a budget smaller than the row-mask space refuses up front with zero
-  // work.
-  if ((std::size_t{1} << rows) > max_states) {
+  // so a budget smaller than the states the recursion can reach (2^(R-1):
+  // every state below the root has row 0 covered) refuses up front with
+  // zero work.
+  if ((std::size_t{1} << (rows - 1)) > max_states) {
     sol.cost = kInf;
     sol.stop = CoverStop::kNodeBudget;
     return sol;

@@ -48,12 +48,14 @@ inline constexpr std::size_t kDenseDpMaxRows = 24;
 /// The deadline is polled every 4096 evaluated states; on expiry the DP
 /// abandons the table and returns an empty solution flagged
 /// `deadline_expired` (the caller falls back to the greedy incumbent).
-/// `max_states` is the DP's share of the caller's node budget: a row-mask
-/// space (2^R) larger than it is refused up front (stop = kNodeBudget, zero
-/// work done) rather than half-evaluated -- a partial DP table yields no
-/// incumbent, so there is nothing useful to salvage mid-run. `injector` (borrowed, may be
-/// null) is consulted at the "ucp.frontier" site once at the start and at
-/// every deadline poll; a firing abandons the table with stop = kAborted.
+/// `max_states` is the DP's share of the caller's node budget: when the
+/// states the recursion can reach (2^(R-1)) outnumber it, the solve is
+/// refused up front (stop = kNodeBudget, zero work done) rather than
+/// half-evaluated -- a partial DP table yields no incumbent, so there is
+/// nothing useful to salvage mid-run. The default budget (10M) admits
+/// kDenseDpMaxRows = 24 rows. `injector` (borrowed, may be null) is
+/// consulted at the "ucp.frontier" site once at the start and at every
+/// deadline poll; a firing abandons the table with stop = kAborted.
 CoverSolution solve_dp(
     const CoverProblem& problem, const support::Deadline& deadline = {},
     std::size_t max_states = std::numeric_limits<std::size_t>::max(),

@@ -163,6 +163,21 @@ TEST(CoverSolverMatrix, DefaultAboveCutoffIsBnbV2) {
   }
 }
 
+// The dense DP evaluates at most 2^(R-1) states, so the default node budget
+// (10M) admits its full 24 rows (2^23 states). Checking the budget against
+// 2^R instead refused every 24-row cover and handed back the greedy seed.
+TEST(CoverSolverMatrix, DenseDpSolves24RowsWithinDefaultBudget) {
+  const CoverProblem p = corpus_problem(24, 60, 0.15, 241);
+  const CoverSolution bnb = ucp::solve_exact(p, backend_options("bnb_v2"));
+  ASSERT_TRUE(bnb.optimal);
+  const CoverSolution dp = ucp::solve_exact(p, backend_options("dense_dp"));
+  EXPECT_TRUE(dp.optimal);
+  EXPECT_EQ(dp.stop, CoverStop::kCompleted);
+  EXPECT_GT(dp.nodes_explored, 0u);
+  EXPECT_TRUE(p.covers_all(dp.chosen));
+  EXPECT_DOUBLE_EQ(dp.cost, bnb.cost);
+}
+
 // The CoverStop contract across every backend: the same budget produces the
 // same stop reason, a feasible incumbent, and an honest lower bound.
 TEST(CoverStopContract, DeadlineStopsEveryBackend) {

@@ -190,6 +190,24 @@ TEST(Weiszfeld, ManhattanIsCoordinatewiseMedian) {
   EXPECT_DOUBLE_EQ(m.y, 3.0);
 }
 
+// The Manhattan median sorts up to 16 terminals on the stack and larger
+// inputs on the heap; both sides of that line give the coordinatewise
+// weighted median.
+TEST(Weiszfeld, ManhattanMedianOnEitherSideOfTheInlineBuffer) {
+  for (const int n : {15, 16, 17, 41}) {
+    std::vector<Point2D> pts;
+    std::vector<double> ws;
+    for (int i = n - 1; i >= 0; --i) {  // reversed: the median must sort
+      pts.push_back({static_cast<double>(i), 2.0 * i});
+      ws.push_back(1.0);
+    }
+    const Point2D m = weighted_geometric_median(pts, ws, Norm::kManhattan);
+    const double median = static_cast<double>((n - 1) / 2);
+    EXPECT_DOUBLE_EQ(m.x, median) << n;
+    EXPECT_DOUBLE_EQ(m.y, 2.0 * median) << n;
+  }
+}
+
 TEST(Weiszfeld, RejectsMismatchedSizes) {
   const std::vector<Point2D> pts = {{0, 0}};
   const std::vector<double> ws = {1.0, 2.0};

@@ -8,11 +8,15 @@
 //   * the candidate set -- each candidate's arcs, its cost bits, and the
 //     bits of every placed point (star hub/split, chain drops, tree
 //     vertices);
+//   * the priced structures -- each chain's drop order, segment bandwidths
+//     and per-segment/per-leg plans, and each tree's edges with their
+//     plans, junction flags, spoke vertices and drop plans;
 //   * the cover's chosen column indices;
 //   * the written implementation (io/impl_format).
 //
 // The pinned hashes were computed before the kernel pass (docs/performance.md
-// §10 describes the procedure). A mismatch means a kernel change moved an
+// §10 describes the procedure), the structure hashes before the heap-free
+// chain and tree search (§12). A mismatch means a kernel change moved an
 // output bit: the message prints the new hash, but re-pinning is only
 // correct for a change that is MEANT to alter the output.
 //
@@ -92,6 +96,50 @@ std::uint64_t hash_candidates(const CandidateSet& set) {
   return h.value();
 }
 
+void mix_plan(Hash& h, const PtpPlan& p) {
+  h.mix(static_cast<std::uint64_t>(p.link));
+  h.mix(static_cast<std::uint64_t>(p.segments));
+  h.mix(static_cast<std::uint64_t>(p.parallel));
+  h.mix(p.span);
+  h.mix(p.bandwidth);
+  h.mix(p.cost);
+}
+
+/// The plans behind the chain and tree candidates: what hash_candidates'
+/// placed points do not show (which order won, what each piece costs).
+std::uint64_t hash_structures(const CandidateSet& set) {
+  Hash h;
+  for (const Candidate& c : set.candidates) {
+    if (c.chain) {
+      h.mix(std::uint64_t{2});
+      for (model::ArcId a : c.chain->arcs) {
+        h.mix(static_cast<std::uint64_t>(a.index()));
+      }
+      for (double bw : c.chain->segment_bandwidth) h.mix(bw);
+      for (const PtpPlan& p : c.chain->segments) mix_plan(h, p);
+      for (const PtpPlan& p : c.chain->legs) mix_plan(h, p);
+    }
+    if (c.tree) {
+      h.mix(std::uint64_t{3});
+      for (const TreePlan::Edge& e : c.tree->edges) {
+        h.mix(static_cast<std::uint64_t>(e.parent));
+        h.mix(static_cast<std::uint64_t>(e.child));
+        h.mix(e.bandwidth);
+        mix_plan(h, e.plan);
+      }
+      for (bool j : c.tree->is_junction) h.mix(std::uint64_t{j});
+      for (std::size_t v : c.tree->spoke_vertex) {
+        h.mix(static_cast<std::uint64_t>(v));
+      }
+      for (const std::optional<PtpPlan>& d : c.tree->drop) {
+        h.mix(std::uint64_t{d.has_value()});
+        if (d) mix_plan(h, *d);
+      }
+    }
+  }
+  return h.value();
+}
+
 std::uint64_t hash_chosen(const ucp::CoverSolution& cover) {
   Hash h;
   for (std::size_t j : cover.chosen) h.mix(static_cast<std::uint64_t>(j));
@@ -106,6 +154,7 @@ std::uint64_t hash_implementation(const SynthesisResult& r) {
 
 struct Pins {
   std::uint64_t candidates;
+  std::uint64_t structures;
   std::uint64_t chosen;
   std::uint64_t implementation;
   std::size_t nodes;  ///< cover.nodes_explored
@@ -121,6 +170,8 @@ void expect_pins(const SynthesisResult& r, const Pins& pins,
                  const std::string& what) {
   EXPECT_EQ(hex(hash_candidates(r.candidate_set)), hex(pins.candidates))
       << what << ": candidate set";
+  EXPECT_EQ(hex(hash_structures(r.candidate_set)), hex(pins.structures))
+      << what << ": chain and tree structures";
   EXPECT_EQ(hex(hash_chosen(r.cover)), hex(pins.chosen))
       << what << ": chosen columns";
   EXPECT_EQ(hex(hash_implementation(r)), hex(pins.implementation))
@@ -158,6 +209,7 @@ void expect_partitioned_pins(const model::ConstraintGraph& cg,
 TEST(KernelIdentity, Wan2002) {
   expect_exact_pins(workloads::wan2002(), commlib::wan_library(),
                     {.candidates = 0x8be2bc9df9ce07daULL,
+                     .structures = 0x2e6742cfb20b4004ULL,
                      .chosen = 0xb47e07176585e7e1ULL,
                      .implementation = 0x835d748e7f261ca8ULL,
                      .nodes = 17},
@@ -168,6 +220,7 @@ TEST(KernelIdentity, Mpeg4Soc) {
   expect_exact_pins(workloads::mpeg4_soc(),
                     commlib::soc_library(workloads::kMpeg4CritLengthMm),
                     {.candidates = 0x924084687cf0a778ULL,
+                     .structures = 0xcbf29ce484222325ULL,
                      .chosen = 0xc4d9a8af23c5af44ULL,
                      .implementation = 0x765aa017c5937575ULL,
                      .nodes = 14},
@@ -177,6 +230,7 @@ TEST(KernelIdentity, Mpeg4Soc) {
 TEST(KernelIdentity, CampusLan) {
   expect_exact_pins(workloads::campus_lan(), commlib::lan_library(),
                     {.candidates = 0x916db1b0d00b0074ULL,
+                     .structures = 0x7139cbf84f9e6a3eULL,
                      .chosen = 0xd2ada27068c9470aULL,
                      .implementation = 0x0a0163bef8fa1ed1ULL,
                      .nodes = 24},
@@ -187,6 +241,7 @@ TEST(KernelIdentity, NocMesh4x4) {
   expect_exact_pins(workloads::noc_mesh(workloads::NocMeshParams{}),
                     commlib::noc_library(),
                     {.candidates = 0xb9fb469682f4e6d6ULL,
+                     .structures = 0xbbf48be901329262ULL,
                      .chosen = 0xc934e862b7bab931ULL,
                      .implementation = 0x7e428fcf760d2618ULL,
                      .nodes = 6618},
@@ -198,6 +253,7 @@ TEST(KernelIdentity, PartitionedGeoWan1000Seed7) {
       workloads::geo_wan(workloads::GeoWanParams::sized(1000, 7)),
       commlib::wan_library(),
       {.candidates = 0xeb301b8e53d678b2ULL,
+       .structures = 0x46317fa7e05bc650ULL,
        .chosen = 0x8703be6006534adeULL,
        .implementation = 0xb5abc259b08a0246ULL,
        .nodes = 68339},
@@ -211,6 +267,7 @@ TEST(KernelIdentity, PartitionedGeoWan1000Seed3) {
       workloads::geo_wan(workloads::GeoWanParams::sized(1000, 3)),
       commlib::wan_library(),
       {.candidates = 0x8d13d8f7bd7c27d6ULL,
+       .structures = 0xa7b948d6e6518297ULL,
        .chosen = 0x6e298f26b96dffdcULL,
        .implementation = 0x5a36240c561db3baULL,
        .nodes = 59397},
@@ -223,10 +280,26 @@ TEST(KernelIdentity, PartitionedNocHotspot12x12) {
   params.cols = 12;
   expect_partitioned_pins(workloads::noc_mesh(params), commlib::noc_library(),
                           {.candidates = 0x799b215cacdf036eULL,
+                           .structures = 0x83055f4869931b58ULL,
                            .chosen = 0xcedba1b651d99223ULL,
                            .implementation = 0x36572763a2f9bd09ULL,
                            .nodes = 171572},
                           "noc_mesh 12x12");
+}
+
+// The benchmark suite's noc_hotspot_12 configuration: the NoC mesh priced
+// against the WAN library, where chain and tree pricing carry the load.
+TEST(KernelIdentity, PartitionedNocHotspot12x12WanLibrary) {
+  workloads::NocMeshParams params;
+  params.rows = 12;
+  params.cols = 12;
+  expect_partitioned_pins(workloads::noc_mesh(params), commlib::wan_library(),
+                          {.candidates = 0xffe987e832e45b93ULL,
+                           .structures = 0x1ae05ebad69bda23ULL,
+                           .chosen = 0x56b422f713b9e873ULL,
+                           .implementation = 0x078649a88d03afd7ULL,
+                           .nodes = 171740},
+                          "noc_mesh 12x12 (wan library)");
 }
 
 TEST(KernelIdentity, PartitionedFatTree500Seed7) {
@@ -234,6 +307,7 @@ TEST(KernelIdentity, PartitionedFatTree500Seed7) {
       workloads::fat_tree_traffic(workloads::FatTreeParams::sized(500, 7)),
       commlib::wan_library(),
       {.candidates = 0x6902ab64febf5072ULL,
+       .structures = 0x00892b0955703b82ULL,
        .chosen = 0xf209a16a6b3744c1ULL,
        .implementation = 0x558028b9322a1151ULL,
        .nodes = 55988},
