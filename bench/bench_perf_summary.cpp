@@ -402,50 +402,6 @@ int main(int argc, char** argv) {
     std::fprintf(out, "\n  ],\n");
   }
 
-  // --- Parallel branch-and-bound on the hardest corpus instance ---------
-  // Acceptance gate (docs/performance.md section 8): parallel_bnb is
-  // bit-identical (cost, cover, nodes, explored-set fingerprint) at 1, 2,
-  // and 8 threads, and matches the serial bnb_v2 cost.
-  {
-    const ucp::CoverProblem p = random_problem(20, 2000, 0.15, 111);
-    const ucp::CoverSolution serial = ucp::solve_exact(p, force_bnb);
-
-    ucp::BnbOptions rounds_opt;
-    rounds_opt.backend = "parallel_bnb";
-    ucp::CoverSolution rounds_base;
-    bool rounds_identical = true;
-    for (const int threads : {1, 2, 8}) {
-      rounds_opt.threads = threads;
-      const ucp::CoverSolution r = ucp::solve_exact(p, rounds_opt);
-      if (threads == 1) {
-        rounds_base = r;
-      } else if (r.cost != rounds_base.cost ||
-                 r.chosen != rounds_base.chosen ||
-                 r.nodes_explored != rounds_base.nodes_explored ||
-                 r.explored_fingerprint != rounds_base.explored_fingerprint) {
-        rounds_identical = false;
-      }
-    }
-    if (!rounds_identical ||
-        std::abs(rounds_base.cost - serial.cost) > 1e-9) {
-      std::fprintf(stderr,
-                   "PARALLEL BNB ROUNDS VIOLATION on 20x2000: identical=%d, "
-                   "cost %.9f vs serial %.9f\n",
-                   rounds_identical ? 1 : 0, rounds_base.cost, serial.cost);
-      ++failures;
-    }
-
-    std::fprintf(
-        out,
-        "  \"parallel_bnb\": {\"rows\": 20, \"cols\": 2000, "
-        "\"serial_cost\": %.6f, \"rounds_cost\": %.6f, "
-        "\"rounds_nodes\": %zu, \"rounds_fingerprint\": \"%016llx\", "
-        "\"rounds_threads_identical\": %s},\n",
-        serial.cost, rounds_base.cost, rounds_base.nodes_explored,
-        static_cast<unsigned long long>(rounds_base.explored_fingerprint),
-        rounds_identical ? "true" : "false");
-  }
-
   // --- Partitioned synthesis scaling gate -------------------------------
   // Deliberately AFTER the metrics delta above: the exact-path comparison
   // below is deadline-bounded, so its event counts (subsets examined, UCP

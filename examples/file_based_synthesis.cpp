@@ -34,13 +34,9 @@
 //                            (default 64)
 //   --partition-cluster-arcs N  target maximum arcs per cluster
 //                            (default 24)
-//   --cover-solver NAME      cover-solver backend: dense_dp, bnb_v2 or
-//                            parallel_bnb (the deterministic parallel
-//                            engine). Default: dense_dp up to 20 rows,
-//                            bnb_v2 above (docs/performance.md)
-//   --ucp-threads N          parallel_bnb worker threads (default 0 = all
-//                            hardware threads); shares one pool with
-//                            --threads
+//   --cover-solver NAME      cover-solver backend: dense_dp or bnb_v2.
+//                            Default: dense_dp up to 20 rows, bnb_v2
+//                            above (docs/performance.md)
 //   --no-lagrangian          disable the solver's Lagrangian node bounds
 //   --no-rc-fixing           disable reduced-cost column fixing
 //   --no-grid-prefilter      disable the geometric grid pre-filter
@@ -146,8 +142,6 @@ int usage(const char* argv0) {
          "  --cover-solver NAME   backend (" +
              cdcs::ucp::registered_cover_solver_list() +
              ")\n"
-         "  --ucp-threads N    parallel_bnb worker threads (0 = all "
-         "hardware)\n"
          "  --no-lagrangian    disable Lagrangian solver bounds\n"
          "  --no-rc-fixing     disable reduced-cost column fixing\n"
          "  --no-grid-prefilter   disable the geometric grid pre-filter\n"
@@ -283,8 +277,6 @@ int run(int argc, char** argv, Observability& obs) {
         return usage(argv[0]);
       }
       options.solver.backend = v;
-    } else if (arg == "--ucp-threads") {
-      options.solver.threads = std::atoi(next().c_str());
     } else if (arg == "--no-lagrangian") {
       options.solver.use_lagrangian_bound = false;
       options.solver.use_reduced_cost_fixing = false;  // needs the bound

@@ -52,7 +52,7 @@ inline constexpr std::string_view kUcpSolve = "ucp.solve";
 inline constexpr std::string_view kUcpIncumbent = "ucp.incumbent";
 inline constexpr std::string_view kUcpGreedy = "ucp.greedy";
 /// Consulted by every cover-solver backend: bnb_v2 per branch node, the
-/// dense DP at entry and each deadline poll, parallel_bnb once per round.
+/// dense DP at entry and each deadline poll.
 /// A firing abandons the solve all-or-nothing: it degrades to its current
 /// incumbent (CoverStop::kAborted), never a torn one.
 inline constexpr std::string_view kUcpFrontier = "ucp.frontier";

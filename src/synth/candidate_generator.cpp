@@ -278,15 +278,8 @@ support::Expected<CandidateSet> generate_candidates(
 
   const std::size_t threads = support::resolve_thread_count(options.threads);
   stats.threads_used = threads;
-  // Prefer the caller's pool (run_pipeline mounts one shared with the
-  // parallel cover solver); self-create only when parallel pricing was
-  // requested with no pool to borrow.
-  std::unique_ptr<support::ThreadPool> owned_pool;
-  support::ThreadPool* pool = threads > 1 ? options.pool : nullptr;
-  if (threads > 1 && pool == nullptr) {
-    owned_pool = std::make_unique<support::ThreadPool>(threads);
-    pool = owned_pool.get();
-  }
+  std::unique_ptr<support::ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<support::ThreadPool>(threads);
   const PricerMetrics pricer_metrics = PricerMetrics::resolve();
 
   // Pricing-batch size: large enough to amortize fan-out overhead and keep
@@ -384,7 +377,7 @@ support::Expected<CandidateSet> generate_candidates(
       // exists, inline otherwise; either way the results come back in
       // enumeration order, so phase 3 is the same fold as the serial run.
       std::vector<PricedStructures> priced = support::parallel_map_ordered(
-          pool, batch.size(), [&](std::size_t i) {
+          pool.get(), batch.size(), [&](std::size_t i) {
             return price_subset(cg, library, options, batch[i],
                                 pricer_metrics);
           });

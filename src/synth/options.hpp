@@ -161,14 +161,6 @@ struct SynthesisOptions {
   /// Thread-safe; hits skip the placement solves entirely.
   PricingCache* pricing_cache = nullptr;
 
-  /// Optional borrowed thread pool for subset pricing (not owned; must
-  /// outlive the run). Null with `threads` > 1 makes the generator create
-  /// its own. run_pipeline mounts ONE shared pool here and in
-  /// `solver.pool`, sized max(threads, solver.threads), so the `--threads`
-  /// pricing workers and the `--ucp-threads` B&B workers share it instead
-  /// of doubling up (docs/performance.md section 8).
-  support::ThreadPool* pool = nullptr;
-
   /// Deterministic failure forcing for tests; see FaultInjection.
   FaultInjection fault_injection;
 

@@ -159,10 +159,8 @@ support::Expected<SynthesisResult> synthesize_partitioned(
 
   // Parallelism budget: the outer pool fans whole clusters out, and any
   // threads it cannot absorb (more hardware than clusters) are granted to
-  // the node level INSIDE each cluster solve -- pricing and, with the
-  // parallel_bnb backend, the B&B tree itself. On hosts where clusters >=
-  // threads the per-cluster budget is 1 and the computation (hence every
-  // pinned fingerprint) is exactly the old serial-inside-clusters one.
+  // subset pricing INSIDE each cluster solve; the cover solve itself is
+  // serial. On hosts where clusters >= threads the per-cluster budget is 1.
   const std::size_t total_threads =
       support::resolve_thread_count(options.threads);
   const std::size_t workers = std::min(total_threads, part.clusters.size());
@@ -171,13 +169,12 @@ support::Expected<SynthesisResult> synthesize_partitioned(
 
   // Per-cluster configuration: partitioning must not recurse, and any
   // caller-provided warm start targets the global instance, not a cluster.
-  // Cluster solves never borrow the outer pool (a pool task submitting to
-  // its own pool and blocking on the future could deadlock); with a budget
-  // above 1 they self-create.
+  // With a budget above 1 a cluster's pricing makes its own pool (a pool
+  // task submitting to its own pool and blocking on the future could
+  // deadlock).
   SynthesisOptions cluster_options = options;
   cluster_options.partitioning.enabled = false;
   cluster_options.threads = cluster_budget;
-  cluster_options.pool = nullptr;
   if (const int cap = options.partitioning.cluster_max_merge_k; cap > 0) {
     cluster_options.max_merge_k = options.max_merge_k > 0
                                       ? std::min(options.max_merge_k, cap)
@@ -189,8 +186,6 @@ support::Expected<SynthesisResult> synthesize_partitioned(
   ucp::BnbOptions cluster_solver = solver_options;
   cluster_solver.warm_start.clear();
   cluster_solver.warm_multipliers.clear();
-  cluster_solver.threads = cluster_budget;
-  cluster_solver.pool = nullptr;
 
   std::unique_ptr<support::ThreadPool> pool;
   if (workers > 1) pool = std::make_unique<support::ThreadPool>(workers);

@@ -1,8 +1,6 @@
 #include "synth/pipeline.hpp"
 
-#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <numeric>
 #include <utility>
 
@@ -10,7 +8,6 @@
 #include "support/fault.hpp"
 #include "support/flight_recorder.hpp"
 #include "support/metrics.hpp"
-#include "support/thread_pool.hpp"
 #include "synth/assemble.hpp"
 #include "synth/candidate_generator.hpp"
 #include "ucp/bnb.hpp"
@@ -50,12 +47,6 @@ std::vector<double> cover_signature(std::size_t num_rows,
   sig.push_back(static_cast<double>(solver.lagrangian_root_iterations));
   sig.push_back(static_cast<double>(solver.lagrangian_node_iterations));
   sig.push_back(static_cast<double>(solver.reduced_cost_fixing_period));
-  sig.push_back(static_cast<double>(solver.best_first_max_frontier));
-  // parallel_bnb's round granularity changes the explored tree, so it is
-  // part of the solve's identity. Thread count deliberately is NOT: the
-  // rounds engine is bit-identical at every worker count (the determinism
-  // contract).
-  sig.push_back(static_cast<double>(solver.rounds_batch_size));
   sig.push_back(static_cast<double>(solver.warm_start.size()));
   for (std::size_t j : solver.warm_start) {
     sig.push_back(static_cast<double>(j));
@@ -95,13 +86,11 @@ ucp::BnbOptions effective_solver_options(const SynthesisOptions& options,
   if (options.fault_injection.fires(support::fault_sites::kUcpSolve)) {
     solver.deadline = support::Deadline::expire_after_checks(0);
   }
-  // Let the cover backends consult the armed plan's "ucp.frontier" site
-  // and parallel_bnb share the caller's worker pool when one is mounted.
+  // Let the cover backends consult the armed plan's "ucp.frontier" site.
   if (solver.fault_injector == nullptr &&
       options.fault_injection.injector != nullptr) {
     solver.fault_injector = options.fault_injection.injector.get();
   }
-  if (solver.pool == nullptr) solver.pool = options.pool;
   // Seed the incumbent with the anytime ladder's last rung: generation
   // emits the singletons first (candidate i covers exactly arc i), so
   // {0..rows-1} is always a feasible cover and branch-and-bound pruning
@@ -201,11 +190,6 @@ support::Expected<CoverOutcome> cover_and_ladder(
             deg.reason =
                 "deadline expired in the cover solver; best incumbent "
                 "returned";
-            break;
-          case ucp::CoverStop::kFrontierCap:
-            deg.reason =
-                "cover solver frontier cap reached (raise "
-                "best_first_max_frontier); best incumbent returned";
             break;
           case ucp::CoverStop::kAborted:
             deg.reason =
@@ -326,36 +310,14 @@ support::Expected<SynthesisResult> run_pipeline(
     const model::ConstraintGraph& cg, const commlib::Library& library,
     const SynthesisOptions& options, const ucp::BnbOptions& solver_options,
     SessionState* session) {
-  // One pool for the whole run, sized for the wider of the two parallel
-  // stages: subset pricing (options.threads) and the parallel cover solver
-  // (solver.threads). They run one after the other, so sharing costs
-  // nothing and keeps --threads plus --ucp-threads from spawning two pools.
-  SynthesisOptions opts = options;
-  ucp::BnbOptions solver = solver_options;
-  std::unique_ptr<support::ThreadPool> shared_pool;
-  if (opts.pool == nullptr && solver.pool == nullptr) {
-    const std::size_t pricing_workers =
-        support::resolve_thread_count(opts.threads);
-    // Only the parallel_bnb backend runs cover-solver workers.
-    const std::size_t solver_workers =
-        solver.backend == "parallel_bnb"
-            ? support::resolve_thread_count(solver.threads)
-            : 1;
-    const std::size_t pool_size = std::max(pricing_workers, solver_workers);
-    if (pool_size > 1) {
-      shared_pool = std::make_unique<support::ThreadPool>(pool_size);
-      opts.pool = shared_pool.get();
-      solver.pool = shared_pool.get();
-    }
-  }
   SynthesisResult result;
   support::Expected<CandidateSet> gen =
-      generate_candidates(cg, library, opts);
+      generate_candidates(cg, library, options);
   if (!gen.ok()) {
     return std::move(gen).take_status().with_context("candidate generation");
   }
   result.candidate_set = *std::move(gen);
-  return finish_pipeline(cg, library, opts, solver, session,
+  return finish_pipeline(cg, library, options, solver_options, session,
                          std::move(result));
 }
 

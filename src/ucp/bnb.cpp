@@ -22,8 +22,7 @@ using detail::SearchState;
 
 // The search itself is the classic include/exclude branch-and-bound; the
 // reductions, bounds, and branching rules live in ucp/bnb_core.hpp
-// (NodeEvaluator), shared verbatim with the parallel engine
-// (ucp/parallel_bnb.cpp) and running word-parallel over the
+// (NodeEvaluator), running word-parallel over the
 // CoverProblem::row_cover transpose bitsets:
 //   * essential columns: popcount(row_cover(r) & available) with an early
 //     cap at 2, instead of scanning every column per uncovered row;
@@ -157,8 +156,8 @@ class Solver {
       if (stop_ == CoverStop::kCompleted) stop_ = CoverStop::kDeadline;
       return;
     }
-    // Same all-or-nothing kill site the parallel engine polls: a firing
-    // abandons the search with the incumbent intact, never a torn cover.
+    // All-or-nothing kill site: a firing abandons the search with the
+    // incumbent intact, never a torn cover.
     // Unarmed runs skip the consult entirely, so the pinned trees are
     // byte-identical with or without this check.
     if (opt_.fault_injector != nullptr &&

@@ -10,9 +10,8 @@ namespace cdcs::ucp::detail {
 NodeEvaluator::NodeEvaluator(const CoverProblem& problem,
                              const BnbOptions& options)
     : p_(problem), opt_(options) {
-  // Reading row_cover here also warms the problem's lazy transpose cache
-  // while we are still single-threaded; after this every row_cover call in
-  // the const methods is a pure cache read, safe from any thread.
+  // Reading row_cover here also warms the problem's lazy transpose cache,
+  // so every row_cover call in the const methods is a pure cache read.
   row_cols_by_weight_.resize(p_.num_rows());
   for (std::size_t r = 0; r < p_.num_rows(); ++r) {
     std::vector<std::size_t>& cols = row_cols_by_weight_[r];

@@ -1,11 +1,9 @@
-// Shared node-level machinery of the exact UCP branch-and-bound, split out
-// of ucp/bnb.cpp so the serial solver (bnb.cpp) and the parallel engine
-// (parallel_bnb.cpp) expand nodes through ONE implementation of the
-// reductions, bounds, and branching rules. Everything here is logic-identical
-// to the pre-split solver -- the pinned v1 node counts depend on it -- with
-// the sole mechanical change that the incumbent cost is an explicit
-// parameter instead of solver state, which is what lets many threads share a
-// const NodeEvaluator.
+// Node-level machinery of the exact UCP branch-and-bound (ucp/bnb.cpp): the
+// reductions, bounds, and branching rules, plus the incumbent seed the dense
+// DP's fallback also uses. Everything here is logic-identical to the v1
+// solver -- the pinned v1 node counts depend on it. The incumbent cost is an
+// explicit parameter of each method rather than evaluator state; the search
+// loop in bnb.cpp owns it.
 //
 // Internal header: not installed, not part of the public ucp API surface.
 #pragma once
@@ -28,10 +26,9 @@ struct SearchState {
   Bitset available;  ///< columns still selectable
 };
 
-// Stateless-per-node view of the search machinery. Construction is NOT
-// thread-safe (it warms CoverProblem's lazy row_cover transpose); every
-// method after construction is const and safe to call from many threads at
-// once, each on its own SearchState.
+// Stateless-per-node view of the search machinery. Construction warms
+// CoverProblem's lazy row_cover transpose; every method after that is const
+// and works on the SearchState it is handed.
 class NodeEvaluator {
  public:
   NodeEvaluator(const CoverProblem& problem, const BnbOptions& options);

@@ -11,7 +11,6 @@
 
 namespace cdcs::support {
 class FaultInjector;
-class ThreadPool;
 }  // namespace cdcs::support
 
 namespace cdcs::ucp {
@@ -46,29 +45,10 @@ struct BnbOptions {
   bool use_reduced_cost_fixing = true;
   std::size_t reduced_cost_fixing_period = 64;
 
-  /// Frontier cap of parallel_bnb; beyond it the search stops and returns
-  /// the incumbent (optimal = false) with CoverSolution::stop =
-  /// CoverStop::kFrontierCap.
-  std::size_t best_first_max_frontier = 1'000'000;
-
-  /// Worker count for parallel_bnb; <= 0 means all hardware threads. A
-  /// value of 1 still runs the parallel engine (on the calling thread),
-  /// which the determinism tests exploit to pin thread-count invariance.
-  int threads = 0;
-  /// Optional borrowed pool for parallel_bnb (not owned; must outlive
-  /// the solve). When null and `threads` resolves above 1 the solver makes
-  /// its own. run_pipeline mounts one shared pool here and in
-  /// SynthesisOptions::pool so `--threads` and `--ucp-threads` share it.
-  support::ThreadPool* pool = nullptr;
-  /// Nodes drained from the frontier per parallel_bnb round. Part of
-  /// the deterministic contract: changing it changes the explored tree
-  /// (it is folded into the pipeline's cover signature).
-  std::size_t rounds_batch_size = 16;
   /// Optional borrowed fault injector (not owned). Every backend consults
   /// the "ucp.frontier" site -- bnb_v2 per branch node, the dense DP at
-  /// entry and each deadline poll, parallel_bnb once per round -- and aborts
-  /// the solve (all-or-nothing: incumbent intact, optimal = false,
-  /// stop = kAborted) when it fires.
+  /// entry and each deadline poll -- and aborts the solve (all-or-nothing:
+  /// incumbent intact, optimal = false, stop = kAborted) when it fires.
   support::FaultInjector* fault_injector = nullptr;
 
   /// Optional feasible cover (column indices) seeding the incumbent on top
@@ -87,11 +67,10 @@ struct BnbOptions {
   std::vector<double> warm_multipliers;
 
   /// The cover-solver backend (ucp/cover_solver.hpp), the one solver
-  /// selector: "dense_dp" (exact subset DP, at most kDenseDpMaxRows rows),
-  /// "bnb_v2" (serial depth-first branch-and-bound) or "parallel_bnb" (the
-  /// deterministic rounds engine). Empty (the default) runs dense_dp up to
-  /// kDefaultDenseDpRows rows and bnb_v2 above. Unknown names throw
-  /// std::invalid_argument.
+  /// selector: "dense_dp" (exact subset DP, at most kDenseDpMaxRows rows)
+  /// or "bnb_v2" (depth-first branch-and-bound). Empty (the default) runs
+  /// dense_dp up to kDefaultDenseDpRows rows and bnb_v2 above. Unknown
+  /// names throw std::invalid_argument.
   std::string backend;
 };
 

@@ -12,8 +12,6 @@ std::string_view to_string(CoverStop stop) {
       return "completed";
     case CoverStop::kNodeBudget:
       return "node_budget";
-    case CoverStop::kFrontierCap:
-      return "frontier_cap";
     case CoverStop::kDeadline:
       return "deadline";
     case CoverStop::kAborted:

@@ -10,7 +10,6 @@
 // Liao--Devadas, reimplemented from scratch).
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -68,19 +67,16 @@ class CoverProblem {
 
 /// Why the solver stopped. Anything other than kCompleted means the
 /// returned cover is the best incumbent, not a proven optimum, and tells
-/// the caller WHICH budget to raise (node budget vs frontier cap vs
-/// deadline) -- they were previously indistinguishable.
+/// the caller WHICH budget to raise (node budget vs deadline).
 enum class CoverStop {
-  kCompleted,    ///< search finished; `optimal` is the proof
-  kNodeBudget,   ///< BnbOptions::max_nodes exhausted
-  kFrontierCap,  ///< parallel_bnb's frontier hit best_first_max_frontier
-  kDeadline,     ///< wall-clock deadline expired (deadline_expired mirrors)
-  kAborted,      ///< injected fault ("ucp.frontier") killed the solve
+  kCompleted,   ///< search finished; `optimal` is the proof
+  kNodeBudget,  ///< BnbOptions::max_nodes exhausted
+  kDeadline,    ///< wall-clock deadline expired (deadline_expired mirrors)
+  kAborted,     ///< injected fault ("ucp.frontier") killed the solve
 };
 
 /// Stable lowercase name for reports, flight-recorder events, and
-/// postmortems ("completed", "node_budget", "frontier_cap", "deadline",
-/// "aborted").
+/// postmortems ("completed", "node_budget", "deadline", "aborted").
 std::string_view to_string(CoverStop stop);
 
 struct CoverSolution {
@@ -99,10 +95,6 @@ struct CoverSolution {
   bool deadline_expired{false};
   /// Why the search stopped (kCompleted unless a budget cut it short).
   CoverStop stop{CoverStop::kCompleted};
-  /// Order-independent hash of the explored-node set, filled by
-  /// parallel_bnb (0 elsewhere). The ParallelBnbDeterminism tests pin it
-  /// bit-identical across 1/2/8 worker threads.
-  std::uint64_t explored_fingerprint{0};
   /// The Lagrangian multipliers the root subgradient ascent converged to
   /// (one per row), when the solver ran it (branch-and-bound path with
   /// use_lagrangian_bound; empty on the dense-DP path or when disabled).
@@ -110,7 +102,7 @@ struct CoverSolution {
   /// a near-identical problem.
   std::vector<double> root_multipliers;
   /// Registry name of the backend that produced this solution
-  /// (ucp/cover_solver.hpp): "dense_dp", "bnb_v2" or "parallel_bnb".
+  /// (ucp/cover_solver.hpp): "dense_dp" or "bnb_v2".
   std::string backend;
   /// Instance features, stamped by solve_exact on every solve so downstream
   /// consumers (reports, BENCH_pr.json) can read rows x cols x density

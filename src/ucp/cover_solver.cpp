@@ -10,7 +10,6 @@
 #include "ucp/bnb_core.hpp"
 #include "ucp/dp.hpp"
 #include "ucp/lagrangian.hpp"
-#include "ucp/parallel_bnb.hpp"
 
 namespace cdcs::ucp {
 namespace {
@@ -58,16 +57,6 @@ class BnbV2Solver final : public CoverSolver {
   }
 };
 
-class ParallelBnbSolver final : public CoverSolver {
- public:
-  std::string_view name() const override { return "parallel_bnb"; }
-  CoverSolution solve(const CoverProblem& problem,
-                      const BnbOptions& options) const override {
-    support::Span bnb_span("ucp.bnb", "ucp");
-    return solve_parallel_bnb(problem, options);
-  }
-};
-
 /// The backend solve_exact runs for `options.backend`; throws for unknown
 /// names and for a named backend that cannot handle the instance.
 const CoverSolver& route(const CoverProblem& problem,
@@ -97,9 +86,7 @@ const CoverSolver& route(const CoverProblem& problem,
 const std::vector<const CoverSolver*>& registered_cover_solvers() {
   static const DenseDpSolver dense_dp;
   static const BnbV2Solver bnb_v2;
-  static const ParallelBnbSolver parallel_bnb;
-  static const std::vector<const CoverSolver*> all = {&dense_dp, &bnb_v2,
-                                                      &parallel_bnb};
+  static const std::vector<const CoverSolver*> all = {&dense_dp, &bnb_v2};
   return all;
 }
 

@@ -2,11 +2,11 @@
 //
 // BnbOptions::backend is the only solver selector, and the registry is the
 // dispatch: solve_exact (ucp/bnb.hpp) looks the name up and calls that
-// backend's engine directly. Three backends are registered:
+// backend's engine directly. Two backends are registered, the two exact
+// engines of the paper's covering step:
 //
-//     dense_dp      exact subset DP (ucp/dp.hpp), at most kDenseDpMaxRows rows
-//     bnb_v2        serial depth-first branch-and-bound (ucp/bnb.hpp)
-//     parallel_bnb  deterministic rounds engine (ucp/parallel_bnb.hpp)
+//     dense_dp  exact subset DP (ucp/dp.hpp), at most kDenseDpMaxRows rows
+//     bnb_v2    depth-first branch-and-bound (ucp/bnb.hpp)
 //
 // An empty name runs dense_dp up to kDefaultDenseDpRows rows and bnb_v2
 // above, so naming the backend the default would have picked is
@@ -33,7 +33,7 @@ class CoverSolver {
  public:
   virtual ~CoverSolver() = default;
 
-  /// Registry key ("dense_dp", "bnb_v2", "parallel_bnb").
+  /// Registry key ("dense_dp", "bnb_v2").
   virtual std::string_view name() const = 0;
 
   /// False when this backend structurally cannot solve the instance (the
@@ -46,11 +46,10 @@ class CoverSolver {
 
   /// Runs the backend's engine. `options.backend` is ignored (the caller
   /// already routed); every other BnbOptions field is honoured where it
-  /// applies (deadline, max_nodes, fault_injector, warm starts, frontier
-  /// cap). The returned CoverSolution carries cost/chosen, `optimal`,
-  /// `stop`, `nodes_explored`, `explored_fingerprint` where the engine
-  /// hashes one, and in `lower_bound` the engine's root bound (0 if none),
-  /// which solve_exact turns into the reported bound.
+  /// applies (deadline, max_nodes, fault_injector, warm starts). The
+  /// returned CoverSolution carries cost/chosen, `optimal`, `stop`,
+  /// `nodes_explored`, and in `lower_bound` the engine's root bound (0 if
+  /// none), which solve_exact turns into the reported bound.
   virtual CoverSolution solve(const CoverProblem& problem,
                               const BnbOptions& options) const = 0;
 };
@@ -65,7 +64,7 @@ const CoverSolver* find_cover_solver(std::string_view name);
 /// Registered names in registry order, for CLI validation and --help.
 std::vector<std::string> registered_cover_solver_names();
 
-/// "dense_dp, bnb_v2, parallel_bnb" -- the names joined for diagnostics.
+/// "dense_dp, bnb_v2" -- the names joined for diagnostics.
 std::string registered_cover_solver_list();
 
 /// Matrix density: fraction of nonzero entries (0 for degenerate shapes).

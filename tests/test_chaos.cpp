@@ -163,11 +163,10 @@ TEST(ChaosSoak, JournaledSessionsSurviveEveryFaultSite) {
     synth::SynthesisOptions options;
     options.threads = 1 + i % 2;
     options.fault_injection.injector = std::make_shared<FaultInjector>(*plan);
-    // Cover solves go through the deterministic parallel engine so the
-    // rotation exercises its ucp.frontier site; WAN instances sit under the
-    // dense-DP row cutoff, so the backend is named explicitly.
-    options.solver.backend = "parallel_bnb";
-    options.solver.threads = options.threads;
+    // Cover solves go through branch-and-bound so the rotation exercises
+    // its per-node ucp.frontier site; WAN instances sit under the dense-DP
+    // row cutoff, so the backend is named explicitly.
+    options.solver.backend = "bnb_v2";
 
     synth::Engine engine(base, lib, options);
     const std::string journal = temp_path("soak_" + std::to_string(i % 8) +

@@ -195,36 +195,36 @@ TEST(Lagrangian, DeadlineExpiryReportsRootBound) {
   EXPECT_LE(d.lower_bound, d.cost + 1e-9);
 }
 
-// The best-first parallel_bnb returns the same proven-optimal cost as the
-// depth-first bnb_v2 even on instances with many cost ties, and its
-// frontier cap degrades gracefully.
+// The exact dense DP and the depth-first bnb_v2 return the same
+// proven-optimal cost even on instances with many cost ties, and a tiny node
+// budget degrades gracefully to a feasible, unproven cover.
 TEST(Lagrangian, BestFirstMatchesDfsAndCapsGracefully) {
   for (unsigned seed = 300; seed < 306; ++seed) {
     const CoverProblem p = random_problem(14, 80, 0.25, seed);
     BnbOptions dfs;
     dfs.backend = "bnb_v2";
-    BnbOptions bfs;
-    bfs.backend = "parallel_bnb";
-    bfs.threads = 1;
+    BnbOptions dp;
+    dp.backend = "dense_dp";
 
     const CoverSolution a = solve_exact(p, dfs);
-    const CoverSolution b = solve_exact(p, bfs);
+    const CoverSolution b = solve_exact(p, dp);
     ASSERT_TRUE(a.optimal);
     ASSERT_TRUE(b.optimal);
     EXPECT_NEAR(a.cost, b.cost, 1e-9) << "seed " << seed;
   }
 
-  // A tiny frontier cap must still return a feasible cover, just unproven.
+  // A tiny node budget must still return a feasible cover, just unproven.
   const CoverProblem p = random_problem(22, 150, 0.2, 321);
   BnbOptions capped;
-  capped.backend = "parallel_bnb";
-  capped.threads = 1;
-  capped.best_first_max_frontier = 2;
+  capped.backend = "bnb_v2";
+  capped.max_nodes = 2;
   capped.use_lagrangian_bound = false;  // keep the root from proving optimality
   capped.use_reduced_cost_fixing = false;
   const CoverSolution s = solve_exact(p, capped);
   EXPECT_TRUE(p.covers_all(s.chosen));
   EXPECT_TRUE(std::isfinite(s.cost));
+  EXPECT_FALSE(s.optimal);
+  EXPECT_EQ(s.stop, CoverStop::kNodeBudget);
 }
 
 }  // namespace

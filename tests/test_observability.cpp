@@ -31,6 +31,7 @@
 #include "synth/engine.hpp"
 #include "synth/synthesizer.hpp"
 #include "ucp/bnb.hpp"
+#include "ucp/cover_solver.hpp"
 #include "workloads/mpeg4_soc.hpp"
 #include "workloads/noc_mesh.hpp"
 #include "workloads/wan2002.hpp"
@@ -263,17 +264,17 @@ TEST(TraceSchema, CoverEnginesHaveTheirOwnSpans) {
     return names;
   };
 
-  const std::set<std::string> dp = span_names({});
-  EXPECT_EQ(dp.count("ucp.dense_dp"), 1u);
-  EXPECT_EQ(dp.count("ucp.bnb"), 0u);
-  for (const char* backend : {"bnb_v2", "parallel_bnb"}) {
-    ucp::BnbOptions bnb;
-    bnb.backend = backend;
-    bnb.threads = 2;
-    const std::set<std::string> names = span_names(bnb);
-    EXPECT_EQ(names.count("ucp.solve"), 1u);
-    EXPECT_EQ(names.count("ucp.bnb"), 1u);
-    EXPECT_EQ(names.count("ucp.dense_dp"), 0u);
+  const std::set<std::string> automatic = span_names({});
+  EXPECT_EQ(automatic.count("ucp.dense_dp"), 1u);
+  EXPECT_EQ(automatic.count("ucp.bnb"), 0u);
+  for (const std::string& backend : ucp::registered_cover_solver_names()) {
+    ucp::BnbOptions named;
+    named.backend = backend;
+    const std::set<std::string> names = span_names(named);
+    const bool dp = backend == "dense_dp";
+    EXPECT_EQ(names.count("ucp.solve"), 1u) << backend;
+    EXPECT_EQ(names.count("ucp.dense_dp"), dp ? 1u : 0u) << backend;
+    EXPECT_EQ(names.count("ucp.bnb"), dp ? 0u : 1u) << backend;
   }
 }
 

@@ -206,11 +206,11 @@ int main(int argc, char** argv) {
     options.fault_injection.injector = std::make_shared<FaultInjector>(*plan);
     // Rotate the cover solves across every registered backend, so the
     // rotating plans exercise the ucp.frontier fault site in each engine
-    // (dense DP per deadline poll, bnb_v2 per branch node, parallel_bnb per
-    // round).
+    // (dense DP at entry and per deadline poll, bnb_v2 per branch node).
+    // WAN instances sit under the dense-DP row cutoff, so bnb_v2 runs only
+    // because it is named here.
     options.solver.backend = backends[static_cast<std::size_t>(i) %
                                       backends.size()];
-    options.solver.threads = args.threads;
 
     synth::Engine engine(base, lib, options);
     // open_journal consults the io.journal.open fault site, so it may be

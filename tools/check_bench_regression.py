@@ -35,10 +35,7 @@ and fails (exit 1) on:
     container the sweep is pure oversubscription and proves nothing);
   * drift in the "cover_solver_matrix" section: every backend's cover cost
     (1e-6) and proven optimality per instance, and no per-backend
-    node-count growth;
-  * drift in the "parallel_bnb" section: rounds-engine cost (1e-6) and
-    explored-node count (no growth) against the baseline, plus the
-    rounds_threads_identical flag, which must hold on every run.
+    node-count growth.
 
 Absolute wall-clock milliseconds are intentionally NOT compared: the
 baseline was recorded on a different machine than CI runs on.
@@ -311,34 +308,6 @@ def main():
                 errors.append(
                     f"cover_solver_matrix {key}: backend '{name}' nodes grew "
                     f"{bb['nodes']} -> {eb['nodes']}"
-                )
-
-    # Parallel branch-and-bound. The rounds engine's tree is a pure function
-    # of the instance (that is the determinism contract), so its cost and
-    # node count transfer across machines like the ucp_bnb corpus numbers.
-    b_pb = base.get("parallel_bnb")
-    e_pb = fresh.get("parallel_bnb")
-    if b_pb is not None:
-        if e_pb is None:
-            errors.append("parallel_bnb section missing from fresh run")
-        else:
-            if abs(e_pb["rounds_cost"] - b_pb["rounds_cost"]) > 1e-6:
-                errors.append(
-                    f"parallel_bnb.rounds_cost changed {b_pb['rounds_cost']} "
-                    f"-> {e_pb['rounds_cost']} (exact solver must be "
-                    "cost-stable)"
-                )
-            if e_pb["rounds_nodes"] > b_pb["rounds_nodes"]:
-                errors.append(
-                    "parallel_bnb.rounds_nodes grew "
-                    f"{b_pb['rounds_nodes']} -> {e_pb['rounds_nodes']} "
-                    "(bounds got weaker)"
-                )
-            if e_pb.get("rounds_threads_identical") is not True:
-                errors.append(
-                    "parallel_bnb.rounds_threads_identical = "
-                    f"{e_pb.get('rounds_threads_identical')} "
-                    "(must hold on every run)"
                 )
 
     if errors:
