@@ -1,18 +1,28 @@
 // Micro-benchmarks (google-benchmark) for the pipeline's inner kernels:
 // Gamma/Delta matrix construction, point-to-point pricing, merging pricing
-// (the placement NLP), the chain and tree pricers on a Manhattan NoC subset
+// (the placement NLP), the Weiszfeld lane engine against the scalar solver
+// it replaced, batched against one-at-a-time star pricing of geo-WAN
+// cluster subsets, the chain and tree pricers on a Manhattan NoC subset
 // and the chain pricer on the paper's WAN, candidate generation on the WAN
 // instance, and the exact UCP solve of its 65-column covering matrix.
 #include <benchmark/benchmark.h>
 
+#include <random>
+#include <span>
+#include <vector>
+
 #include "commlib/standard_libraries.hpp"
+#include "geom/weiszfeld.hpp"
 #include "synth/candidate_generator.hpp"
 #include "synth/chain_pricer.hpp"
+#include "synth/partition.hpp"
 #include "synth/synthesizer.hpp"
 #include "synth/tree_pricer.hpp"
 #include "ucp/bnb.hpp"
+#include "weiszfeld_oracle.hpp"
 #include "workloads/noc_mesh.hpp"
 #include "workloads/random_gen.hpp"
+#include "workloads/scale_gen.hpp"
 #include "workloads/wan2002.hpp"
 
 namespace {
@@ -51,6 +61,140 @@ void BM_MergingPricer3Way(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MergingPricer3Way);
+
+/// 256 star-shaped placement solves: five terminals (four legs and the
+/// trunk's far end) spread over a geo-WAN site, with leg-slope weights.
+struct WeiszfeldCorpus {
+  std::vector<geom::Point2D> terminals;
+  std::vector<double> weights;
+  static constexpr std::size_t kProblems = 256;
+  static constexpr std::size_t kTerminals = 5;
+  WeiszfeldCorpus() {
+    std::mt19937_64 rng(7);
+    std::uniform_real_distribution<double> coord(0.0, 8.0);
+    std::uniform_real_distribution<double> slope(50.0, 400.0);
+    for (std::size_t i = 0; i < kProblems * kTerminals; ++i) {
+      terminals.push_back({coord(rng), coord(rng)});
+      weights.push_back(slope(rng));
+    }
+  }
+  std::span<const geom::Point2D> problem_terminals(std::size_t p) const {
+    return std::span(terminals).subspan(p * kTerminals, kTerminals);
+  }
+  std::span<const double> problem_weights(std::size_t p) const {
+    return std::span(weights).subspan(p * kTerminals, kTerminals);
+  }
+};
+
+void BM_WeiszfeldScalarOracle(benchmark::State& state) {
+  const WeiszfeldCorpus corpus;
+  for (auto _ : state) {
+    for (std::size_t p = 0; p < WeiszfeldCorpus::kProblems; ++p) {
+      benchmark::DoNotOptimize(geom::reference::scalar_median(
+          corpus.problem_terminals(p), corpus.problem_weights(p)));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * WeiszfeldCorpus::kProblems);
+}
+BENCHMARK(BM_WeiszfeldScalarOracle);
+
+/// The corpus through the lane engine; Arg 0 runs the portable body, Arg 1
+/// the AVX2 body (skipped where the CPU lacks AVX2).
+void BM_WeiszfeldLanes(benchmark::State& state) {
+  const geom::LaneBody body =
+      state.range(0) == 0 ? geom::LaneBody::kPortable : geom::LaneBody::kAvx2;
+  if (!geom::lane_body_supported(body)) {
+    state.SkipWithError("lane body not supported on this CPU");
+    return;
+  }
+  state.SetLabel(std::string(geom::to_string(body)));
+  const WeiszfeldCorpus corpus;
+  struct Feed final : geom::WeiszfeldFeed {
+    const WeiszfeldCorpus* corpus;
+    std::size_t next_problem{0};
+    geom::Point2D last;
+    bool next(geom::WeiszfeldProblem& problem) override {
+      if (next_problem == WeiszfeldCorpus::kProblems) return false;
+      problem = {next_problem, corpus->problem_terminals(next_problem),
+                 corpus->problem_weights(next_problem)};
+      ++next_problem;
+      return true;
+    }
+    void done(std::size_t, geom::Point2D median) override { last = median; }
+  };
+  for (auto _ : state) {
+    Feed feed;
+    feed.corpus = &corpus;
+    geom::solve_weiszfeld_lanes(feed, {}, body);
+    benchmark::DoNotOptimize(feed.last);
+  }
+  state.SetItemsProcessed(state.iterations() * WeiszfeldCorpus::kProblems);
+}
+BENCHMARK(BM_WeiszfeldLanes)->Arg(0)->Arg(1);
+
+/// 64 subsets of the largest geo_wan(1000, 7) interior cluster -- its
+/// pairs, then its triples, as the generator enumerates them -- that price
+/// to a star: the shape the partitioned geo_wan_1k synthesis prices tens of
+/// thousands of.
+struct GeoWanClusterSubsets {
+  model::ConstraintGraph cg =
+      workloads::geo_wan(workloads::GeoWanParams::sized(1000, 7));
+  commlib::Library lib = commlib::wan_library();
+  std::vector<std::vector<model::ArcId>> subsets;
+  static constexpr std::size_t kSubsets = 64;
+
+  GeoWanClusterSubsets() {
+    const synth::Partition part =
+        synth::partition_graph(cg, synth::PartitioningOptions{});
+    const synth::Cluster* largest = &part.clusters.front();
+    for (std::size_t c = 0; c < part.num_interior; ++c) {
+      if (part.clusters[c].arcs.size() > largest->arcs.size()) {
+        largest = &part.clusters[c];
+      }
+    }
+    const std::vector<model::ArcId>& arcs = largest->arcs;
+    auto keep = [&](std::vector<model::ArcId> subset) {
+      if (subsets.size() < kSubsets &&
+          synth::price_merging(cg, lib, subset).has_value()) {
+        subsets.push_back(std::move(subset));
+      }
+    };
+    for (std::size_t a = 0; a < arcs.size(); ++a) {
+      for (std::size_t b = a + 1; b < arcs.size(); ++b) {
+        keep({arcs[a], arcs[b]});
+      }
+    }
+    for (std::size_t a = 0; a < arcs.size(); ++a) {
+      for (std::size_t b = a + 1; b < arcs.size(); ++b) {
+        for (std::size_t c = b + 1; c < arcs.size(); ++c) {
+          keep({arcs[a], arcs[b], arcs[c]});
+        }
+      }
+    }
+  }
+};
+
+void BM_StarPricerWanOneAtATime(benchmark::State& state) {
+  const GeoWanClusterSubsets w;
+  for (auto _ : state) {
+    for (const std::vector<model::ArcId>& subset : w.subsets) {
+      benchmark::DoNotOptimize(synth::price_merging(w.cg, w.lib, subset));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * w.subsets.size());
+}
+BENCHMARK(BM_StarPricerWanOneAtATime);
+
+void BM_StarPricerWanBatch(benchmark::State& state) {
+  const GeoWanClusterSubsets w;
+  const std::vector<std::span<const model::ArcId>> spans(w.subsets.begin(),
+                                                         w.subsets.end());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(synth::price_mergings(w.cg, w.lib, spans));
+  }
+  state.SetItemsProcessed(state.iterations() * w.subsets.size());
+}
+BENCHMARK(BM_StarPricerWanBatch);
 
 /// Four tiles of the 12x12 NoC hotspot mesh streaming into the memory tile
 /// from different rows and columns: a common-target subset the chain and

@@ -348,7 +348,9 @@ int main(int argc, char** argv) {
   {
     support::ScopedTraceSession session;
     support::ObsContext bench_scope("bench=wan_profile");
-    (void)synth::synthesize(cg, lib).value();
+    synth::SynthesisOptions serial;
+    serial.threads = 1;
+    (void)synth::synthesize(cg, lib, serial).value();
     std::ostringstream profile_json;
     support::write_profile_json(profile_json,
                                 support::build_profile(session.sink()));

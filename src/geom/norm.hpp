@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "geom/hypot.hpp"
 #include "geom/point.hpp"
 
 namespace cdcs::geom {
@@ -28,7 +29,7 @@ enum class Norm {
 inline double length(Point2D v, Norm norm) {
   switch (norm) {
     case Norm::kEuclidean:
-      return std::hypot(v.x, v.y);
+      return geom::hypot(v.x, v.y);
     case Norm::kManhattan:
       return std::abs(v.x) + std::abs(v.y);
     case Norm::kChebyshev:

@@ -213,7 +213,7 @@ std::string describe_perf(const support::MetricsSnapshot& m,
      << counter_or(m, "pricer.tree.calls") << " call(s)";
   if (const auto it = m.histograms.find("pricer.subset.us");
       it != m.histograms.end() && it->second.count > 0) {
-    os << "; subset pricing mean " << ms_of_us(it->second.mean());
+    os << "; pricing chunk mean " << ms_of_us(it->second.mean());
   }
   os << "\n";
 

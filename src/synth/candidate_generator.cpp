@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <span>
 
 #include "support/fault.hpp"
 #include "support/metrics.hpp"
@@ -60,65 +61,111 @@ struct PricerMetrics {
   }
 };
 
-/// Prices one subset through all enabled structure pricers, consulting the
-/// memoization cache when present. Pure per subset (pricers read only the
-/// subset's geometry, the library, and the policy), which is what makes the
-/// parallel fan-out deterministic. Runs on worker threads: everything it
-/// touches is either const-shared or the thread-safe cache/deadline/metrics.
-PricedStructures price_subset(const model::ConstraintGraph& cg,
-                              const commlib::Library& library,
-                              const SynthesisOptions& options,
-                              const std::vector<model::ArcId>& subset,
-                              const PricerMetrics& metrics) {
+/// One subset to price: where its result goes and, when a cache is in
+/// use, its cache key and canonical order (null otherwise).
+struct PricingJob {
+  const std::vector<model::ArcId>* subset;
+  PricedStructures* out;
+  const PricingCache::Key* key;
+  const std::vector<std::uint32_t>* canonical_order;
+};
+
+/// Prices `jobs` through all enabled structure pricers, caching each result
+/// when a cache is in use. The stars are priced as one batch
+/// (price_mergings), so their placement solves share the Weiszfeld lanes;
+/// chain and tree then run per subset.
+void price_jobs(const model::ConstraintGraph& cg,
+                const commlib::Library& library,
+                const SynthesisOptions& options,
+                std::span<const PricingJob> jobs,
+                const PricerMetrics& metrics) {
+  if (jobs.empty()) return;
+  {
+    support::Span span("price.star", "pricer");
+    metrics.star_calls->add(jobs.size());
+    std::vector<std::span<const model::ArcId>> subsets;
+    subsets.reserve(jobs.size());
+    for (const PricingJob& job : jobs) subsets.emplace_back(*job.subset);
+    std::vector<std::optional<MergingPlan>> stars = price_mergings(
+        cg, library, subsets, options.policy, &options.deadline);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      jobs[j].out->star = std::move(stars[j]);
+    }
+  }
+  for (const PricingJob& job : jobs) {
+    const std::vector<model::ArcId>& subset = *job.subset;
+    PricedStructures& p = *job.out;
+    if (options.enable_chain_topology) {
+      support::Span span("price.chain", "pricer");
+      metrics.chain_calls->add(1);
+      p.chain = price_chain_merging(cg, library, subset, options.policy, {},
+                                    &options.deadline);
+    }
+    if (options.enable_tree_topology) {
+      support::Span span("price.tree", "pricer");
+      metrics.tree_calls->add(1);
+      p.tree = price_tree_merging(cg, library, subset, options.policy,
+                                  &options.deadline);
+    }
+    // A pricer that bailed out on an expired deadline returns nullopt
+    // without that being a statement about the subset; caching it would
+    // poison later (unhurried) runs. latched() is poll-free, so
+    // fault-injection budgets are not consumed here.
+    if (options.pricing_cache != nullptr && !options.deadline.latched()) {
+      options.pricing_cache->insert(
+          *job.key, PricingCache::Entry::make(subset, *job.canonical_order,
+                                              p.star, p.chain, p.tree));
+    }
+  }
+}
+
+/// Prices a contiguous chunk of subsets, consulting the memoization cache
+/// when present. Results are in `subsets` order. Pure per subset (pricers
+/// read only the subset's geometry, the library, and the policy), which is
+/// what makes the parallel fan-out deterministic. Runs on worker threads:
+/// everything it touches is either const-shared or the thread-safe
+/// cache/deadline/metrics. The price.subset and price.star spans cover the
+/// whole chunk.
+std::vector<PricedStructures> price_chunk(
+    const model::ConstraintGraph& cg, const commlib::Library& library,
+    const SynthesisOptions& options,
+    std::span<const std::vector<model::ArcId>> subsets,
+    const PricerMetrics& metrics) {
   support::ScopedTimer timer("price.subset", "pricer", metrics.subset_us);
+  const std::size_t n = subsets.size();
+  std::vector<PricedStructures> out(n);
+  std::vector<PricingJob> misses;
+  PricingCache* cache = options.pricing_cache;
   // The pricers canonicalize their input to the subset's geometry order
   // internally (synth/canonical_order.hpp), so the priced result is a pure
   // function of the subset's geometry -- which is exactly what licenses
   // serving it from the cache under whatever arc ids the requesting graph
   // happens to use: a hit is bit-identical to the fresh solve it replaces.
-  PricingCache* cache = options.pricing_cache;
-  std::optional<PricingCache::Key> key;
-  std::vector<std::uint32_t> canonical_order;
-  if (cache != nullptr) {
-    canonical_order = canonical_subset_order(cg, subset);
-    key = make_pricing_key(cg, library, subset, options.policy,
-                           options.enable_chain_topology,
-                           options.enable_tree_topology);
-    if (std::optional<PricingCache::Entry> entry = cache->lookup(*key)) {
-      entry->retarget(subset, canonical_order);
-      return PricedStructures{std::move(entry->star), std::move(entry->chain),
-                              std::move(entry->tree)};
+  // Every subset of the chunk is looked up before any is priced, so two
+  // subsets with the same key in one chunk (identical arc geometry) both
+  // count as misses; both price to the same bits.
+  std::vector<std::vector<std::uint32_t>> orders(cache != nullptr ? n : 0);
+  std::vector<PricingCache::Key> keys(cache != nullptr ? n : 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (cache == nullptr) {
+      misses.push_back({&subsets[i], &out[i], nullptr, nullptr});
+      continue;
+    }
+    orders[i] = canonical_subset_order(cg, subsets[i]);
+    keys[i] = make_pricing_key(cg, library, subsets[i], options.policy,
+                               options.enable_chain_topology,
+                               options.enable_tree_topology);
+    if (std::optional<PricingCache::Entry> entry = cache->lookup(keys[i])) {
+      entry->retarget(subsets[i], orders[i]);
+      out[i] = PricedStructures{std::move(entry->star),
+                                std::move(entry->chain),
+                                std::move(entry->tree)};
+    } else {
+      misses.push_back({&subsets[i], &out[i], &keys[i], &orders[i]});
     }
   }
-
-  PricedStructures p;
-  {
-    support::Span span("price.star", "pricer");
-    metrics.star_calls->add(1);
-    p.star = price_merging(cg, library, subset, options.policy,
-                           &options.deadline);
-  }
-  if (options.enable_chain_topology) {
-    support::Span span("price.chain", "pricer");
-    metrics.chain_calls->add(1);
-    p.chain = price_chain_merging(cg, library, subset, options.policy, {},
-                                  &options.deadline);
-  }
-  if (options.enable_tree_topology) {
-    support::Span span("price.tree", "pricer");
-    metrics.tree_calls->add(1);
-    p.tree = price_tree_merging(cg, library, subset, options.policy,
-                                &options.deadline);
-  }
-  // A pricer that bailed out on an expired deadline returns nullopt without
-  // that being a statement about the subset; caching it would poison later
-  // (unhurried) runs. latched() is poll-free, so fault-injection budgets
-  // are not consumed here.
-  if (cache != nullptr && !options.deadline.latched()) {
-    cache->insert(*key, PricingCache::Entry::make(subset, canonical_order,
-                                                  p.star, p.chain, p.tree));
-  }
-  return p;
+  price_jobs(cg, library, options, misses, metrics);
+  return out;
 }
 
 /// Bounding-box grid pre-filter for the geometric pruning tests.
@@ -373,21 +420,35 @@ support::Expected<CandidateSet> generate_candidates(
         advance();
       }
 
-      // Phase 2: price the surviving subsets. Concurrent when a pool
-      // exists, inline otherwise; either way the results come back in
-      // enumeration order, so phase 3 is the same fold as the serial run.
-      std::vector<PricedStructures> priced = support::parallel_map_ordered(
-          pool.get(), batch.size(), [&](std::size_t i) {
-            return price_subset(cg, library, options, batch[i],
-                                pricer_metrics);
-          });
+      // Phase 2: price the surviving subsets in near-equal contiguous
+      // chunks, 4 per pool thread (one chunk when pricing runs inline).
+      // Concurrent when a pool exists, inline otherwise; either way the
+      // results come back in enumeration order, so phase 3 is the same
+      // fold as the serial run.
+      const std::size_t chunks =
+          pool ? std::min(batch.size(), 4 * threads) : std::size_t{1};
+      std::vector<std::vector<PricedStructures>> chunk_results =
+          support::parallel_map_ordered(
+              pool.get(), batch.empty() ? 0 : chunks, [&](std::size_t c) {
+                const std::size_t begin = c * batch.size() / chunks;
+                const std::size_t end = (c + 1) * batch.size() / chunks;
+                return price_chunk(
+                    cg, library, options,
+                    std::span(batch).subspan(begin, end - begin),
+                    pricer_metrics);
+              });
 
       // Phase 3 (serial, enumeration order): delay-gate the structures,
       // keep the cheapest per subset, and account profitability.
-      for (std::size_t b = 0; b < batch.size(); ++b) {
-        std::optional<MergingPlan> star = std::move(priced[b].star);
-        std::optional<ChainPlan> chain = std::move(priced[b].chain);
-        std::optional<TreePlan> tree = std::move(priced[b].tree);
+      for (std::size_t b = 0, c = 0, in_chunk = 0; b < batch.size(); ++b) {
+        while (in_chunk == chunk_results[c].size()) {
+          ++c;
+          in_chunk = 0;
+        }
+        PricedStructures& priced = chunk_results[c][in_chunk++];
+        std::optional<MergingPlan> star = std::move(priced.star);
+        std::optional<ChainPlan> chain = std::move(priced.chain);
+        std::optional<TreePlan> tree = std::move(priced.tree);
         const std::vector<model::ArcId>& merged = batch[b];
         // Delay-constrained synthesis: a merged structure whose slowest
         // channel busts the budget is not a candidate.

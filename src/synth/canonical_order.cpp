@@ -27,11 +27,32 @@ std::vector<std::uint32_t> canonical_subset_order(
 }
 
 void canonicalize_subset(const model::ConstraintGraph& cg,
-                         std::vector<model::ArcId>& subset) {
-  const std::vector<std::uint32_t> order = canonical_subset_order(cg, subset);
-  std::vector<model::ArcId> out(subset.size());
-  for (std::size_t i = 0; i < subset.size(); ++i) out[i] = subset[order[i]];
-  subset = std::move(out);
+                         std::span<model::ArcId> subset) {
+  constexpr std::size_t kInline = 16;
+  const std::size_t n = subset.size();
+  if (n > kInline) {
+    const std::vector<model::ArcId> in(subset.begin(), subset.end());
+    const std::vector<std::uint32_t> order = canonical_subset_order(cg, in);
+    for (std::size_t i = 0; i < n; ++i) subset[i] = in[order[i]];
+    return;
+  }
+  // Insertion sort on the records: stable, so it yields exactly the
+  // permutation of canonical_subset_order's std::stable_sort.
+  std::array<std::array<double, 5>, kInline> records;
+  for (std::size_t i = 0; i < n; ++i) {
+    records[i] = arc_geometry_record(cg, subset[i]);
+  }
+  for (std::size_t i = 1; i < n; ++i) {
+    const std::array<double, 5> record = records[i];
+    const model::ArcId arc = subset[i];
+    std::size_t j = i;
+    for (; j > 0 && record < records[j - 1]; --j) {
+      records[j] = records[j - 1];
+      subset[j] = subset[j - 1];
+    }
+    records[j] = record;
+    subset[j] = arc;
+  }
 }
 
 }  // namespace cdcs::synth

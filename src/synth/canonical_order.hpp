@@ -25,6 +25,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "model/constraint_graph.hpp"
@@ -45,8 +46,10 @@ std::array<double, 5> arc_geometry_record(const model::ConstraintGraph& cg,
 std::vector<std::uint32_t> canonical_subset_order(
     const model::ConstraintGraph& cg, const std::vector<model::ArcId>& subset);
 
-/// Permutes `subset` in place into canonical order.
+/// Permutes `subset` in place into canonical order: the order
+/// canonical_subset_order gives. Allocates nothing for subsets of up to 16
+/// arcs.
 void canonicalize_subset(const model::ConstraintGraph& cg,
-                         std::vector<model::ArcId>& subset);
+                         std::span<model::ArcId> subset);
 
 }  // namespace cdcs::synth

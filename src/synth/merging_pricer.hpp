@@ -26,9 +26,18 @@
 // norm-distance to H or S. It is minimized by Weiszfeld-seeded alternating
 // 2-D derivative-free descent (exact for the linear per-length cost models of
 // the paper's domains, where the subproblem is weighted Fermat-Weber).
+//
+// Stars are priced in batches: price_mergings keeps up to
+// geom::kWeiszfeldLanes stars in flight and hands each star's next
+// Euclidean placement solve to the Weiszfeld lane engine as soon as its
+// previous one returns, so independent subsets share the engine's lanes.
+// Every star runs the same sequence of solves it would run alone, and the
+// engine's lanes give the bits of the scalar solve, so a batched star is
+// bit-identical to price_merging on the same subset.
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "model/validator.hpp"
@@ -65,9 +74,19 @@ struct MergingPlan {
 /// some leg/trunk has no feasible point-to-point plan). A non-null `deadline`
 /// that has expired makes the pricer bail out immediately with nullopt, so
 /// candidate generation degrades to the already-priced structures.
+/// A batch of one: price_mergings on {subset}.
 std::optional<MergingPlan> price_merging(
     const model::ConstraintGraph& cg, const commlib::Library& library,
     std::vector<model::ArcId> subset,
+    model::CapacityPolicy policy = model::CapacityPolicy::kSharedSum,
+    const support::Deadline* deadline = nullptr);
+
+/// Prices every subset of `subsets`; element i of the result is bit for bit
+/// price_merging(cg, library, subsets[i], policy, deadline). Each star polls
+/// the deadline once, when it starts, and stars start in `subsets` order.
+std::vector<std::optional<MergingPlan>> price_mergings(
+    const model::ConstraintGraph& cg, const commlib::Library& library,
+    std::span<const std::span<const model::ArcId>> subsets,
     model::CapacityPolicy policy = model::CapacityPolicy::kSharedSum,
     const support::Deadline* deadline = nullptr);
 

@@ -1,4 +1,4 @@
-// Heap-allocation budget of the chain and tree pricers.
+// Heap-allocation budget of the star, chain and tree pricers.
 //
 // The pricers run once per surviving subset -- tens of thousands of times
 // per NoC synthesis, on every pricing worker at once -- so a heap call in
@@ -8,14 +8,17 @@
 // (the benchmark suite's noc_hotspot_12 instance, WAN library).
 //
 // Counts before the heap-free search (drop orders compared by cost with
-// reused buffers, flat Dreyfus-Wagner tables):
+// reused buffers, flat Dreyfus-Wagner tables) and, for the star, before the
+// batched star pricer (one point and one value buffer per star in flight,
+// an allocation-free canonical sort):
 //
 //   price_chain_merging  761 allocations
 //   price_tree_merging   164 allocations
+//   price_merging         22 allocations
 //
 // The budgets below hold the chain pricer to a tenth of that and the tree
-// pricer to a third. The test has its own binary so that the replaced
-// operator new counts nothing but these calls.
+// and star pricers to a third. The test has its own binary so that the
+// replaced operator new counts nothing but these calls.
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +28,7 @@
 
 #include "commlib/standard_libraries.hpp"
 #include "synth/chain_pricer.hpp"
+#include "synth/merging_pricer.hpp"
 #include "synth/tree_pricer.hpp"
 #include "workloads/noc_mesh.hpp"
 
@@ -70,6 +74,7 @@ namespace {
 
 constexpr std::size_t kParentChainAllocations = 761;
 constexpr std::size_t kParentTreeAllocations = 164;
+constexpr std::size_t kParentStarAllocations = 22;
 
 struct Fixture {
   model::ConstraintGraph cg;
@@ -119,6 +124,19 @@ TEST(AllocationBudget, TreePricer) {
   EXPECT_EQ(plan->arcs.size(), 4u);
   std::printf("price_tree_merging: %zu allocations\n", n);
   EXPECT_LE(n, kParentTreeAllocations / 3);
+}
+
+TEST(AllocationBudget, StarPricer) {
+  const Fixture f;
+  std::optional<MergingPlan> plan;
+  const std::size_t n = count_allocations(
+      [&] { plan = price_merging(f.cg, f.library, f.subset); });
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->arcs.size(), 4u);
+  EXPECT_TRUE(plan->has_hub);
+  EXPECT_FALSE(plan->has_split);
+  std::printf("price_merging: %zu allocations\n", n);
+  EXPECT_LE(n, kParentStarAllocations / 3);
 }
 
 }  // namespace
