@@ -1,23 +1,18 @@
 #include "support/flight_recorder.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <fstream>
+#include <mutex>
+#include <sstream>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "support/metrics.hpp"
 #include "support/obs_context.hpp"
-#include "support/trace.hpp"
 
 namespace cdcs::support {
 namespace {
-
-std::int64_t steady_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // Postmortem arming state. The latch is atomic so the common disarmed /
 // already-latched checks at fault sites stay lock-free; the directory and
@@ -28,67 +23,37 @@ std::atomic<bool> g_postmortem_armed{false};
 std::atomic<bool> g_postmortem_latched{false};
 std::atomic<std::uint64_t> g_postmortem_seq{0};
 
+// A flight event's args: {"detail":<detail as a JSON string>}.
+constexpr std::string_view kDetailPrefix = "{\"detail\":";
+
 }  // namespace
 
-FlightRecorder::FlightRecorder(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 16)),
-      epoch_ns_(steady_ns()) {
-  ring_.reserve(capacity_);
-}
-
-void FlightRecorder::record(const char* kind, std::string detail) {
-  FlightEvent e;
-  e.timestamp_us = (steady_ns() - epoch_ns_) / 1000;
-  e.thread_id = trace_thread_id();
-  e.kind = kind;
-  e.detail = std::move(detail);
-  e.scope = current_obs_scope_path();
-  std::lock_guard<std::mutex> lock(mu_);
-  e.seq = total_++;
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(e));
-    return;
-  }
-  wrapped_ = true;
-  ring_[head_] = std::move(e);
-  head_ = (head_ + 1) % capacity_;
-}
-
-std::vector<FlightEvent> FlightRecorder::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<FlightEvent> out;
-  out.reserve(ring_.size());
-  if (wrapped_) {
-    out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(head_),
-               ring_.end());
-    out.insert(out.end(), ring_.begin(),
-               ring_.begin() + static_cast<std::ptrdiff_t>(head_));
-  } else {
-    out = ring_;
-  }
-  return out;
-}
-
-std::uint64_t FlightRecorder::total_recorded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_;
-}
-
-FlightRecorder& FlightRecorder::global() {
-  // Never destructed: instrumentation sites may fire during static
-  // teardown (same stance as MetricsRegistry::global()).
-  static FlightRecorder* recorder = new FlightRecorder();
+TraceSink& flight_recorder() {
+  static TraceSink* recorder = new TraceSink(512);
   return *recorder;
 }
 
 void flight_record(const char* kind, std::string detail) {
-  FlightRecorder::global().record(kind, std::move(detail));
+  TraceSink& recorder = flight_recorder();
+  TraceEvent e;
+  e.name = kind;
+  e.category = "flight";
+  e.timestamp_us = recorder.now_us();
+  e.thread_id = trace_thread_id();
+  std::ostringstream args;
+  args << kDetailPrefix;
+  write_json_string(args, detail);
+  args << '}';
+  e.args = std::move(args).str();
+  e.scope = current_obs_scope_path();
+  recorder.record(std::move(e));
 }
 
 void dump_postmortem(std::ostream& os, const char* trigger,
                      const std::string& detail) {
-  FlightRecorder& recorder = FlightRecorder::global();
-  const std::vector<FlightEvent> events = recorder.snapshot();
+  const TraceSink& recorder = flight_recorder();
+  std::size_t dropped = 0;
+  const std::vector<TraceEvent> events = recorder.snapshot(&dropped);
 
   os << "{\n  \"postmortem\": {\"trigger\": ";
   write_json_string(os, trigger);
@@ -100,17 +65,18 @@ void dump_postmortem(std::ostream& os, const char* trigger,
      << (events.empty() ? 0 : events.back().timestamp_us) << "},\n";
 
   os << "  \"flight_recorder\": {\"capacity\": " << recorder.capacity()
-     << ", \"total_recorded\": " << recorder.total_recorded()
+     << ", \"total_recorded\": " << dropped + events.size()
      << ", \"events\": [";
-  bool first = true;
-  for (const FlightEvent& e : events) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n    {\"seq\": " << e.seq << ", \"ts_us\": " << e.timestamp_us
-       << ", \"tid\": " << e.thread_id << ", \"kind\": ";
-    write_json_string(os, e.kind);
-    os << ", \"detail\": ";
-    write_json_string(os, e.detail);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
+    if (i != 0) os << ",";
+    os << "\n    {\"seq\": " << dropped + i << ", \"ts_us\": "
+       << e.timestamp_us << ", \"tid\": " << e.thread_id << ", \"kind\": ";
+    write_json_string(os, e.name);
+    // The detail is already a JSON string inside the event's args object.
+    os << ", \"detail\": "
+       << std::string_view(e.args).substr(
+              kDetailPrefix.size(), e.args.size() - kDetailPrefix.size() - 1);
     os << ", \"scope\": ";
     write_json_string(os, e.scope);
     os << "}";
@@ -153,13 +119,20 @@ std::string maybe_dump_postmortem(const char* trigger,
     return "";
   }
   std::lock_guard<std::mutex> lock(g_postmortem_mu);
-  if (g_postmortem_dir.empty()) return "";
-  const std::uint64_t seq =
-      g_postmortem_seq.fetch_add(1, std::memory_order_relaxed);
-  std::string path = g_postmortem_dir + "/postmortem_" +
-                     std::to_string(seq) + ".json";
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return "";
+  std::string path;
+  std::ofstream out;
+  if (!g_postmortem_dir.empty()) {
+    const std::uint64_t seq =
+        g_postmortem_seq.fetch_add(1, std::memory_order_relaxed);
+    path = g_postmortem_dir + "/postmortem_" + std::to_string(seq) + ".json";
+    out.open(path, std::ios::trunc);
+  }
+  if (!out.is_open()) {
+    // Nothing was written (disarmed meanwhile, or the open failed): leave
+    // the run's one artifact to a later trigger.
+    g_postmortem_latched.store(false, std::memory_order_release);
+    return "";
+  }
   flight_record("postmortem", std::string("dump trigger=") + trigger);
   dump_postmortem(out, trigger, detail);
   MetricsRegistry::global().counter("postmortem.dumps").add(1);

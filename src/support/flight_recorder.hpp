@@ -5,12 +5,14 @@
 // trace ring -- to one JSON artifact when something goes wrong
 // (docs/observability.md).
 //
-// Unlike the trace layer, the recorder is ALWAYS on: the events it captures
-// are rare (dozens per solve, not millions), so the cost of a mutex-guarded
-// ring append at those sites is noise, and the payoff is that a crash,
-// fault fire, or degraded exit can be explained after the fact without
-// having re-run under --trace-out. Recording is write-only metadata --
-// nothing reads the ring during a solve -- so results stay bit-identical.
+// The recorder is a TraceSink (support/trace.hpp) holding instant events,
+// not a ring of its own. Unlike the installed trace sink it is ALWAYS on
+// and never installed: the events it captures are rare (dozens per solve,
+// not millions), so the cost of a mutex-guarded ring append at those sites
+// is noise, and the payoff is that a crash, fault fire, or degraded exit
+// can be explained after the fact without having re-run under --trace-out.
+// Recording is write-only metadata -- nothing reads the ring during a
+// solve -- so results stay bit-identical.
 //
 // Postmortems. set_postmortem_dir() arms automatic dumps: the FIRST
 // trigger (fault-injector fire, degraded exit, deadline expiry, abort)
@@ -22,63 +24,24 @@
 // dumps bump postmortem.dumps.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-#include <mutex>
 #include <ostream>
 #include <string>
-#include <vector>
+
+#include "support/trace.hpp"
 
 namespace cdcs::support {
 
-/// One recorded event. `kind` is a small closed vocabulary ("stage",
-/// "ladder", "incumbent", "fault", "journal", "backend", "postmortem");
-/// `detail` is free-form human-readable text; `scope` is the emitting
-/// thread's ObsContext path at record time ("" when unscoped).
-struct FlightEvent {
-  std::uint64_t seq{0};          ///< global emission order, never reused
-  std::int64_t timestamp_us{0};  ///< monotonic since recorder creation
-  std::uint32_t thread_id{0};    ///< trace_thread_id of the emitter
-  const char* kind{""};          ///< static string; never null
-  std::string detail;
-  std::string scope;
-};
+/// The process-global flight recorder: a TraceSink of capacity 512 that is
+/// never installed, so it records while tracing stays off. Never destructed:
+/// instrumentation sites may fire during static teardown (same stance as
+/// MetricsRegistry::global()).
+TraceSink& flight_recorder();
 
-/// Thread-safe fixed-capacity ring of FlightEvents; overwrites the oldest
-/// when full (same never-OOM stance as TraceSink).
-class FlightRecorder {
- public:
-  explicit FlightRecorder(std::size_t capacity = 512);
-
-  FlightRecorder(const FlightRecorder&) = delete;
-  FlightRecorder& operator=(const FlightRecorder&) = delete;
-
-  /// Appends one event; fills seq/timestamp/thread/scope itself. `kind`
-  /// must be a static string.
-  void record(const char* kind, std::string detail);
-
-  /// The buffered events in emission order (oldest surviving first).
-  std::vector<FlightEvent> snapshot() const;
-
-  std::size_t capacity() const { return capacity_; }
-  /// Events ever recorded (>= capacity() means the ring wrapped).
-  std::uint64_t total_recorded() const;
-
-  /// The process-global recorder all instrumentation writes to.
-  static FlightRecorder& global();
-
- private:
-  const std::size_t capacity_;
-  const std::int64_t epoch_ns_;
-  mutable std::mutex mu_;
-  std::vector<FlightEvent> ring_;
-  std::size_t head_{0};
-  bool wrapped_{false};
-  std::uint64_t total_{0};
-};
-
-/// Appends to FlightRecorder::global(). The one-liner instrumentation
-/// sites use.
+/// Appends one instant event to flight_recorder(): name `kind` (a static
+/// string from a small closed vocabulary: "stage", "ladder", "incumbent",
+/// "fault", "journal", "backend", "postmortem"), category "flight", args
+/// {"detail": <detail>}, and the emitter's thread id and ObsContext scope.
+/// The one-liner instrumentation sites use.
 void flight_record(const char* kind, std::string detail);
 
 /// Serializes a full postmortem document to `os`:
@@ -105,7 +68,8 @@ void reset_postmortem_latch();
 /// Trigger hook: if dumps are armed and the latch is open, writes
 /// <dir>/postmortem_<seq>.json and latches, returning the path written.
 /// Returns "" when disarmed, already latched (bumps
-/// postmortem.suppressed), or the file could not be opened.
+/// postmortem.suppressed), or the file could not be opened (which leaves
+/// the latch open for the next trigger).
 std::string maybe_dump_postmortem(const char* trigger,
                                   const std::string& detail);
 

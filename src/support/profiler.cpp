@@ -16,14 +16,6 @@ std::size_t bucket_index(const std::vector<double>& bounds, double v) {
   return bounds.size();  // +inf overflow bucket
 }
 
-/// One still-open span instance on a thread's replay stack.
-struct Frame {
-  const char* name;
-  const std::string* scope;  ///< points into the event that opened it
-  std::int64_t begin_us;
-  std::int64_t child_us{0};  ///< inclusive time of completed children
-};
-
 }  // namespace
 
 const std::vector<double>& profile_bucket_bounds() {
@@ -35,59 +27,26 @@ std::vector<ProfileEntry> build_profile(
     const std::vector<TraceEvent>& events) {
   const std::vector<double>& bounds = profile_bucket_bounds();
   std::map<std::pair<std::string, std::string>, ProfileEntry> agg;
-  std::vector<std::vector<Frame>> stacks;  // indexed by thread id
-  std::int64_t last_ts = 0;
-
-  auto close = [&](const Frame& f, std::int64_t end_us,
-                   std::vector<Frame>& stack) {
-    const std::int64_t dur = std::max<std::int64_t>(0, end_us - f.begin_us);
-    ProfileEntry& entry = agg[{*f.scope, f.name}];
+  const std::vector<SpanStep> steps = replay_spans(events);
+  // Inclusive time of each begin step's completed same-thread children.
+  std::vector<std::int64_t> child_us(steps.size(), 0);
+  for (const SpanStep& step : steps) {
+    if (step.phase != TraceEvent::Phase::kEnd) continue;
+    const SpanStep& begin = steps[step.begin];
+    const std::int64_t dur =
+        std::max<std::int64_t>(0, step.timestamp_us - begin.timestamp_us);
+    ProfileEntry& entry = agg[{begin.event->scope, begin.event->name}];
     if (entry.buckets.empty()) {
-      entry.scope = *f.scope;
-      entry.name = f.name;
+      entry.scope = begin.event->scope;
+      entry.name = begin.event->name;
       entry.buckets.assign(bounds.size() + 1, 0);
     }
     ++entry.count;
     entry.total_us += dur;
-    entry.self_us += std::max<std::int64_t>(0, dur - f.child_us);
+    entry.self_us += std::max<std::int64_t>(0, dur - child_us[step.begin]);
     entry.max_us = std::max(entry.max_us, dur);
     ++entry.buckets[bucket_index(bounds, static_cast<double>(dur))];
-    if (!stack.empty()) stack.back().child_us += dur;
-  };
-
-  for (const TraceEvent& e : events) {
-    last_ts = std::max(last_ts, e.timestamp_us);
-    if (e.thread_id >= stacks.size()) stacks.resize(e.thread_id + 1);
-    std::vector<Frame>& stack = stacks[e.thread_id];
-    switch (e.phase) {
-      case TraceEvent::Phase::kBegin: {
-        Frame f;
-        f.name = e.name;
-        f.scope = &e.scope;
-        f.begin_us = e.timestamp_us;
-        stack.push_back(f);
-        break;
-      }
-      case TraceEvent::Phase::kEnd: {
-        if (stack.empty()) break;  // orphan: begin overwritten by the ring
-        Frame f = stack.back();
-        stack.pop_back();
-        close(f, e.timestamp_us, stack);
-        break;
-      }
-      default:
-        break;  // counters/instants carry no duration
-    }
-  }
-
-  // Spans the stream left open get a synthetic end at the last timestamp,
-  // deepest first -- the same repair the Chrome exporter performs.
-  for (std::vector<Frame>& stack : stacks) {
-    while (!stack.empty()) {
-      Frame f = stack.back();
-      stack.pop_back();
-      close(f, last_ts, stack);
-    }
+    if (begin.parent != SpanStep::kNone) child_us[begin.parent] += dur;
   }
 
   std::vector<ProfileEntry> out;

@@ -4,10 +4,9 @@
 //
 // There is deliberately NO hot-path machinery here: the trace layer already
 // records every span begin/end with timestamps and scopes, so the profile
-// is a pure function of a TraceSink snapshot -- build_profile() replays the
-// stream with the same per-thread stack discipline the Chrome exporter
-// uses (orphan ends dropped, still-open begins closed at the stream's last
-// timestamp) and aggregates:
+// is a pure function of a TraceSink snapshot -- build_profile() walks the
+// replay_spans() steps (support/trace.hpp), the same paired stream the
+// Chrome exporter writes, and aggregates:
 //   * count        -- completed span instances
 //   * total_us     -- inclusive wall time (sum over instances)
 //   * self_us      -- total_us minus time spent in same-thread child spans

@@ -124,8 +124,9 @@ void TraceSink::record(TraceEvent event) {
   head_ = (head_ + 1) % capacity_;
 }
 
-std::vector<TraceEvent> TraceSink::snapshot() const {
+std::vector<TraceEvent> TraceSink::snapshot(std::size_t* dropped) const {
   std::lock_guard<std::mutex> lock(mu_);
+  if (dropped != nullptr) *dropped = dropped_;
   std::vector<TraceEvent> out;
   out.reserve(ring_.size());
   if (wrapped_) {
@@ -231,65 +232,60 @@ void ScopedTraceSession::close() {
   if (trace_sink() == &sink_) install_trace_sink(nullptr);
 }
 
-std::size_t write_chrome_trace(std::ostream& os,
-                               const std::vector<TraceEvent>& events) {
-  // Balance begin/end pairs per thread so a ring-truncated stream still
-  // exports as well-formed JSON with matched spans: an E whose B was
-  // overwritten is dropped; a B still open at the end of the stream gets a
-  // synthetic E stamped with the stream's final timestamp.
-  std::vector<const TraceEvent*> keep;
-  keep.reserve(events.size());
-  // Per-thread stack of indices into `keep` holding open begins.
+std::vector<SpanStep> replay_spans(const std::vector<TraceEvent>& events) {
+  std::vector<SpanStep> steps;
+  steps.reserve(events.size());
+  // Per-thread stack of indices into `steps` holding open begins.
   std::vector<std::vector<std::size_t>> open;
   std::int64_t last_ts = 0;
   for (const TraceEvent& e : events) {
     last_ts = std::max(last_ts, e.timestamp_us);
     if (e.thread_id >= open.size()) open.resize(e.thread_id + 1);
-    switch (e.phase) {
-      case TraceEvent::Phase::kBegin:
-        open[e.thread_id].push_back(keep.size());
-        keep.push_back(&e);
-        break;
-      case TraceEvent::Phase::kEnd:
-        if (open[e.thread_id].empty()) continue;  // orphan: begin overwritten
-        open[e.thread_id].pop_back();
-        keep.push_back(&e);
-        break;
-      default:
-        keep.push_back(&e);
+    std::vector<std::size_t>& stack = open[e.thread_id];
+    SpanStep step{&e, e.phase, e.timestamp_us};
+    if (e.phase == TraceEvent::Phase::kBegin) {
+      if (!stack.empty()) step.parent = stack.back();
+      stack.push_back(steps.size());
+    } else if (e.phase == TraceEvent::Phase::kEnd) {
+      if (stack.empty()) continue;  // orphan: begin overwritten
+      step.begin = stack.back();
+      stack.pop_back();
+    }
+    steps.push_back(step);
+  }
+  for (const std::vector<std::size_t>& stack : open) {
+    for (std::size_t i = stack.size(); i-- > 0;) {
+      SpanStep end{steps[stack[i]].event, TraceEvent::Phase::kEnd, last_ts};
+      end.begin = stack[i];
+      steps.push_back(end);
     }
   }
+  return steps;
+}
 
-  std::size_t written = keep.size();
-  for (const std::vector<std::size_t>& o : open) written += o.size();
-
+std::size_t write_chrome_trace(std::ostream& os,
+                               const std::vector<TraceEvent>& events) {
+  const std::vector<SpanStep> steps = replay_spans(events);
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  for (const TraceEvent* e : keep) {
+  for (const SpanStep& step : steps) {
     if (!first) os << ",";
     first = false;
     os << "\n";
-    write_event(os, *e);
-  }
-  // Synthetic ends for spans the stream left open (deepest first so the
-  // nesting closes inside-out per thread).
-  for (std::uint32_t tid = 0; tid < open.size(); ++tid) {
-    for (std::size_t i = open[tid].size(); i-- > 0;) {
-      const TraceEvent* b = keep[open[tid][i]];
-      TraceEvent e;
-      e.name = b->name;
-      e.category = b->category;
-      e.phase = TraceEvent::Phase::kEnd;
-      e.timestamp_us = last_ts;
-      e.thread_id = tid;
-      if (!first) os << ",";
-      first = false;
-      os << "\n";
-      write_event(os, e);
+    if (step.phase == step.event->phase) {  // a surviving event
+      write_event(os, *step.event);
+      continue;
     }
+    TraceEvent end;  // synthetic end for a span the stream left open
+    end.name = step.event->name;
+    end.category = step.event->category;
+    end.phase = TraceEvent::Phase::kEnd;
+    end.timestamp_us = step.timestamp_us;
+    end.thread_id = step.event->thread_id;
+    write_event(os, end);
   }
   os << "\n]}\n";
-  return written;
+  return steps.size();
 }
 
 std::size_t write_chrome_trace(std::ostream& os, const TraceSink& sink) {

@@ -1,6 +1,6 @@
 // Zero-cost-when-disabled tracing: RAII spans over the synthesis pipeline,
-// a thread-safe ring-buffer event sink, and a Chrome trace_event exporter
-// (docs/observability.md).
+// the one thread-safe ring-buffer event sink of the observability layer,
+// and a Chrome trace_event exporter (docs/observability.md).
 //
 // Model. Instrumentation sites construct `Span` objects (begin/end pairs),
 // or emit `trace_counter` / `trace_instant` events. All of them route
@@ -15,14 +15,20 @@
 //     monotonic-clock timestamp (microseconds since the sink was created),
 //     a small stable per-thread id, and land in a fixed-capacity ring
 //     buffer under a mutex. When the ring wraps, the OLDEST events are
-//     overwritten and `dropped()` counts them; the exporter re-balances
-//     begin/end pairs so a truncated trace is still well-formed.
+//     overwritten and `dropped()` counts them.
+//
+// The flight recorder (support/flight_recorder.hpp) is another TraceSink
+// of the same class: always on, never installed, holding instant events.
 //
 // Span names and categories must be string literals (or otherwise outlive
 // the sink): events store the pointers, not copies -- emitting is O(1) and
 // allocation-free except for the optional args string and the ObsContext
 // scope path stamped onto each event when a scope is active
 // (support/obs_context.hpp); both happen only with a sink installed.
+//
+// Spans. replay_spans() is the one begin/end pairing repair: it re-balances
+// a ring-truncated stream per thread, and both the Chrome exporter below
+// and the profiler (support/profiler.hpp) read spans only through it.
 //
 // Export: write_chrome_trace() emits the Chrome trace_event JSON array
 // format, loadable in Perfetto (https://ui.perfetto.dev) or about:tracing.
@@ -54,7 +60,7 @@ struct TraceEvent {
   std::int64_t timestamp_us{0};  ///< monotonic, relative to sink creation
   std::uint32_t thread_id{0};    ///< small stable id (see trace_thread_id)
   double value{0.0};             ///< kCounter payload
-  std::string args;              ///< preformatted JSON object ("{...}") or ""
+  std::string args;              ///< JSON object via write_json_string or ""
   std::string scope;             ///< ObsContext path at emission ("" = none)
 };
 
@@ -73,8 +79,10 @@ class TraceSink {
   /// except for the event's own args string.
   void record(TraceEvent event);
 
-  /// The buffered events in emission order (oldest surviving first).
-  std::vector<TraceEvent> snapshot() const;
+  /// The buffered events in emission order (oldest surviving first). When
+  /// `dropped` is given, it receives dropped() read under the same lock, so
+  /// the events' lifetime emission indices are *dropped + i.
+  std::vector<TraceEvent> snapshot(std::size_t* dropped = nullptr) const;
 
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
@@ -160,11 +168,35 @@ class ScopedTraceSession {
   bool installed_{true};
 };
 
-/// Writes `events` as Chrome trace_event JSON ({"traceEvents": [...]}).
-/// The output is always well-formed even when the ring truncated the
-/// stream: per thread, end events with no surviving begin are dropped and
-/// still-open begins get a synthetic end at the last seen timestamp, so
-/// B/E pairing holds for every thread (the golden test's schema check).
+/// One step of a span replay (see replay_spans).
+struct SpanStep {
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  /// The surviving event; for a synthetic end, the begin it closes.
+  const TraceEvent* event{nullptr};
+  /// event->phase, or kEnd for a synthetic end.
+  TraceEvent::Phase phase{TraceEvent::Phase::kInstant};
+  /// event->timestamp_us, or the stream's last timestamp for a synthetic end.
+  std::int64_t timestamp_us{0};
+  /// kEnd: index of the matching kBegin step.
+  std::size_t begin{kNone};
+  /// kBegin: index of the enclosing open kBegin step on the same thread
+  /// (kNone at top level).
+  std::size_t parent{kNone};
+};
+
+/// The begin/end pairing repair every span consumer shares. Replays
+/// `events` with one stack per thread: an end whose begin the ring
+/// overwrote is dropped, and each begin still open at the end of the stream
+/// gets a synthetic end stamped with the stream's last timestamp, appended
+/// thread by thread, deepest first. Every other event passes through in
+/// order, so every kBegin step has exactly one kEnd step. The steps point
+/// into `events`, which must outlive them.
+std::vector<SpanStep> replay_spans(const std::vector<TraceEvent>& events);
+
+/// Writes `events` as Chrome trace_event JSON ({"traceEvents": [...]}):
+/// the replay_spans() steps, so B/E pairing holds for every thread even
+/// when the ring truncated the stream (the golden test's schema check).
 /// Returns the number of events written (after pairing repair).
 std::size_t write_chrome_trace(std::ostream& os,
                                const std::vector<TraceEvent>& events);

@@ -63,24 +63,11 @@ struct PartitioningOptions {
   /// k-d median splitting of arc midpoints stops once a leaf holds at most
   /// this many arcs; every emitted cluster (interior or repair) obeys it.
   std::size_t max_cluster_arcs = 24;
-  /// Slack multiplier on the Lemma 3.1 mergeability radius used to flag
-  /// boundary arcs: arc `a` in cluster C is boundary when some other
-  /// cluster C' has 2*dist(m_a, bbox(C')) < margin*(d(a) + maxlen(C')).
-  /// 1.0 = exactly the radius within which a cross-cluster pair could
-  /// survive the geometric pruning; larger = more conservative repair.
-  double boundary_margin = 1.0;
   /// Cap on the fraction of arcs extracted into boundary-repair groups
   /// (highest violation margin first; deterministic tie-break on arc
   /// index). Keeps hotspot-style traffic, where every long arc looks
   /// boundary, from collapsing the partition.
   double max_boundary_fraction = 0.25;
-  /// Per-cluster cap on merging size (applied as max_merge_k inside each
-  /// cluster, taking the caller's own max_merge_k when that is tighter).
-  /// A geometrically tight 24-arc cluster would otherwise enumerate
-  /// exponentially many large subsets; mergings beyond 4-way essentially
-  /// never win in the corpus geometries. 0 = inherit the caller's
-  /// max_merge_k unchanged.
-  int cluster_max_merge_k = 4;
 };
 
 struct SynthesisOptions {

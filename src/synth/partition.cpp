@@ -11,6 +11,13 @@
 namespace cdcs::synth {
 namespace {
 
+/// Slack multiplier on the Lemma 3.1 mergeability radius used to flag
+/// boundary arcs: arc `a` in cluster C is boundary when some other cluster
+/// C' has 2*dist(m_a, bbox(C')) < margin*(d(a) + maxlen(C')). 1.0 = exactly
+/// the radius within which a cross-cluster pair could survive the geometric
+/// pruning.
+constexpr double kBoundaryMargin = 1.0;
+
 struct ArcGeom {
   geom::Point2D mid;
   double len{0.0};
@@ -227,7 +234,7 @@ Partition partition_graph(const model::ConstraintGraph& cg,
           const double lb =
               point_box_distance(g[a.index()].mid, other.midpoint_bbox,
                                  cg.norm());
-          const double radius = opts.boundary_margin *
+          const double radius = kBoundaryMargin *
                                 (g[a.index()].len + other.max_arc_length);
           if (2.0 * lb < radius) best = std::max(best, radius - 2.0 * lb);
         }

@@ -20,6 +20,13 @@
 namespace cdcs::synth {
 namespace {
 
+/// Per-cluster cap on merging size (applied as max_merge_k inside each
+/// cluster, taking the caller's own max_merge_k when that is tighter). A
+/// geometrically tight 24-arc cluster would otherwise enumerate
+/// exponentially many large subsets; mergings beyond 4-way essentially
+/// never win in the corpus geometries.
+constexpr int kClusterMaxMergeK = 4;
+
 /// Everything one cluster contributes to the stitch.
 struct ClusterOutcome {
   CandidateSet set;
@@ -175,11 +182,10 @@ support::Expected<SynthesisResult> synthesize_partitioned(
   SynthesisOptions cluster_options = options;
   cluster_options.partitioning.enabled = false;
   cluster_options.threads = cluster_budget;
-  if (const int cap = options.partitioning.cluster_max_merge_k; cap > 0) {
-    cluster_options.max_merge_k = options.max_merge_k > 0
-                                      ? std::min(options.max_merge_k, cap)
-                                      : cap;
-  }
+  cluster_options.max_merge_k =
+      options.max_merge_k > 0
+          ? std::min(options.max_merge_k, kClusterMaxMergeK)
+          : kClusterMaxMergeK;
   // Backend selection (cluster_solver.backend) rides along verbatim: each
   // cluster's cover goes through solve_exact's registry dispatch, and the
   // default picks per cluster from its own row count.

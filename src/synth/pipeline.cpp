@@ -43,10 +43,6 @@ std::vector<double> cover_signature(std::size_t num_rows,
       (std::uint64_t{solver.use_mis_lower_bound} << 2) |
       (std::uint64_t{solver.use_lagrangian_bound} << 3) |
       (std::uint64_t{solver.use_reduced_cost_fixing} << 4)));
-  sig.push_back(static_cast<double>(solver.column_dominance_max_depth));
-  sig.push_back(static_cast<double>(solver.lagrangian_root_iterations));
-  sig.push_back(static_cast<double>(solver.lagrangian_node_iterations));
-  sig.push_back(static_cast<double>(solver.reduced_cost_fixing_period));
   sig.push_back(static_cast<double>(solver.warm_start.size()));
   for (std::size_t j : solver.warm_start) {
     sig.push_back(static_cast<double>(j));

@@ -135,7 +135,7 @@ class Solver {
   bool should_fix(int depth) {
     if (!opt_.use_reduced_cost_fixing) return false;
     if (depth == 0 ||
-        nodes_ - last_fix_nodes_ >= opt_.reduced_cost_fixing_period) {
+        nodes_ - last_fix_nodes_ >= kReducedCostFixingPeriod) {
       last_fix_nodes_ = nodes_;
       return true;
     }

@@ -87,7 +87,7 @@ bool NodeEvaluator::reduce(SearchState& s, double& cost,
     }
 
     // Column dominance on the remaining rows.
-    if (opt_.use_column_dominance && depth <= opt_.column_dominance_max_depth) {
+    if (opt_.use_column_dominance && depth <= kColumnDominanceMaxDepth) {
       for (std::size_t j1 = 0; j1 < p_.num_columns(); ++j1) {
         if (!s.available.test(j1)) continue;
         if (!p_.column(j1).rows.intersects(s.uncovered)) {
@@ -151,8 +151,8 @@ double NodeEvaluator::node_bound(const SearchState& s, double cost, int depth,
   lagr_ran = false;
   if (opt_.use_lagrangian_bound && cost + bound < best_cost) {
     SubgradientOptions sopt;
-    sopt.max_iterations = depth == 0 ? opt_.lagrangian_root_iterations
-                                     : opt_.lagrangian_node_iterations;
+    sopt.max_iterations =
+        depth == 0 ? kLagrangianRootIterations : kLagrangianNodeIterations;
     const std::vector<double>* warm = lambda.empty() ? nullptr : &lambda;
     lagr = subgradient_bound(p_, s.uncovered, s.available, best_cost - cost,
                              sopt, warm);

@@ -15,6 +15,16 @@ class FaultInjector;
 
 namespace cdcs::ucp {
 
+/// Column dominance is O(columns^2); beyond this depth it is skipped.
+inline constexpr int kColumnDominanceMaxDepth = 4;
+/// Subgradient iterations at the root (where the bound pays for the whole
+/// tree) and at interior nodes (warm-started from the parent, so a few
+/// corrective steps suffice).
+inline constexpr std::size_t kLagrangianRootIterations = 120;
+inline constexpr std::size_t kLagrangianNodeIterations = 8;
+/// Reduced-cost fixing runs at the root and then every this many nodes.
+inline constexpr std::size_t kReducedCostFixingPeriod = 64;
+
 struct BnbOptions {
   std::size_t max_nodes = 10'000'000;
   /// Wall-clock budget (plus cooperative cancellation); polled once per
@@ -25,25 +35,17 @@ struct BnbOptions {
   bool use_row_dominance = true;
   bool use_column_dominance = true;
   bool use_mis_lower_bound = true;
-  /// Column dominance is O(columns^2); beyond this depth it is skipped.
-  int column_dominance_max_depth = 4;
 
   /// Subgradient Lagrangian node bounds (dominate the MIS bound; see
   /// ucp/lagrangian.hpp). Disabling this and `use_reduced_cost_fixing`
   /// reproduces the v1 search tree exactly.
   bool use_lagrangian_bound = true;
-  /// Subgradient iterations at the root (where the bound pays for the whole
-  /// tree) and at interior nodes (warm-started from the parent, so a few
-  /// corrective steps suffice).
-  std::size_t lagrangian_root_iterations = 120;
-  std::size_t lagrangian_node_iterations = 8;
 
   /// Permanently drop columns whose reduced cost pushes them strictly past
   /// the incumbent (requires the Lagrangian bound). Applied at the root and
-  /// then every `reduced_cost_fixing_period` nodes. Never removes a column
+  /// then every kReducedCostFixingPeriod nodes. Never removes a column
   /// belonging to ANY optimal cover (the test is strict).
   bool use_reduced_cost_fixing = true;
-  std::size_t reduced_cost_fixing_period = 64;
 
   /// Optional borrowed fault injector (not owned). Every backend consults
   /// the "ucp.frontier" site -- bnb_v2 per branch node, the dense DP at

@@ -144,7 +144,7 @@ CoverSolution solve_exact(const CoverProblem& problem,
     double lb = std::max(independent_rows_lower_bound(problem), root_bound);
     if (options.use_lagrangian_bound && root_bound == 0.0) {
       SubgradientOptions sopt;
-      sopt.max_iterations = options.lagrangian_root_iterations;
+      sopt.max_iterations = kLagrangianRootIterations;
       lb = std::max(lb, lagrangian_root_bound(problem, sopt));
     }
     sol.lower_bound = lb;

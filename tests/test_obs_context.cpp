@@ -13,10 +13,12 @@
 //      threads.
 //   4. CONCURRENCY. Scope churn, flight recording, and per-scope metric
 //      deltas may race across pool workers; the ObsContextConcurrency and
-//      FlightRecorderConcurrency suites run under TSan in CI.
+//      FlightSinkConcurrency suites run under TSan in CI.
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -178,41 +180,56 @@ TEST(ObsContext, DefaultConstructorSkipsBaseline) {
 
 // ---- Flight recorder -------------------------------------------------------
 
-TEST(FlightRecorder, RingWrapsKeepingNewestWithContiguousSeq) {
-  FlightRecorder recorder(16);
-  for (int i = 0; i < 40; ++i) {
-    recorder.record("stage", "event " + std::to_string(i));
-  }
-  EXPECT_EQ(recorder.capacity(), 16u);
-  EXPECT_EQ(recorder.total_recorded(), 40u);
+/// Events ever appended to the flight recorder, read in one locked snapshot.
+std::size_t flight_total() {
+  std::size_t dropped = 0;
+  return flight_recorder().snapshot(&dropped).size() + dropped;
+}
 
-  const std::vector<FlightEvent> events = recorder.snapshot();
-  ASSERT_EQ(events.size(), 16u);
-  // Oldest surviving first: seq 24..39, contiguous, timestamps monotone.
+std::string detail_args(const std::string& detail) {
+  return "{\"detail\":\"" + detail + "\"}";
+}
+
+TEST(FlightSink, RingWrapsKeepingNewestWithContiguousSeq) {
+  TraceSink& recorder = flight_recorder();
+  EXPECT_EQ(recorder.capacity(), 512u);
+  const std::size_t before = flight_total();
+  for (int i = 0; i < 552; ++i) {
+    flight_record("stage", "event " + std::to_string(i));
+  }
+  std::size_t dropped = 0;
+  const std::vector<TraceEvent> events = recorder.snapshot(&dropped);
+  ASSERT_EQ(events.size(), 512u);
+  // Postmortem seq is dropped + index: contiguous up to the lifetime total.
+  EXPECT_EQ(dropped + events.size(), before + 552);
+  // Oldest surviving first: events 40..551, in order, timestamps monotone.
   for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].seq, 24u + i);
+    EXPECT_EQ(events[i].args, detail_args("event " + std::to_string(40 + i)));
     if (i > 0) {
       EXPECT_GE(events[i].timestamp_us, events[i - 1].timestamp_us);
     }
   }
-  EXPECT_EQ(events.back().detail, "event 39");
 }
 
-TEST(FlightRecorder, CapacityFloorIsSixteen) {
-  FlightRecorder tiny(1);
+TEST(FlightSink, CapacityFloorIsSixteen) {
+  TraceSink tiny(1);
   EXPECT_EQ(tiny.capacity(), 16u);
 }
 
-TEST(FlightRecorder, GlobalRecordCarriesScope) {
+TEST(FlightSink, GlobalRecordCarriesScope) {
   {
     ObsContext scope("recorded-scope");
     flight_record("stage", "obs-test-marker");
   }
-  const std::vector<FlightEvent> events = FlightRecorder::global().snapshot();
+  EXPECT_EQ(trace_sink(), nullptr) << "the flight recorder is never installed";
+  const std::vector<TraceEvent> events = flight_recorder().snapshot();
   ASSERT_FALSE(events.empty());
-  const FlightEvent& last = events.back();
-  EXPECT_STREQ(last.kind, "stage");
-  EXPECT_EQ(last.detail, "obs-test-marker");
+  const TraceEvent& last = events.back();
+  EXPECT_STREQ(last.name, "stage");
+  EXPECT_STREQ(last.category, "flight");
+  EXPECT_EQ(last.phase, TraceEvent::Phase::kInstant);
+  EXPECT_EQ(last.thread_id, trace_thread_id());
+  EXPECT_EQ(last.args, detail_args("obs-test-marker"));
   EXPECT_EQ(last.scope, "recorded-scope");
 }
 
@@ -265,6 +282,92 @@ TEST(Postmortem, DumpSchemaIsValidWithoutSink) {
   EXPECT_NE(doc.find("\"trace\": null"), std::string::npos);
 }
 
+/// Replaces every `"<key>": <digits>` in `doc` with `map(<digits>)`.
+std::string rewrite_numbers(
+    const std::string& doc, const std::string& key,
+    const std::function<std::uint64_t(std::uint64_t)>& map) {
+  const std::regex pattern("\"" + key + "\": ([0-9]+)");
+  std::string out;
+  auto tail = doc.cbegin();
+  for (std::sregex_iterator it(doc.begin(), doc.end(), pattern), end;
+       it != end; ++it) {
+    out.append(tail, (*it)[1].first);
+    out += std::to_string(map(std::stoull((*it)[1].str())));
+    tail = (*it)[1].second;
+  }
+  out.append(tail, doc.cend());
+  return out;
+}
+
+TEST(Postmortem, GoldenSectionsAfterRingWrap) {
+  // Characterises the postmortem's `postmortem` and `flight_recorder`
+  // sections byte for byte once the 512-event ring has wrapped, so it holds
+  // only this test's events. Only emission order (seq, made relative),
+  // timing and thread ids are normalised.
+  auto total_recorded = [] {
+    std::ostringstream os;
+    dump_postmortem(os, "probe", "");
+    const std::string doc = os.str();
+    std::smatch m;
+    EXPECT_TRUE(std::regex_search(doc, m,
+                                  std::regex("\"total_recorded\": ([0-9]+)")));
+    return std::stoull(m[1].str());
+  };
+  const std::uint64_t base = total_recorded();
+
+  constexpr int kEvents = 600;
+  constexpr int kCapacity = 512;
+  const char* const kinds[] = {"stage",   "ladder",  "incumbent",
+                               "fault",   "journal", "backend"};
+  const std::string hostile = "pm=\"golden\"\nline\t2 \\ \x01 utf8=日本語";
+  for (int i = 0; i < kEvents; ++i) {
+    const std::string detail = "event " + std::to_string(i);
+    if (i % 5 == 0) {
+      ObsContext scope(hostile);
+      flight_record(kinds[i % 6], detail);
+    } else {
+      flight_record(kinds[i % 6], detail);
+    }
+  }
+  std::ostringstream os;
+  {
+    ObsContext scope("golden");
+    dump_postmortem(os, "golden", "detail \"quoted\"");
+  }
+  std::string doc = os.str();
+  doc = doc.substr(0, doc.find("  \"metrics\": "));
+  std::uint64_t first_seq = 0;
+  bool seen_seq = false;
+  doc = rewrite_numbers(doc, "seq", [&](std::uint64_t seq) {
+    if (!seen_seq) first_seq = seq;
+    seen_seq = true;
+    return seq - first_seq;
+  });
+  for (const char* key : {"ts_us", "tid", "timestamp_us"}) {
+    doc = rewrite_numbers(doc, key, [](std::uint64_t) { return 0; });
+  }
+
+  std::string expected =
+      "{\n  \"postmortem\": {\"trigger\": \"golden\", \"detail\": "
+      "\"detail \\\"quoted\\\"\", \"scope\": \"golden\", \"timestamp_us\": "
+      "0},\n  \"flight_recorder\": {\"capacity\": 512, \"total_recorded\": " +
+      std::to_string(base + kEvents) + ", \"events\": [";
+  for (int i = kEvents - kCapacity; i < kEvents; ++i) {
+    if (i != kEvents - kCapacity) expected += ",";
+    expected += "\n    {\"seq\": " +
+                std::to_string(i - (kEvents - kCapacity)) +
+                ", \"ts_us\": 0, \"tid\": 0, \"kind\": \"" + kinds[i % 6] +
+                "\", \"detail\": \"event " + std::to_string(i) +
+                "\", \"scope\": \"" +
+                (i % 5 == 0
+                     ? R"(pm=\"golden\"\nline\t2 \\ \u0001 utf8=日本語)"
+                     : "") +
+                "\"}";
+  }
+  expected += "\n  ]},\n";
+  EXPECT_EQ(doc, expected);
+}
+
 TEST(Postmortem, DumpEmbedsInstalledTraceRing) {
   ScopedTraceSession session;
   { Span span("traced-before-dump", "test"); }
@@ -303,6 +406,22 @@ TEST(Postmortem, OneShotLatchAndReset) {
 
   set_postmortem_dir("");
   EXPECT_EQ(maybe_dump_postmortem("fault", "disarmed"), "");
+}
+
+TEST(Postmortem, FailedWriteLeavesLatchOpen) {
+  PostmortemDisarmer disarm;
+  const std::string dir = make_postmortem_dir("failed_write");
+  set_postmortem_dir(dir);
+
+  // The armed directory vanishes: the trigger writes nothing, and must not
+  // spend the run's one artifact on it.
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(maybe_dump_postmortem("fault", "unwritable"), "");
+
+  std::filesystem::create_directories(dir);
+  const std::string written = maybe_dump_postmortem("fault", "writable");
+  ASSERT_FALSE(written.empty());
+  EXPECT_EQ(postmortem_files(dir).size(), 1u);
 }
 
 TEST(Postmortem, ForcedFaultYieldsExactlyOneArtifact) {
@@ -619,23 +738,32 @@ TEST(ObsContextConcurrency, DeltaSinceUnderConcurrentScopeChurn) {
   EXPECT_EQ(base.delta().counters.at("obs.churn.count"), 64u * 100u);
 }
 
-TEST(FlightRecorderConcurrency, ParallelRecordsKeepSeqOrdered) {
-  FlightRecorder recorder(64);
+TEST(FlightSinkConcurrency, ParallelRecordsKeepSeqOrdered) {
+  const std::size_t before = flight_total();
   {
     ThreadPool pool(8);
-    parallel_map_ordered(&pool, 8, [&recorder](std::size_t t) {
+    parallel_map_ordered(&pool, 8, [](std::size_t t) {
       for (int i = 0; i < 500; ++i) {
-        recorder.record("stage", "t" + std::to_string(t));
+        flight_record("stage", std::to_string(t) + " " + std::to_string(i));
       }
       return 0;
     });
   }
-  EXPECT_EQ(recorder.total_recorded(), 8u * 500u);
-  const std::vector<FlightEvent> events = recorder.snapshot();
-  ASSERT_EQ(events.size(), 64u);
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].seq, events[i - 1].seq + 1)
-        << "ring order diverged from emission order";
+  std::size_t dropped = 0;
+  const std::vector<TraceEvent> events = flight_recorder().snapshot(&dropped);
+  EXPECT_EQ(dropped + events.size(), before + 8u * 500u);
+  ASSERT_EQ(events.size(), 512u);
+  // Ring order is emission order: each emitter's records appear in the
+  // order it made them.
+  std::vector<int> last(8, -1);
+  for (const TraceEvent& e : events) {
+    std::istringstream detail(e.args.substr(11));  // past {"detail":"
+    std::size_t t = 0;
+    int i = 0;
+    ASSERT_TRUE(detail >> t >> i) << e.args;
+    ASSERT_LT(t, last.size());
+    EXPECT_GT(i, last[t]) << "ring order diverged from emission order";
+    last[t] = i;
   }
 }
 
