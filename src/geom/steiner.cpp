@@ -35,16 +35,21 @@ AllPairs all_pairs(const SteinerGraph& g) {
       ap.via_edge[edge.b * ap.n + edge.a] = e;
     }
   }
+  // Row k is skipped in pass k: 0 + d[k][j] is never below d[k][j]. The
+  // relaxation is two selects rather than a branch.
   for (std::size_t k = 0; k < ap.n; ++k) {
+    const double* dk = &ap.dist[k * ap.n];
+    const std::size_t* vk = &ap.via_edge[k * ap.n];
     for (std::size_t i = 0; i < ap.n; ++i) {
       const double dik = ap.dist[i * ap.n + k];
-      if (dik == kInf) continue;
+      if (i == k || dik == kInf) continue;
+      double* di = &ap.dist[i * ap.n];
+      std::size_t* vi = &ap.via_edge[i * ap.n];
       for (std::size_t j = 0; j < ap.n; ++j) {
-        const double alt = dik + ap.dist[k * ap.n + j];
-        if (alt < ap.dist[i * ap.n + j]) {
-          ap.dist[i * ap.n + j] = alt;
-          ap.via_edge[i * ap.n + j] = ap.via_edge[k * ap.n + j];
-        }
+        const double alt = dik + dk[j];
+        const bool lt = alt < di[j];
+        di[j] = lt ? alt : di[j];
+        vi[j] = lt ? vk[j] : vi[j];
       }
     }
   }

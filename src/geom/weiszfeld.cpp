@@ -20,18 +20,36 @@
 namespace cdcs::geom {
 namespace {
 
-/// Exact 1-D weighted median: minimizes sum_i w_i * |x - c_i|. Sorts
-/// `coord_weight` in place.
-double weighted_median(std::span<std::pair<double, double>> coord_weight) {
-  std::sort(coord_weight.begin(), coord_weight.end());
+/// The weighted-median rule over (coord, weight) pairs sorted ascending:
+/// the first coordinate at which the running weight reaches half the
+/// total. It minimizes sum_i w_i * |x - c_i|.
+double median_of_sorted(std::span<const std::pair<double, double>> sorted) {
   double total = 0.0;
-  for (const auto& [c, w] : coord_weight) total += w;
+  for (const auto& [c, w] : sorted) total += w;
   double acc = 0.0;
-  for (const auto& [c, w] : coord_weight) {
+  for (const auto& [c, w] : sorted) {
     acc += w;
     if (acc >= total / 2.0) return c;
   }
-  return coord_weight.empty() ? 0.0 : coord_weight.back().first;
+  return sorted.empty() ? 0.0 : sorted.back().first;
+}
+
+/// Exact 1-D weighted median. Sorts `coord_weight` in place.
+double weighted_median(std::span<std::pair<double, double>> coord_weight) {
+  std::sort(coord_weight.begin(), coord_weight.end());
+  return median_of_sorted(coord_weight);
+}
+
+/// Exact 1-D weighted median of three pairs. They are sorted as std::sort
+/// sorts fewer than 17 elements, by a stable insertion sort: each swap
+/// moves a pair past a strictly greater neighbour, so pairs that compare
+/// equal (+0.0 and -0.0 among them) keep their input order, and the sorted
+/// sequence is the one std::sort leaves.
+double weighted_median3(std::array<std::pair<double, double>, 3> p) {
+  if (p[1] < p[0]) std::swap(p[0], p[1]);
+  if (p[2] < p[1]) std::swap(p[1], p[2]);
+  if (p[1] < p[0]) std::swap(p[0], p[1]);
+  return median_of_sorted(p);
 }
 
 /// Terminal counts up to which the Manhattan median sorts on the stack. The
@@ -68,16 +86,21 @@ double euclidean_distance(Point2D a, Point2D b) {
 /// toward it. Comparing `best` against every terminal makes the anchored
 /// case exact -- important for the pricer's degenerate-trunk mergings,
 /// whose cost must tie (not slightly exceed) the unmerged implementation.
-Point2D anchor_sweep(Point2D best, std::span<const Point2D> terminals,
-                     std::span<const double> weights, Norm norm) {
-  double best_cost = fermat_weber_cost(best, terminals, weights, norm);
+/// `dist` is the norm's distance; `best`'s cost is fermat_weber_cost's sum.
+template <std::size_t N, typename Distance>
+Point2D anchor_sweep(Point2D best, std::span<const Point2D, N> terminals,
+                     std::span<const double, N> weights, Distance dist) {
+  double best_cost = 0.0;
+  for (std::size_t i = 0; i < terminals.size(); ++i) {
+    best_cost += weights[i] * dist(best, terminals[i]);
+  }
   for (const Point2D& t : terminals) {
     // fermat_weber_cost(t, ...), abandoned once the partial sum reaches
     // best_cost: adding nonnegative terms never decreases it, so t could
     // no longer win.
     double c = 0.0;
     for (std::size_t i = 0; i < terminals.size() && c < best_cost; ++i) {
-      c += weights[i] * distance(t, terminals[i], norm);
+      c += weights[i] * dist(t, terminals[i]);
     }
     if (c < best_cost) {
       best_cost = c;
@@ -85,6 +108,13 @@ Point2D anchor_sweep(Point2D best, std::span<const Point2D> terminals,
     }
   }
   return best;
+}
+
+Point2D anchor_sweep(Point2D best, std::span<const Point2D> terminals,
+                     std::span<const double> weights, Norm norm) {
+  return anchor_sweep(best, terminals, weights, [norm](Point2D a, Point2D b) {
+    return distance(a, b, norm);
+  });
 }
 
 /// The scalar Weiszfeld iteration from iterate `x` at iteration
@@ -520,6 +550,20 @@ Point2D weighted_geometric_median(std::span<const Point2D> terminals,
     best = minimize_in_box(f, box).x;
   }
   return anchor_sweep(best, terminals, weights, norm);
+}
+
+Point2D manhattan_median3(std::span<const Point2D, 3> terminals,
+                          std::span<const double, 3> weights) {
+  const double x = weighted_median3({{{terminals[0].x, weights[0]},
+                                      {terminals[1].x, weights[1]},
+                                      {terminals[2].x, weights[2]}}});
+  const double y = weighted_median3({{{terminals[0].y, weights[0]},
+                                      {terminals[1].y, weights[1]},
+                                      {terminals[2].y, weights[2]}}});
+  return anchor_sweep(Point2D{x, y}, terminals, weights,
+                      [](Point2D a, Point2D b) {
+                        return distance(a, b, Norm::kManhattan);
+                      });
 }
 
 std::string_view to_string(LaneBody body) {

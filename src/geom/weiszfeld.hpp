@@ -43,6 +43,13 @@ Point2D weighted_geometric_median(std::span<const Point2D> terminals,
                                   std::span<const double> weights, Norm norm,
                                   const WeiszfeldOptions& options = {});
 
+/// weighted_geometric_median(terminals, weights, Norm::kManhattan) for three
+/// terminals, bit for bit, without the weight checks, the norm dispatch or
+/// the general sort: the chain pricer re-centers every drop on three pulls.
+/// Weights must be nonnegative and no input NaN (not checked here).
+Point2D manhattan_median3(std::span<const Point2D, 3> terminals,
+                          std::span<const double, 3> weights);
+
 /// Problems the lane engine advances side by side. A constant, not a knob:
 /// the AVX2 body holds one problem per double of a 256-bit register.
 inline constexpr std::size_t kWeiszfeldLanes = 4;

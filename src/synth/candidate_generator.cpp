@@ -98,7 +98,7 @@ void price_jobs(const model::ConstraintGraph& cg,
     if (options.enable_chain_topology) {
       support::Span span("price.chain", "pricer");
       metrics.chain_calls->add(1);
-      p.chain = price_chain_merging(cg, library, subset, options.policy, {},
+      p.chain = price_chain_merging(cg, library, subset, options.policy,
                                     &options.deadline);
     }
     if (options.enable_tree_topology) {

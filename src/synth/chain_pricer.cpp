@@ -1,7 +1,10 @@
 #include "synth/chain_pricer.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 
@@ -13,14 +16,63 @@ namespace {
 
 constexpr double kCoincideEps = 1e-9;
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+bool same_bits(geom::Point2D a, geom::Point2D b) {
+  return std::bit_cast<std::uint64_t>(a.x) ==
+             std::bit_cast<std::uint64_t>(b.x) &&
+         std::bit_cast<std::uint64_t>(a.y) == std::bit_cast<std::uint64_t>(b.y);
+}
+
+/// PtpCostModel::cost for one pricing call, memoised on the bits of (span,
+/// bandwidth). The cost is a pure function of both, so a hit returns the
+/// bits a fresh call would. The open-addressed table is fixed in size and
+/// never allocates; once it is three quarters full, new keys are costed
+/// directly. An empty slot holds a NaN cost, so a NaN cost is not stored.
+class CostMemo {
+ public:
+  explicit CostMemo(const PtpCostModel& ptp) : ptp_(&ptp) {}
+
+  double cost(double span, double bandwidth) {
+    const auto s = std::bit_cast<std::uint64_t>(span);
+    const auto b = std::bit_cast<std::uint64_t>(bandwidth);
+    std::size_t i = ((s ^ std::rotl(b, 32)) * 0x9e3779b97f4a7c15ULL) >>
+                    (64 - kSlotBits);
+    for (;; i = (i + 1) % kSlots) {
+      Entry& e = slots_[i];
+      if (std::isnan(e.cost)) break;
+      if (e.span == s && e.bandwidth == b) return e.cost;
+    }
+    const double c = ptp_->cost(span, bandwidth);
+    if (used_ < kMaxUsed && !std::isnan(c)) {
+      slots_[i] = Entry{s, b, c};
+      ++used_;
+    }
+    return c;
+  }
+
+ private:
+  static constexpr int kSlotBits = 8;
+  static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
+  static constexpr std::size_t kMaxUsed = kSlots / 4 * 3;
+
+  struct Entry {
+    std::uint64_t span{0};
+    std::uint64_t bandwidth{0};
+    double cost{kNaN};
+  };
+
+  const PtpCostModel* ptp_;
+  std::array<Entry, kSlots> slots_{};
+  std::size_t used_{0};
+};
 
 /// Per-call buffers of the drop-order search, sized once for k arcs and
 /// overwritten by every order, so scoring an order touches no heap.
 struct OrderScratch {
-  explicit OrderScratch(std::size_t k)
-      : spokes(k), demand(k), leg_slope(k - 1), seg_bw(k),
-        slope_bw(k, std::numeric_limits<double>::quiet_NaN()), seg_slope(k),
-        q(k + 1) {}
+  OrderScratch(std::size_t k, const PtpCostModel& ptp)
+      : spokes(k), demand(k), leg_slope(k - 1), seg_bw(k), seg_slope(k),
+        q(k + 1), moved(k + 1, 0), costs(ptp) {}
 
   // Laid out per order by the caller, in drop order.
   std::vector<geom::Point2D> spokes;
@@ -28,12 +80,20 @@ struct OrderScratch {
   std::vector<double> leg_slope;
 
   std::vector<double> seg_bw;
-  /// seg_slope[j] = length_slope(slope_bw[j]), kept from earlier orders and
-  /// recomputed only when segment j's bandwidth changes (NaN: never set).
-  std::vector<double> slope_bw;
-  std::vector<double> seg_slope;
+  /// seg_slope[j] = {bw, length_slope(bw)} for segment j, kept from earlier
+  /// orders and recomputed only when segment j's bandwidth changes (the
+  /// initial NaN bandwidth equals nothing).
+  struct Slope {
+    double bw{kNaN};
+    double slope{0.0};
+  };
+  std::vector<Slope> seg_slope;
   /// Chain points q_0 = root, q_1..q_{k-1} = drops, q_k = terminus.
   std::vector<geom::Point2D> q;
+  /// moved[j]: drop j's latest re-centering changed q_j's bits. The root
+  /// and the terminus never move, so moved[0] and moved[k] stay 0.
+  std::vector<char> moved;
+  CostMemo costs;
 };
 
 /// Cumulative bandwidth carried by segment j (0-based: root->drop1 is 0):
@@ -59,8 +119,7 @@ void segment_bandwidths(const std::vector<double>& demand,
 /// plans are built once, after the search.
 double score_order(const geom::Point2D root, OrderScratch& s,
                    const PtpCostModel& ptp, geom::Norm norm,
-                   model::CapacityPolicy policy, double node_cost,
-                   int refine_rounds) {
+                   model::CapacityPolicy policy, double node_cost) {
   const std::size_t k = s.spokes.size();
   segment_bandwidths(s.demand, policy, s.seg_bw);
 
@@ -69,20 +128,33 @@ double score_order(const geom::Point2D root, OrderScratch& s,
   for (std::size_t i = 0; i + 1 < k; ++i) s.q[i + 1] = s.spokes[i];
   s.q[k] = s.spokes[k - 1];
 
-  // Fermat-Weber re-centering of interior drops. Drop j is pulled by its
-  // two trunk segments and its own leg, weighted by their length slopes.
   for (std::size_t j = 0; j < k; ++j) {
-    if (s.seg_bw[j] != s.slope_bw[j]) {
-      s.slope_bw[j] = s.seg_bw[j];
-      s.seg_slope[j] = ptp.length_slope(s.seg_bw[j]);
+    if (s.seg_bw[j] != s.seg_slope[j].bw) {
+      s.seg_slope[j] = {s.seg_bw[j], ptp.length_slope(s.seg_bw[j])};
     }
   }
-  for (int round = 0; round < refine_rounds; ++round) {
+  // Fermat-Weber re-centering of interior drops. Drop j is pulled by its
+  // two trunk segments and its own leg, weighted by their length slopes.
+  // Within an order only the trunk pulls q_{j-1} and q_{j+1} change: since
+  // drop j's last solve, q_{j+1} was last written by drop j+1 in the
+  // previous round and q_{j-1} by drop j-1 in this one. When neither write
+  // changed a bit, the solve would return q_j's bits again, so it is
+  // skipped.
+  for (int round = 0; round < kRefineRounds; ++round) {
     for (std::size_t j = 1; j < k; ++j) {
+      if (round > 0 && !s.moved[j - 1] && !s.moved[j + 1]) {
+        s.moved[j] = 0;
+        continue;
+      }
       const geom::Point2D pts[] = {s.q[j - 1], s.q[j + 1], s.spokes[j - 1]};
-      const double ws[] = {s.seg_slope[j - 1], s.seg_slope[j],
+      const double ws[] = {s.seg_slope[j - 1].slope, s.seg_slope[j].slope,
                            s.leg_slope[j - 1]};
-      s.q[j] = geom::weighted_geometric_median(pts, ws, norm);
+      const geom::Point2D next =
+          norm == geom::Norm::kManhattan
+              ? geom::manhattan_median3(pts, ws)
+              : geom::weighted_geometric_median(pts, ws, norm);
+      s.moved[j] = !same_bits(next, s.q[j]);
+      s.q[j] = next;
     }
   }
 
@@ -90,12 +162,13 @@ double score_order(const geom::Point2D root, OrderScratch& s,
   // summed in.
   double cost = 0.0;
   for (std::size_t j = 0; j < k; ++j) {
-    cost += ptp.cost(geom::distance(s.q[j], s.q[j + 1], norm), s.seg_bw[j]);
+    cost += s.costs.cost(geom::distance(s.q[j], s.q[j + 1], norm),
+                         s.seg_bw[j]);
     if (cost == kInf) return kInf;
   }
   for (std::size_t i = 0; i + 1 < k; ++i) {
-    cost += ptp.cost(geom::distance(s.q[i + 1], s.spokes[i], norm),
-                     s.demand[i]);
+    cost += s.costs.cost(geom::distance(s.q[i + 1], s.spokes[i], norm),
+                         s.demand[i]);
     if (cost == kInf) return kInf;
   }
   return cost + static_cast<double>(k - 1) * node_cost;
@@ -107,7 +180,6 @@ std::optional<ChainPlan> price_chain_merging(const model::ConstraintGraph& cg,
                                              const commlib::Library& library,
                                              std::vector<model::ArcId> subset,
                                              model::CapacityPolicy policy,
-                                             const ChainPricerOptions& options,
                                              const support::Deadline* deadline) {
   if (deadline && deadline->expired()) return std::nullopt;
   if (subset.size() < 2) return std::nullopt;
@@ -156,7 +228,7 @@ std::optional<ChainPlan> price_chain_merging(const model::ConstraintGraph& cg,
     leg_slopes[i] = ptp.length_slope(demands[i]);
   }
 
-  OrderScratch scratch(k);
+  OrderScratch scratch(k, ptp);
   double best_cost = kInf;
   std::vector<std::size_t> best_order(k);
   std::vector<geom::Point2D> best_q(k + 1);
@@ -169,8 +241,8 @@ std::optional<ChainPlan> price_chain_merging(const model::ConstraintGraph& cg,
     for (std::size_t i = 0; i + 1 < k; ++i) {
       scratch.leg_slope[i] = leg_slopes[perm[i]];
     }
-    const double cost = score_order(root, scratch, ptp, norm, policy,
-                                    node_cost, options.refine_rounds);
+    const double cost =
+        score_order(root, scratch, ptp, norm, policy, node_cost);
     if (cost < best_cost) {  // strict: the first of equal orders wins
       best_cost = cost;
       std::copy(perm.begin(), perm.end(), best_order.begin());
@@ -180,7 +252,7 @@ std::optional<ChainPlan> price_chain_merging(const model::ConstraintGraph& cg,
 
   std::vector<std::size_t> perm(k);
   std::iota(perm.begin(), perm.end(), 0);
-  if (k <= static_cast<std::size_t>(options.exhaustive_order_max_k)) {
+  if (k <= kExhaustiveOrderMaxK) {
     do {
       consider(perm);
     } while (std::next_permutation(perm.begin(), perm.end()));

@@ -21,8 +21,11 @@
 // nearest-first from the root and projection order along the root-to-
 // centroid axis. Per order, drop positions start at their targets and are
 // refined by a few rounds of weighted Fermat-Weber re-centering (exact
-// subproblems under linear cost models). Orders are compared by cost
-// alone: each is scored through PtpCostModel::cost in buffers allocated
+// subproblems under linear cost models). A drop whose two trunk pulls kept
+// their bits since its last solve is not solved again, and Manhattan drops
+// use the three-pull median kernel (geom::manhattan_median3). Orders are
+// compared by cost alone: each is scored through PtpCostModel::cost,
+// memoised per call on the (span, bandwidth) bits, in buffers allocated
 // once per call and reused by every order, and only the winning order's
 // segment and leg plans are built, once, from its stored drop positions.
 //
@@ -56,13 +59,11 @@ struct ChainPlan {
   double cost{0.0};
 };
 
-struct ChainPricerOptions {
-  /// Try all permutations up to this k (k-1 drops); beyond it, two
-  /// heuristic orders are used.
-  int exhaustive_order_max_k = 5;
-  /// Fermat-Weber re-centering passes per order.
-  int refine_rounds = 3;
-};
+/// Subsets of up to this many arcs try every drop order; larger ones try
+/// the two heuristic orders.
+inline constexpr std::size_t kExhaustiveOrderMaxK = 5;
+/// Fermat-Weber re-centering passes over the drops of each order.
+inline constexpr int kRefineRounds = 3;
 
 /// Prices the best daisy-chain realization of `subset` (|subset| >= 2).
 /// Returns nullopt when the subset has no common endpoint side, when the
@@ -73,7 +74,6 @@ std::optional<ChainPlan> price_chain_merging(
     const model::ConstraintGraph& cg, const commlib::Library& library,
     std::vector<model::ArcId> subset,
     model::CapacityPolicy policy = model::CapacityPolicy::kSharedSum,
-    const ChainPricerOptions& options = {},
     const support::Deadline* deadline = nullptr);
 
 }  // namespace cdcs::synth
