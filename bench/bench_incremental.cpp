@@ -10,9 +10,10 @@
 // so both columns compute the exact same results (the oracle in
 // tests/test_incremental.cpp); only the wall-clock may differ.
 //
-// The machine-readable companion (and the CI acceptance gate: >= 5x on
-// WAN single-arc edits) lives in bench_perf_summary.cpp's
-// "incremental_replay" section; this binary is the human-readable view.
+// The wan/single-arc scenario is also a same-run gate: the binary exits 1
+// unless its speedup is at least 5x and at least 0.8x the recorded 17.238x.
+// Its registry counts and pricing hit rate are pinned by
+// MetricsTotals.WanSingleArcReplay (tests/test_observability.cpp).
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -41,7 +42,9 @@ struct Scenario {
   int repeat;          // replay the whole script this many times
 };
 
-void run(const Scenario& sc) {
+/// Replays `sc` and prints its row; returns the speedup (scratch wall over
+/// incremental wall).
+double run(const Scenario& sc) {
   using namespace cdcs;
   const auto parsed = io::read_edit_script_from_string(sc.script);
   if (!parsed.ok()) {
@@ -91,6 +94,7 @@ void run(const Scenario& sc) {
       cold_ms / static_cast<double>(steps),
       cold_ms / warm_ms, lookups > 0 ? hits / lookups : 0.0,
       stats.cover_reuses, stats.cover_reuses + stats.cover_solves);
+  return cold_ms / warm_ms;
 }
 
 }  // namespace
@@ -140,9 +144,27 @@ int main() {
       "move-port dma 2.45 3.40\nsolve\n",
       10};
 
-  run(wan_single);
+  const double single_arc_speedup = run(wan_single);
   run(wan_move);
   run(wan_churn);
   run(soc_move);
-  return 0;
+
+  // The recorded speedup is from a 1-hardware-thread container, Release
+  // build; both walls of the ratio come from the same run.
+  constexpr double kRecordedSingleArcSpeedup = 17.238;
+  int failures = 0;
+  if (single_arc_speedup < 5.0) {
+    std::fprintf(stderr,
+                 "FAIL wan/single-arc: speedup %.2fx below the 5x floor\n",
+                 single_arc_speedup);
+    ++failures;
+  }
+  if (single_arc_speedup < 0.8 * kRecordedSingleArcSpeedup) {
+    std::fprintf(stderr,
+                 "FAIL wan/single-arc: speedup %.2fx below 0.8x the recorded "
+                 "%.2fx\n",
+                 single_arc_speedup, kRecordedSingleArcSpeedup);
+    ++failures;
+  }
+  return failures == 0 ? 0 : 1;
 }

@@ -10,15 +10,19 @@
 //
 //   * scaling table: arcs, clusters, boundary arcs, UCP columns, stitched
 //     cost, summed cluster lower bound, optimality gap, wall clock;
-//   * an exact-path comparison at the smallest size (the largest where the
-//     exact pipeline is still tractable), run under a deadline of 10x the
-//     partitioned wall so a blown-up exact run cannot stall the bench;
+//   * an exact-path comparison at every size up to --exact-max-arcs, run
+//     under a deadline of 10x the partitioned wall (at least 1 s) so a
+//     blown-up exact run cannot stall the bench;
 //   * a second table for the other large-instance families (fat-tree
 //     datacenter traffic, 16x16 NoC mesh).
 //
 // Exit code: 0 unless any partitioned run fails validation, exceeds the
 // 10% optimality-gap acceptance bound, or (with --deadline-ms) degrades
-// past the incumbent rung -- so CI can run this directly as a smoke gate.
+// past the incumbent rung, or an exact-path comparison finishes within its
+// deadline in under 10x the partitioned wall (partitioning would then not
+// earn its approximation) -- so CI can run this directly as a smoke gate.
+// The 1k-arc instance's cluster shape, stitched cost and lower bound are
+// pinned by KernelIdentity.PartitionedGeoWan1000Seed7.
 //
 // Flags (all also accept --flag=value):
 //   --max-arcs N       skip scaling rows larger than N (default 10000)
@@ -174,7 +178,8 @@ int main(int argc, char** argv) {
     // Exact-path comparison where still tractable: same instance through
     // the monolithic pipeline under a 10x-partitioned-wall deadline. The
     // partitioned path earns its keep when the exact run either blows the
-    // deadline (degrading to an anytime cover) or costs >= 10x the wall.
+    // deadline (degrading to an anytime cover) or costs >= 10x the wall;
+    // otherwise the row fails.
     if (arcs <= exact_max_arcs) {
       synth::SynthesisOptions exact = base_options();
       const double budget_ms = std::max(10.0 * row.millis, 1000.0);
@@ -191,6 +196,13 @@ int main(int argc, char** argv) {
           r.total_cost, exact_ms, budget_ms,
           expired ? ", DEADLINE EXPIRED" : "",
           r.total_cost > 0.0 ? (row.cost / r.total_cost - 1.0) * 100.0 : 0.0);
+      if (!expired && exact_ms < 10.0 * row.millis) {
+        std::fprintf(stderr,
+                     "FAIL geo_wan %zu arcs: exact path finished in %.1fms vs "
+                     "partitioned %.1fms (< 10x, no timeout)\n",
+                     arcs, exact_ms, row.millis);
+        ++failures;
+      }
     }
   }
 

@@ -5,11 +5,11 @@
 
 #include <bit>
 #include <cstdint>
-#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cover_corpus.hpp"
 #include "support/deadline.hpp"
 #include "support/fault.hpp"
 #include "ucp/bnb.hpp"
@@ -22,28 +22,7 @@ using ucp::BnbOptions;
 using ucp::CoverProblem;
 using ucp::CoverSolution;
 using ucp::CoverStop;
-
-/// Same generator as tests/test_ucp.cpp and bench_perf_summary.cpp: seeded
-/// random matrix plus one weight-12 singleton per row (always feasible).
-CoverProblem corpus_problem(int rows, int cols, double density,
-                            unsigned seed) {
-  std::mt19937 rng(seed);
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
-  std::uniform_real_distribution<double> weight(0.5, 10.0);
-  CoverProblem p(rows);
-  for (int j = 0; j < cols; ++j) {
-    std::vector<std::size_t> covered;
-    for (int r = 0; r < rows; ++r) {
-      if (unit(rng) < density) covered.push_back(r);
-    }
-    if (covered.empty()) covered.push_back(j % rows);
-    p.add_column(covered, weight(rng));
-  }
-  for (int r = 0; r < rows; ++r) {
-    p.add_column({static_cast<std::size_t>(r)}, 12.0);
-  }
-  return p;
-}
+using ucp::corpus_problem;
 
 BnbOptions backend_options(const std::string& name) {
   BnbOptions o;
@@ -90,22 +69,36 @@ TEST(CoverSolverRegistry, SolutionCarriesInstanceFeatures) {
 // Every backend proves the same optimal cost on the corpus, including the
 // tie-heavy 14x80 seeds where many covers share the optimal cost. (The v1
 // reference tree, bnb_v2 with the v2 bounds off, is pinned by
-// Exact.SeedCorpusNodeCounts.)
+// Exact.SeedCorpusNodeCounts.) On the bench_ucp_solver instances the cost
+// and each backend's node count are pinned as first recorded: nodes may
+// shrink, never grow (0 = not pinned).
 TEST(CoverSolverMatrix, AllBackendsProveEqualCost) {
   const struct {
     int rows, cols;
     double density;
     unsigned seed;
+    double cost;
+    std::size_t dense_dp_nodes, bnb_v2_nodes;
   } kCorpus[] = {
-      {10, 30, 0.30, 101},  {12, 200, 0.25, 103}, {15, 60, 0.25, 106},
-      {20, 100, 0.20, 111}, {14, 80, 0.25, 300},  {14, 80, 0.25, 301},
-      {14, 80, 0.25, 302},  {14, 80, 0.25, 303},  {14, 80, 0.25, 304},
-      {14, 80, 0.25, 305},
+      {10, 30, 0.30, 101, 5.637716, 54, 4},
+      {12, 200, 0.25, 103, 2.721377, 302, 18},
+      {15, 60, 0.25, 106, 7.214682, 711, 36},
+      {20, 100, 0.20, 111, 7.833386, 7947, 14},
+      {20, 2000, 0.15, 111, 3.010318, 84897, 214},
+      {14, 80, 0.25, 300, 0, 0, 0},
+      {14, 80, 0.25, 301, 0, 0, 0},
+      {14, 80, 0.25, 302, 0, 0, 0},
+      {14, 80, 0.25, 303, 0, 0, 0},
+      {14, 80, 0.25, 304, 0, 0, 0},
+      {14, 80, 0.25, 305, 0, 0, 0},
   };
   for (const auto& c : kCorpus) {
     const CoverProblem p = corpus_problem(c.rows, c.cols, c.density, c.seed);
     const CoverSolution reference = ucp::solve_exact(p, {});
     ASSERT_TRUE(reference.optimal);
+    if (c.cost > 0) {
+      EXPECT_NEAR(reference.cost, c.cost, 1e-6) << c.rows << "x" << c.cols;
+    }
     for (const ucp::CoverSolver* solver : ucp::registered_cover_solvers()) {
       if (!solver->applicable(p)) continue;
       const CoverSolution s =
@@ -116,6 +109,12 @@ TEST(CoverSolverMatrix, AllBackendsProveEqualCost) {
       EXPECT_DOUBLE_EQ(s.lower_bound, s.cost) << solver->name();
       EXPECT_TRUE(p.covers_all(s.chosen)) << solver->name();
       EXPECT_EQ(s.backend, solver->name());
+      const std::size_t max_nodes =
+          solver->name() == "dense_dp" ? c.dense_dp_nodes : c.bnb_v2_nodes;
+      if (max_nodes > 0) {
+        EXPECT_LE(s.nodes_explored, max_nodes)
+            << solver->name() << " on " << c.rows << "x" << c.cols;
+      }
     }
   }
 }

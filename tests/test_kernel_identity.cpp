@@ -35,6 +35,7 @@
 
 #include "commlib/standard_libraries.hpp"
 #include "io/impl_format.hpp"
+#include "synth/partition.hpp"
 #include "synth/synthesizer.hpp"
 #include "workloads/lan.hpp"
 #include "workloads/mpeg4_soc.hpp"
@@ -248,16 +249,42 @@ TEST(KernelIdentity, NocMesh4x4) {
                     "noc_mesh 4x4");
 }
 
+// The partitioned scaling instance: its cluster shape is pinned, and at
+// 1, 2, 4 and 8 threads every run hits the same hashes, stitched cost and
+// lower bound (1e-9 relative), with the gap inside the 10% acceptance bound.
 TEST(KernelIdentity, PartitionedGeoWan1000Seed7) {
-  expect_partitioned_pins(
-      workloads::geo_wan(workloads::GeoWanParams::sized(1000, 7)),
-      commlib::wan_library(),
-      {.candidates = 0xeb301b8e53d678b2ULL,
-       .structures = 0x46317fa7e05bc650ULL,
-       .chosen = 0x8703be6006534adeULL,
-       .implementation = 0xb5abc259b08a0246ULL,
-       .nodes = 68339},
-      "geo_wan(1000,7)");
+  const model::ConstraintGraph cg =
+      workloads::geo_wan(workloads::GeoWanParams::sized(1000, 7));
+  const commlib::Library lib = commlib::wan_library();
+  PartitioningOptions partitioning;
+  partitioning.enabled = true;
+  const Partition part = partition_graph(cg, partitioning);
+  EXPECT_EQ(part.clusters.size(), 93u);
+  EXPECT_EQ(part.num_interior, 77u);
+  EXPECT_EQ(part.boundary_arcs.size(), 250u);
+
+  const Pins pins{.candidates = 0xeb301b8e53d678b2ULL,
+                  .structures = 0x46317fa7e05bc650ULL,
+                  .chosen = 0x8703be6006534adeULL,
+                  .implementation = 0xb5abc259b08a0246ULL,
+                  .nodes = 68339};
+  constexpr double kCost = 113720021.019790;
+  constexpr double kLowerBound = 113720021.019790;
+  for (const int threads : {1, 2, 4, 8}) {
+    SynthesisOptions opts;
+    opts.partitioning.enabled = true;
+    opts.threads = threads;
+    const std::string run = "geo_wan(1000,7) @" + std::to_string(threads) + "t";
+    const SynthesisResult r = synthesize(cg, lib, opts).value();
+    ASSERT_TRUE(r.validation.ok()) << run;
+    expect_pins(r, pins, run);
+    EXPECT_LE(r.degradation.lower_bound, r.total_cost) << run;
+    EXPECT_LE(r.cover.lower_bound, r.total_cost) << run;
+    EXPECT_NEAR(r.total_cost, kCost, 1e-9 * kCost) << run;
+    EXPECT_NEAR(r.degradation.lower_bound, kLowerBound, 1e-9 * kLowerBound)
+        << run;
+    EXPECT_LE(r.degradation.optimality_gap, 0.10) << run;
+  }
 }
 
 // The instance whose summed cluster bound used to exceed its stitched cost

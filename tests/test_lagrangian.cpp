@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cover_corpus.hpp"
 #include "support/deadline.hpp"
 #include "ucp/bnb.hpp"
 #include "ucp/dp.hpp"
@@ -23,26 +24,6 @@
 
 namespace cdcs::ucp {
 namespace {
-
-CoverProblem random_problem(int rows, int cols, double density,
-                            unsigned seed) {
-  std::mt19937 rng(seed);
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
-  std::uniform_real_distribution<double> weight(0.5, 10.0);
-  CoverProblem p(rows);
-  for (int j = 0; j < cols; ++j) {
-    std::vector<std::size_t> covered;
-    for (int r = 0; r < rows; ++r) {
-      if (unit(rng) < density) covered.push_back(r);
-    }
-    if (covered.empty()) covered.push_back(j % rows);
-    p.add_column(covered, weight(rng));
-  }
-  for (int r = 0; r < rows; ++r) {
-    p.add_column({static_cast<std::size_t>(r)}, 12.0);
-  }
-  return p;
-}
 
 /// Exact dual value L(lambda) recomputed independently of the ascent code.
 double dual_value(const CoverProblem& p, const std::vector<double>& lambda) {
@@ -65,7 +46,7 @@ TEST(Lagrangian, BoundHierarchyOnRandomInstances) {
     const int cols = std::uniform_int_distribution<int>(rows, 40)(meta);
     const double density =
         std::uniform_real_distribution<double>(0.15, 0.5)(meta);
-    const CoverProblem p = random_problem(rows, cols, density, seed);
+    const CoverProblem p = corpus_problem(rows, cols, density, seed);
 
     const CoverSolution opt = solve_dp(p);
     ASSERT_TRUE(opt.optimal);
@@ -84,7 +65,7 @@ TEST(Lagrangian, BoundHierarchyOnRandomInstances) {
 // bound really is L(lambda) for an explicit lambda >= 0 -- a machine-checked
 // certificate, not just a number.
 TEST(Lagrangian, ReportedBoundMatchesItsMultipliers) {
-  const CoverProblem p = random_problem(10, 40, 0.3, 42);
+  const CoverProblem p = corpus_problem(10, 40, 0.3, 42);
   Bitset uncovered(p.num_rows());
   uncovered.set_all();
   Bitset available(p.num_columns());
@@ -102,7 +83,7 @@ TEST(Lagrangian, ReportedBoundMatchesItsMultipliers) {
 // collapses to the sum of the seeds. This is the dominance argument.
 TEST(Lagrangian, MisSeedReproducesMisBound) {
   for (unsigned seed = 100; seed < 110; ++seed) {
-    const CoverProblem p = random_problem(8, 30, 0.3, seed);
+    const CoverProblem p = corpus_problem(8, 30, 0.3, seed);
     Bitset uncovered(p.num_rows());
     uncovered.set_all();
     Bitset available(p.num_columns());
@@ -122,7 +103,7 @@ TEST(Lagrangian, FixingPreservesEveryOptimalCover) {
     std::mt19937 meta(seed * 131 + 7);
     const int rows = std::uniform_int_distribution<int>(4, 7)(meta);
     const int cols = std::uniform_int_distribution<int>(8, 14)(meta);
-    const CoverProblem p = random_problem(rows, cols, 0.35, 1000 + seed);
+    const CoverProblem p = corpus_problem(rows, cols, 0.35, 1000 + seed);
 
     const CoverSolution opt = solve_dp(p);
     ASSERT_TRUE(opt.optimal);
@@ -169,7 +150,7 @@ TEST(Lagrangian, FixingPreservesEveryOptimalCover) {
 // instantly and check the reported lower_bound dominates the independent-
 // rows bound and still sits below the (greedy) incumbent cost.
 TEST(Lagrangian, DeadlineExpiryReportsRootBound) {
-  const CoverProblem p = random_problem(25, 120, 0.2, 77);
+  const CoverProblem p = corpus_problem(25, 120, 0.2, 77);
 
   BnbOptions opt;
   opt.backend = "bnb_v2";
@@ -184,7 +165,7 @@ TEST(Lagrangian, DeadlineExpiryReportsRootBound) {
   EXPECT_LE(s.lower_bound, s.cost + 1e-9);
 
   // Same contract through the dense-DP dispatch path (rows <= 20).
-  const CoverProblem small = random_problem(15, 60, 0.25, 78);
+  const CoverProblem small = corpus_problem(15, 60, 0.25, 78);
   BnbOptions dp_opt;
   dp_opt.deadline = support::Deadline::expire_after_checks(0);
   const CoverSolution d = solve_exact(small, dp_opt);
@@ -200,7 +181,7 @@ TEST(Lagrangian, DeadlineExpiryReportsRootBound) {
 // budget degrades gracefully to a feasible, unproven cover.
 TEST(Lagrangian, BestFirstMatchesDfsAndCapsGracefully) {
   for (unsigned seed = 300; seed < 306; ++seed) {
-    const CoverProblem p = random_problem(14, 80, 0.25, seed);
+    const CoverProblem p = corpus_problem(14, 80, 0.25, seed);
     BnbOptions dfs;
     dfs.backend = "bnb_v2";
     BnbOptions dp;
@@ -214,7 +195,7 @@ TEST(Lagrangian, BestFirstMatchesDfsAndCapsGracefully) {
   }
 
   // A tiny node budget must still return a feasible cover, just unproven.
-  const CoverProblem p = random_problem(22, 150, 0.2, 321);
+  const CoverProblem p = corpus_problem(22, 150, 0.2, 321);
   BnbOptions capped;
   capped.backend = "bnb_v2";
   capped.max_nodes = 2;

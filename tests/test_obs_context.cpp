@@ -18,6 +18,8 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
+#include <map>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -571,13 +573,16 @@ TEST(Profiler, JsonExportIsValid) {
 }
 
 TEST(Profiler, CountsAreDeterministicAcrossSerialRuns) {
-  // Two identical serial synthesize runs must profile to the same
-  // (scope, name, count) rows -- what bench_perf_summary's `profile`
-  // section pins and tools/check_bench_regression.py diffs.
-  auto profile_counts = [] {
+  // Two identical synthesize runs must profile to the same (scope, name,
+  // count) rows, and the rows of a serial run are pinned: a site that
+  // appears, disappears or fires a different number of times fails here.
+  auto profile_counts = [](int threads) {
     ScopedTraceSession session;
     ObsContext scope("bench=wan_profile");
-    (void)synth::synthesize(workloads::wan2002(), commlib::wan_library())
+    synth::SynthesisOptions options;
+    options.threads = threads;
+    (void)synth::synthesize(workloads::wan2002(), commlib::wan_library(),
+                            options)
         .value();
     std::vector<std::pair<std::string, std::uint64_t>> rows;
     for (const ProfileEntry& e : build_profile(session.sink())) {
@@ -585,9 +590,27 @@ TEST(Profiler, CountsAreDeterministicAcrossSerialRuns) {
     }
     return rows;
   };
-  const auto first = profile_counts();
+  // threads = 0, the default: every hardware thread prices.
+  const auto first = profile_counts(0);
   EXPECT_FALSE(first.empty());
-  EXPECT_EQ(first, profile_counts());
+  EXPECT_EQ(first, profile_counts(0));
+
+  // One price.chain and one price.tree span per priced subset (57), one
+  // price.ptp per arc (8), one price.star batch and one price.subset span
+  // per serial pricing chunk (5); every other span runs once.
+  std::map<std::string, std::uint64_t> golden;
+  for (const auto& [name, count] :
+       std::initializer_list<std::pair<const char*, std::uint64_t>>{
+           {"assemble", 1}, {"cover", 1}, {"generate", 1}, {"ladder", 1},
+           {"price.chain", 57}, {"price.ptp", 8}, {"price.star", 5},
+           {"price.subset", 5}, {"price.tree", 57}, {"synthesize", 1},
+           {"ucp.dense_dp", 1}, {"ucp.solve", 1}, {"validate", 1}}) {
+    golden[std::string("bench=wan_profile\x1f") + name] = count;
+  }
+  const auto serial = profile_counts(1);
+  const std::map<std::string, std::uint64_t> counts(serial.begin(),
+                                                    serial.end());
+  EXPECT_EQ(counts, golden);
 }
 
 TEST(Profiler, DescribeProfileRanksByTotalTime) {

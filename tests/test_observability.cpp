@@ -12,6 +12,7 @@
 //      TSan in CI.
 #include <cctype>
 #include <cstddef>
+#include <cstdint>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -515,6 +516,81 @@ TEST(Metrics, ScopedTimerInertWithoutTimingOrTracing) {
   { ScopedTimer t("timed", "test", &h); }
   set_timing_enabled(false);
   EXPECT_EQ(h.snapshot().count, 1u);
+}
+
+// ---- Registry totals of fixed workloads ------------------------------------
+//
+// Every counter below is an event count, a deterministic function of the
+// serial workload, so it is pinned exactly; node counts are ceilings (the
+// cover search may get cheaper, never dearer). Together the two tests fix
+// the registry totals of any mix of these calls.
+
+std::uint64_t counter_total(const MetricsSnapshot& s, const char* name) {
+  const auto it = s.counters.find(name);
+  return it == s.counters.end() ? 0 : it->second;
+}
+
+TEST(MetricsTotals, SerialWanSynthesis) {
+  const MetricsSnapshot before = MetricsRegistry::global().snapshot();
+  synth::SynthesisOptions serial;
+  serial.threads = 1;
+  (void)synth::synthesize(workloads::wan2002(), commlib::wan_library(),
+                          serial)
+      .value();
+  const MetricsSnapshot m =
+      MetricsRegistry::global().snapshot().delta_since(before);
+  EXPECT_EQ(counter_total(m, "synth.runs"), 1u);
+  EXPECT_EQ(counter_total(m, "synth.subsets_examined"), 120u);
+  EXPECT_EQ(counter_total(m, "ucp.solves"), 1u);
+  EXPECT_EQ(counter_total(m, "ucp.dp_solves"), 1u);
+  EXPECT_LE(counter_total(m, "ucp.nodes_explored"), 17u);
+  EXPECT_EQ(counter_total(m, "synth.pricing_cache.hits"), 0u);
+  EXPECT_EQ(counter_total(m, "synth.pricing_cache.misses"), 0u);
+  EXPECT_EQ(counter_total(m, "fault.fires"), 0u);
+  EXPECT_EQ(counter_total(m, "io.journal.appends"), 0u);
+}
+
+// bench_incremental's wan/single-arc scenario, serial: ten rounds of four
+// bandwidth toggles through one Engine, each step checked against a
+// from-scratch synthesize() of the same graph.
+TEST(MetricsTotals, WanSingleArcReplay) {
+  const MetricsSnapshot before = MetricsRegistry::global().snapshot();
+  synth::SynthesisOptions serial;
+  serial.threads = 1;
+  const commlib::Library lib = commlib::wan_library();
+  synth::Engine engine(workloads::wan2002(), lib, serial);
+  ASSERT_TRUE(engine.resynthesize().ok());
+  const auto script = io::read_edit_script_from_string(
+      "set-bandwidth a3 25\nsolve\n"
+      "set-bandwidth a3 10\nsolve\n"
+      "set-bandwidth a7 40\nsolve\n"
+      "set-bandwidth a7 10\nsolve\n");
+  ASSERT_TRUE(script.ok());
+  for (int round = 0; round < 10; ++round) {
+    for (const model::Delta& batch : script->batches) {
+      const auto warm = engine.apply(batch);
+      const auto scratch = synth::synthesize(engine.graph(), lib, serial);
+      ASSERT_TRUE(warm.ok());
+      ASSERT_TRUE(scratch.ok());
+      EXPECT_EQ(warm->total_cost, scratch->total_cost);
+    }
+  }
+  // The session's pricing hit rate, 2245 / 2337 = 0.9606.
+  EXPECT_EQ(engine.stats().pricing_hits, 2245u);
+  EXPECT_EQ(engine.stats().pricing_misses, 92u);
+
+  const MetricsSnapshot m =
+      MetricsRegistry::global().snapshot().delta_since(before);
+  EXPECT_EQ(counter_total(m, "engine.applies"), 41u);
+  EXPECT_EQ(counter_total(m, "synth.runs"), 81u);
+  EXPECT_EQ(counter_total(m, "synth.subsets_examined"), 81u * 120u);
+  EXPECT_EQ(counter_total(m, "ucp.solves"), 81u);
+  EXPECT_EQ(counter_total(m, "ucp.dp_solves"), 81u);
+  EXPECT_LE(counter_total(m, "ucp.nodes_explored"), 81u * 17u);
+  EXPECT_EQ(counter_total(m, "synth.pricing_cache.hits"), 2245u);
+  EXPECT_EQ(counter_total(m, "synth.pricing_cache.misses"), 92u);
+  EXPECT_EQ(counter_total(m, "fault.fires"), 0u);
+  EXPECT_EQ(counter_total(m, "io.journal.appends"), 0u);
 }
 
 }  // namespace

@@ -108,6 +108,7 @@ TEST(PricingCacheAccounting, RepeatedSynthesisHitsEverySubset) {
   EXPECT_EQ(s1.pricing_cache_hits, 0u);  // cold cache: every probe misses
   EXPECT_GT(s1.pricing_cache_misses, 0u);
   const std::size_t priced = s1.pricing_cache_misses;
+  EXPECT_EQ(priced, 57u);  // every subset the WAN prices
   EXPECT_EQ(cache.stats().entries, priced);  // no evictions, no dupes
 
   const auto second = synthesize(cg, lib, options);

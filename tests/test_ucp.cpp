@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cover_corpus.hpp"
 #include "support/deadline.hpp"
 #include "support/fault.hpp"
 #include "ucp/bnb.hpp"
@@ -771,28 +772,6 @@ TEST(Exact, NodeBudgetReturnsIncumbent) {
   EXPECT_TRUE(p.covers_all(s.chosen));  // but still feasible (greedy incumbent)
 }
 
-/// Same generator as bench/bench_ucp_solver.cpp: keep the two in sync so
-/// the pinned node counts below describe the bench corpus exactly.
-CoverProblem corpus_problem(int rows, int cols, double density,
-                            unsigned seed) {
-  std::mt19937 rng(seed);
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
-  std::uniform_real_distribution<double> weight(0.5, 10.0);
-  CoverProblem p(rows);
-  for (int j = 0; j < cols; ++j) {
-    std::vector<std::size_t> covered;
-    for (int r = 0; r < rows; ++r) {
-      if (unit(rng) < density) covered.push_back(r);
-    }
-    if (covered.empty()) covered.push_back(j % rows);
-    p.add_column(covered, weight(rng));
-  }
-  for (int r = 0; r < rows; ++r) {
-    p.add_column({static_cast<std::size_t>(r)}, 12.0);
-  }
-  return p;
-}
-
 /// The v1 reference configuration: bnb_v2 with Lagrangian bounds and
 /// reduced-cost fixing off. Solver v2 promises this reproduces the legacy
 /// search tree node-for-node.
@@ -810,7 +789,8 @@ BnbOptions legacy_options() {
 // semantically identical to the scalar version. These node counts were
 // captured from the pre-bitset implementation on the bench_ucp_solver
 // corpus; any drift here means the reductions changed behaviour, not just
-// speed. Solver v2 keeps this tree reachable behind legacy_options().
+// speed. Solver v2 keeps this tree reachable behind legacy_options(). The
+// corpus's 20x2000 instance has its own test below.
 TEST(Exact, SeedCorpusNodeCounts) {
   const BnbOptions force_bnb = legacy_options();
 
@@ -822,6 +802,7 @@ TEST(Exact, SeedCorpusNodeCounts) {
       {10, 30, 0.30, 7},
       {12, 200, 0.25, 33},
       {15, 60, 0.25, 98},
+      {15, 1000, 0.20, 973},
       {20, 100, 0.20, 123},
   };
   for (const auto& c : corpus) {
@@ -848,15 +829,18 @@ TEST(Exact, SeedCorpusNodeCounts) {
 // Solver v2 contract: both configurations (legacy, v2 with Lagrangian
 // bounds + reduced-cost fixing) prove the SAME optimal cover cost on the
 // corpus, and the v2 bounds never expand more nodes than the legacy tree.
+// The recorded costs and v2 node ceilings are the bench_ucp_solver corpus
+// as first measured; v2 may get cheaper, never dearer.
 TEST(Exact, SolverV2CostEqualityAndNodeReduction) {
   const struct {
     int rows, cols;
     double density;
+    double cost;
+    std::size_t max_nodes;
   } corpus[] = {
-      {10, 30, 0.30},
-      {12, 200, 0.25},
-      {15, 60, 0.25},
-      {20, 100, 0.20},
+      {10, 30, 0.30, 5.637716, 4},   {12, 200, 0.25, 2.721377, 18},
+      {15, 60, 0.25, 7.214682, 36},  {15, 1000, 0.20, 2.594182, 42},
+      {20, 100, 0.20, 7.833386, 14},
   };
   for (const auto& c : corpus) {
     const CoverProblem p =
@@ -872,11 +856,36 @@ TEST(Exact, SolverV2CostEqualityAndNodeReduction) {
     ASSERT_TRUE(dfs.optimal);
     EXPECT_NEAR(dfs.cost, legacy.cost, 1e-9)
         << c.rows << "x" << c.cols << " density " << c.density;
+    EXPECT_NEAR(dfs.cost, c.cost, 1e-6) << c.rows << "x" << c.cols;
     EXPECT_TRUE(p.covers_all(dfs.chosen));
     EXPECT_LE(dfs.nodes_explored, legacy.nodes_explored);
+    EXPECT_LE(dfs.nodes_explored, c.max_nodes) << c.rows << "x" << c.cols;
     // Optimal exits report a tight bound.
     EXPECT_NEAR(dfs.lower_bound, dfs.cost, 1e-9);
   }
+}
+
+// The corpus's hardest instance, 20x2000 at density 0.15: the legacy tree
+// pinned node-for-node, the v2 cost equal to it, and the v2 bounds cutting
+// the tree at least tenfold. Kept apart from the two tests above because
+// its legacy solve takes seconds.
+TEST(Exact, SolverV2CutsLargestCorpusTreeTenfold) {
+  const CoverProblem p = corpus_problem(20, 2000, 0.15, 91 + 20);
+
+  const CoverSolution legacy = solve_exact(p, legacy_options());
+  ASSERT_TRUE(legacy.optimal);
+  EXPECT_EQ(legacy.nodes_explored, 16857u);
+
+  BnbOptions v2;
+  v2.backend = "bnb_v2";
+  const CoverSolution dfs = solve_exact(p, v2);
+  ASSERT_TRUE(dfs.optimal);
+  EXPECT_NEAR(dfs.cost, legacy.cost, 1e-9);
+  EXPECT_NEAR(dfs.cost, 3.010318, 1e-6);
+  EXPECT_TRUE(p.covers_all(dfs.chosen));
+  EXPECT_LE(dfs.nodes_explored, 214u);
+  EXPECT_LE(dfs.nodes_explored * 10, legacy.nodes_explored);
+  EXPECT_NEAR(dfs.lower_bound, dfs.cost, 1e-9);
 }
 
 // A warm-start cover seeds the incumbent: with a warm start matching the

@@ -150,8 +150,9 @@ TEST(RandomWorkload, SingleClusterHasNoInterTraffic) {
 // position bit patterns, arc endpoints, bandwidth bit patterns) is pinned:
 // ANY drift -- a nudged coordinate, a reordered arc, a renamed port --
 // fails here loudly instead of silently shifting the benchmark baselines
-// (the partitioned-scaling costs in BENCH_pr.json are compared exactly
-// across machines, which is only sound while the inputs are bit-stable).
+// (the partitioned-scaling cost pinned by
+// KernelIdentity.PartitionedGeoWan1000Seed7 holds on every machine only
+// while the inputs are bit-stable).
 
 TEST(GeneratorFingerprints, HandWrittenCorpusPinned) {
   EXPECT_EQ(fingerprint(wan2002()), 0xf48331dac8e45094ull);
