@@ -13,8 +13,8 @@
 //   * max_us       -- largest single instance
 //   * buckets      -- fixed latency histogram (Histogram::latency_us_bounds)
 // Span COUNTS are deterministic for a fixed serial workload, which is what
-// bench_perf_summary's `profile` section pins; timings are machine noise
-// and are never diffed.
+// Profiler.CountsAreDeterministicAcrossSerialRuns (tests/test_obs_context.cpp)
+// pins; timings are machine noise and are never diffed.
 #pragma once
 
 #include <cstdint>

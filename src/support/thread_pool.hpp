@@ -12,9 +12,12 @@
 //      share across workers) and return early. The pool only guarantees that
 //      every submitted task runs to completion before the destructor joins.
 //   3. No dependency surface. Plain std::thread + mutex/condvar; no atomics
-//      tricks beyond a stop flag, no lock-free queue -- the tasks this pool
-//      carries are millisecond-scale placement solves, so queue overhead is
-//      noise.
+//      tricks beyond a stop flag, no lock-free queue. A task is a chunk of
+//      subset pricings or a whole cluster synthesis, so a queue round trip
+//      is small beside it. Starting a pool and waking its workers is not
+//      free, though, so callers fan out only work worth sharing: the
+//      candidate generator answers pricing-cache hits on the calling
+//      thread and starts its pool only for misses.
 //
 // Observability (docs/observability.md): submit() samples the queue depth
 // into the thread_pool.queue_depth gauge, and each executed task gets a

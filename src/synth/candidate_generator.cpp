@@ -73,7 +73,11 @@ struct PricingJob {
 /// Prices `jobs` through all enabled structure pricers, caching each result
 /// when a cache is in use. The stars are priced as one batch
 /// (price_mergings), so their placement solves share the Weiszfeld lanes;
-/// chain and tree then run per subset.
+/// chain and tree then run per subset. Pure per subset (pricers read only
+/// the subset's geometry, the library, and the policy), which is what makes
+/// the parallel fan-out deterministic. Runs on worker threads: everything
+/// it touches is either const-shared, the job's own result slot, or the
+/// thread-safe cache/deadline/metrics.
 void price_jobs(const model::ConstraintGraph& cg,
                 const commlib::Library& library,
                 const SynthesisOptions& options,
@@ -117,55 +121,6 @@ void price_jobs(const model::ConstraintGraph& cg,
                                               p.star, p.chain, p.tree));
     }
   }
-}
-
-/// Prices a contiguous chunk of subsets, consulting the memoization cache
-/// when present. Results are in `subsets` order. Pure per subset (pricers
-/// read only the subset's geometry, the library, and the policy), which is
-/// what makes the parallel fan-out deterministic. Runs on worker threads:
-/// everything it touches is either const-shared or the thread-safe
-/// cache/deadline/metrics. The price.subset and price.star spans cover the
-/// whole chunk.
-std::vector<PricedStructures> price_chunk(
-    const model::ConstraintGraph& cg, const commlib::Library& library,
-    const SynthesisOptions& options,
-    std::span<const std::vector<model::ArcId>> subsets,
-    const PricerMetrics& metrics) {
-  support::ScopedTimer timer("price.subset", "pricer", metrics.subset_us);
-  const std::size_t n = subsets.size();
-  std::vector<PricedStructures> out(n);
-  std::vector<PricingJob> misses;
-  PricingCache* cache = options.pricing_cache;
-  // The pricers canonicalize their input to the subset's geometry order
-  // internally (synth/canonical_order.hpp), so the priced result is a pure
-  // function of the subset's geometry -- which is exactly what licenses
-  // serving it from the cache under whatever arc ids the requesting graph
-  // happens to use: a hit is bit-identical to the fresh solve it replaces.
-  // Every subset of the chunk is looked up before any is priced, so two
-  // subsets with the same key in one chunk (identical arc geometry) both
-  // count as misses; both price to the same bits.
-  std::vector<std::vector<std::uint32_t>> orders(cache != nullptr ? n : 0);
-  std::vector<PricingCache::Key> keys(cache != nullptr ? n : 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (cache == nullptr) {
-      misses.push_back({&subsets[i], &out[i], nullptr, nullptr});
-      continue;
-    }
-    orders[i] = canonical_subset_order(cg, subsets[i]);
-    keys[i] = make_pricing_key(cg, library, subsets[i], options.policy,
-                               options.enable_chain_topology,
-                               options.enable_tree_topology);
-    if (std::optional<PricingCache::Entry> entry = cache->lookup(keys[i])) {
-      entry->retarget(subsets[i], orders[i]);
-      out[i] = PricedStructures{std::move(entry->star),
-                                std::move(entry->chain),
-                                std::move(entry->tree)};
-    } else {
-      misses.push_back({&subsets[i], &out[i], &keys[i], &orders[i]});
-    }
-  }
-  price_jobs(cg, library, options, misses, metrics);
-  return out;
 }
 
 /// Bounding-box grid pre-filter for the geometric pruning tests.
@@ -325,15 +280,25 @@ support::Expected<CandidateSet> generate_candidates(
 
   const std::size_t threads = support::resolve_thread_count(options.threads);
   stats.threads_used = threads;
+  // Started by the first batch with work to share (see phase 2), so a run
+  // that the cache answers in full starts no thread.
   std::unique_ptr<support::ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<support::ThreadPool>(threads);
   const PricerMetrics pricer_metrics = PricerMetrics::resolve();
+  PricingCache* cache = options.pricing_cache;
 
   // Pricing-batch size: large enough to amortize fan-out overhead and keep
   // every worker busy, small enough to bound the held-subsets memory when
   // max_subsets_per_k is in the millions.
   const std::size_t batch_capacity =
       threads > 1 ? std::max<std::size_t>(1024, 8 * threads) : 1024;
+
+  // Per-batch pricing state, reused across batches: result slots in
+  // enumeration order, the cache misses to price, and (with a cache) each
+  // subset's canonical order and key, which the misses point into.
+  std::vector<PricedStructures> priced;
+  std::vector<PricingJob> misses;
+  std::vector<std::vector<std::uint32_t>> orders;
+  std::vector<PricingCache::Key> keys;
 
   // --- k-way mergings for increasing k (main loop of Fig. 2). ---
   std::vector<bool> active(n, true);
@@ -420,35 +385,68 @@ support::Expected<CandidateSet> generate_candidates(
         advance();
       }
 
-      // Phase 2: price the surviving subsets in near-equal contiguous
-      // chunks, 4 per pool thread (one chunk when pricing runs inline).
-      // Concurrent when a pool exists, inline otherwise; either way the
-      // results come back in enumeration order, so phase 3 is the same
-      // fold as the serial run.
+      // Phase 2a (serial, enumeration order): answer what the cache can on
+      // this thread. The pricers canonicalize their input to the subset's
+      // geometry order internally (synth/canonical_order.hpp), so the
+      // priced result is a pure function of the subset's geometry -- which
+      // is exactly what licenses serving it from the cache under whatever
+      // arc ids the requesting graph happens to use: a hit is bit-identical
+      // to the fresh solve it replaces. Every subset of the batch is looked
+      // up before any is priced, so two subsets with the same key in one
+      // batch (identical arc geometry) both count as misses, at any thread
+      // count; both price to the same bits.
+      priced.assign(batch.size(), PricedStructures{});
+      misses.clear();
+      orders.resize(cache != nullptr ? batch.size() : 0);
+      keys.resize(cache != nullptr ? batch.size() : 0);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        if (cache == nullptr) {
+          misses.push_back({&batch[i], &priced[i], nullptr, nullptr});
+          continue;
+        }
+        orders[i] = canonical_subset_order(cg, batch[i]);
+        keys[i] = make_pricing_key(cg, library, batch[i], options.policy,
+                                   options.enable_chain_topology,
+                                   options.enable_tree_topology);
+        if (std::optional<PricingCache::Entry> entry = cache->lookup(keys[i])) {
+          entry->retarget(batch[i], orders[i]);
+          priced[i] = PricedStructures{std::move(entry->star),
+                                       std::move(entry->chain),
+                                       std::move(entry->tree)};
+        } else {
+          misses.push_back({&batch[i], &priced[i], &keys[i], &orders[i]});
+        }
+      }
+
+      // Phase 2b: price the misses in near-equal contiguous chunks, 4 per
+      // pool thread. More than one chunk fans out over the pool, started
+      // here the first time; a lone chunk runs inline. Each job writes its
+      // own slot of `priced`, so phase 3 reads enumeration order either
+      // way and is the same fold as the serial run.
       const std::size_t chunks =
-          pool ? std::min(batch.size(), 4 * threads) : std::size_t{1};
-      std::vector<std::vector<PricedStructures>> chunk_results =
-          support::parallel_map_ordered(
-              pool.get(), batch.empty() ? 0 : chunks, [&](std::size_t c) {
-                const std::size_t begin = c * batch.size() / chunks;
-                const std::size_t end = (c + 1) * batch.size() / chunks;
-                return price_chunk(
-                    cg, library, options,
-                    std::span(batch).subspan(begin, end - begin),
-                    pricer_metrics);
-              });
+          std::min(misses.size(), threads > 1 ? 4 * threads : 1);
+      if (chunks > 1 && !pool) {
+        pool = std::make_unique<support::ThreadPool>(threads);
+      }
+      (void)support::parallel_map_ordered(
+          chunks > 1 ? pool.get() : nullptr, chunks, [&](std::size_t c) {
+            const std::size_t begin = c * misses.size() / chunks;
+            const std::size_t end = (c + 1) * misses.size() / chunks;
+            support::ScopedTimer timer("price.subset", "pricer",
+                                       pricer_metrics.subset_us);
+            price_jobs(cg, library, options,
+                       std::span(misses).subspan(begin, end - begin),
+                       pricer_metrics);
+            return end - begin;  // unused: each job fills its own slot
+          });
 
       // Phase 3 (serial, enumeration order): delay-gate the structures,
       // keep the cheapest per subset, and account profitability.
-      for (std::size_t b = 0, c = 0, in_chunk = 0; b < batch.size(); ++b) {
-        while (in_chunk == chunk_results[c].size()) {
-          ++c;
-          in_chunk = 0;
-        }
-        PricedStructures& priced = chunk_results[c][in_chunk++];
-        std::optional<MergingPlan> star = std::move(priced.star);
-        std::optional<ChainPlan> chain = std::move(priced.chain);
-        std::optional<TreePlan> tree = std::move(priced.tree);
+      for (std::size_t b = 0; b < batch.size(); ++b) {
+        PricedStructures& slot = priced[b];
+        std::optional<MergingPlan> star = std::move(slot.star);
+        std::optional<ChainPlan> chain = std::move(slot.chain);
+        std::optional<TreePlan> tree = std::move(slot.tree);
         const std::vector<model::ArcId>& merged = batch[b];
         // Delay-constrained synthesis: a merged structure whose slowest
         // channel busts the budget is not a candidate.

@@ -51,14 +51,25 @@ namespace cdcs::synth {
 /// incumbent is warm-started with the point-to-point singleton cover, so
 /// pruning starts from the anytime ladder's last-resort upper bound.
 ///
-/// Both overloads are thin wrappers over a throwaway synth::Engine session
-/// (synth/engine.hpp); edit streams should hold a session open instead of
-/// calling these in a loop.
+/// Both overloads run the staged pipeline (synth/pipeline.hpp) once, with
+/// no session state, or the partitioned path on large instances; edit
+/// streams should hold a synth::Engine session (synth/engine.hpp) open
+/// instead of calling these in a loop.
 support::Expected<SynthesisResult> synthesize(
     const model::ConstraintGraph& cg, const commlib::Library& library,
     const SynthesisOptions& options = {});
 support::Expected<SynthesisResult> synthesize(
     const model::ConstraintGraph& cg, const commlib::Library& library,
     const SynthesisOptions& options, const ucp::BnbOptions& solver_options);
+
+/// The result keeps a pointer to `library`, so a temporary library would
+/// leave it dangling: bind the library to a named object first.
+support::Expected<SynthesisResult> synthesize(
+    const model::ConstraintGraph& cg, const commlib::Library&& library,
+    const SynthesisOptions& options = {}) = delete;
+support::Expected<SynthesisResult> synthesize(
+    const model::ConstraintGraph& cg, const commlib::Library&& library,
+    const SynthesisOptions& options,
+    const ucp::BnbOptions& solver_options) = delete;
 
 }  // namespace cdcs::synth

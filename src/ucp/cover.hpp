@@ -105,7 +105,7 @@ struct CoverSolution {
   /// (ucp/cover_solver.hpp): "dense_dp" or "bnb_v2".
   std::string backend;
   /// Instance features, stamped by solve_exact on every solve so downstream
-  /// consumers (reports, BENCH_pr.json) can read rows x cols x density
+  /// consumers (reports, bench/suite) can read rows x cols x density
   /// without re-deriving them.
   std::size_t rows{0};
   std::size_t cols{0};

@@ -4,9 +4,9 @@
 // the tests pin each generator's fingerprint so that ANY drift in the
 // emitted graph -- a port moved, a bandwidth nudged, an arc reordered, a
 // name changed -- fails loudly instead of silently shifting benchmark
-// baselines (the partitioned-scaling costs in BENCH_pr.json are compared
-// exactly across machines, which is only sound while the inputs are
-// bit-stable).
+// baselines (the partitioned geo-WAN costs pinned in
+// tests/test_kernel_identity.cpp are compared exactly across machines,
+// which is only sound while the inputs are bit-stable).
 //
 // The hash is FNV-1a 64 over the full construction-visible content: norm,
 // port names and position bit patterns, arc endpoints, channel names and

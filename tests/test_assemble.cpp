@@ -76,7 +76,8 @@ TEST(Assemble, MergingSharesTrunkArcsAcrossConstraints) {
   cg.add_channel(d, a, 10.0);
   cg.add_channel(d, b, 10.0);
   cg.add_channel(d, c, 10.0);
-  const SynthesisResult result = synthesize(cg, commlib::wan_library()).value();
+  const commlib::Library library = commlib::wan_library();
+  const SynthesisResult result = synthesize(cg, library).value();
   const auto& impl = *result.implementation;
   const auto& p0 = impl.arc_implementation(ArcId{0});
   const auto& p1 = impl.arc_implementation(ArcId{1});

@@ -144,7 +144,8 @@ TEST(ChainSynthesis, TargetRootedEndToEndValidates) {
   cg.add_channel(s1, t, 15.0);
   cg.add_channel(s2, t, 15.0);
   cg.add_channel(s3, t, 15.0);
-  const SynthesisResult result = synthesize(cg, commlib::wan_library()).value();
+  const commlib::Library library = commlib::wan_library();
+  const SynthesisResult result = synthesize(cg, library).value();
   EXPECT_TRUE(result.validation.ok()) << (result.validation.problems.empty()
                                               ? ""
                                               : result.validation.problems[0]);

@@ -313,8 +313,9 @@ TEST(ChaosSoak, FailedApplyIsByteEquivalentToPreApplyState) {
   model::ConstraintGraph edited = workloads::wan2002();
   ASSERT_TRUE(model::apply_delta(edited, first).ok());
   ASSERT_TRUE(model::apply_delta(edited, second).ok());
+  const commlib::Library library = commlib::wan_library();
   const auto cold =
-      synth::synthesize(edited, commlib::wan_library(), synth::SynthesisOptions{});
+      synth::synthesize(edited, library, synth::SynthesisOptions{});
   ASSERT_TRUE(cold.ok()) << cold.status().to_string();
   EXPECT_EQ(fingerprint(*retried), fingerprint(*cold));
 }

@@ -418,7 +418,8 @@ TEST(EngineSession, RejectedDeltaLeavesSessionUsable) {
   good.ops.push_back(model::SetBandwidthOp{"a1", 15.0});
   const auto after = engine.apply(good);
   ASSERT_TRUE(after.ok()) << after.status().to_string();
-  const auto cold = synthesize(engine.graph(), commlib::wan_library());
+  const commlib::Library library = commlib::wan_library();
+  const auto cold = synthesize(engine.graph(), library);
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(fingerprint(*after), fingerprint(*cold));
 }
@@ -463,7 +464,8 @@ TEST(EngineWarmStart, CostEqualAndOptimalAcrossEdits) {
     const auto w = warm.apply(batches->batches[b]);
     ASSERT_TRUE(w.ok()) << "batch " << b + 1 << ": "
                         << w.status().to_string();
-    const auto cold = synthesize(warm.graph(), commlib::wan_library());
+    const commlib::Library library = commlib::wan_library();
+    const auto cold = synthesize(warm.graph(), library);
     ASSERT_TRUE(cold.ok());
     // Warm seeding may reorder the search, but on an exact run it must
     // land on the same optimal cost and prove it.

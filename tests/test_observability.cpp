@@ -215,8 +215,9 @@ TEST(TraceSchema, GoldenSynthesisRun) {
   ScopedTraceSession session;
   synth::SynthesisOptions options;
   options.threads = 2;
+  const commlib::Library library = commlib::wan_library();
   const auto result =
-      synth::synthesize(workloads::wan2002(), commlib::wan_library(), options);
+      synth::synthesize(workloads::wan2002(), library, options);
   session.close();
   ASSERT_TRUE(result.ok()) << result.status().to_string();
 
@@ -534,9 +535,8 @@ TEST(MetricsTotals, SerialWanSynthesis) {
   const MetricsSnapshot before = MetricsRegistry::global().snapshot();
   synth::SynthesisOptions serial;
   serial.threads = 1;
-  (void)synth::synthesize(workloads::wan2002(), commlib::wan_library(),
-                          serial)
-      .value();
+  const commlib::Library library = commlib::wan_library();
+  (void)synth::synthesize(workloads::wan2002(), library, serial).value();
   const MetricsSnapshot m =
       MetricsRegistry::global().snapshot().delta_since(before);
   EXPECT_EQ(counter_total(m, "synth.runs"), 1u);
@@ -554,43 +554,49 @@ TEST(MetricsTotals, SerialWanSynthesis) {
 // bandwidth toggles through one Engine, each step checked against a
 // from-scratch synthesize() of the same graph.
 TEST(MetricsTotals, WanSingleArcReplay) {
-  const MetricsSnapshot before = MetricsRegistry::global().snapshot();
-  synth::SynthesisOptions serial;
-  serial.threads = 1;
-  const commlib::Library lib = commlib::wan_library();
-  synth::Engine engine(workloads::wan2002(), lib, serial);
-  ASSERT_TRUE(engine.resynthesize().ok());
-  const auto script = io::read_edit_script_from_string(
-      "set-bandwidth a3 25\nsolve\n"
-      "set-bandwidth a3 10\nsolve\n"
-      "set-bandwidth a7 40\nsolve\n"
-      "set-bandwidth a7 10\nsolve\n");
-  ASSERT_TRUE(script.ok());
-  for (int round = 0; round < 10; ++round) {
-    for (const model::Delta& batch : script->batches) {
-      const auto warm = engine.apply(batch);
-      const auto scratch = synth::synthesize(engine.graph(), lib, serial);
-      ASSERT_TRUE(warm.ok());
-      ASSERT_TRUE(scratch.ok());
-      EXPECT_EQ(warm->total_cost, scratch->total_cost);
+  // The accounting is the same serial and multi-threaded: the generator
+  // probes the cache on the calling thread, in enumeration order, before
+  // any subset of a batch is priced.
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    const MetricsSnapshot before = MetricsRegistry::global().snapshot();
+    synth::SynthesisOptions options;
+    options.threads = threads;
+    const commlib::Library lib = commlib::wan_library();
+    synth::Engine engine(workloads::wan2002(), lib, options);
+    ASSERT_TRUE(engine.resynthesize().ok());
+    const auto script = io::read_edit_script_from_string(
+        "set-bandwidth a3 25\nsolve\n"
+        "set-bandwidth a3 10\nsolve\n"
+        "set-bandwidth a7 40\nsolve\n"
+        "set-bandwidth a7 10\nsolve\n");
+    ASSERT_TRUE(script.ok());
+    for (int round = 0; round < 10; ++round) {
+      for (const model::Delta& batch : script->batches) {
+        const auto warm = engine.apply(batch);
+        const auto scratch = synth::synthesize(engine.graph(), lib, options);
+        ASSERT_TRUE(warm.ok());
+        ASSERT_TRUE(scratch.ok());
+        EXPECT_EQ(warm->total_cost, scratch->total_cost);
+      }
     }
-  }
-  // The session's pricing hit rate, 2245 / 2337 = 0.9606.
-  EXPECT_EQ(engine.stats().pricing_hits, 2245u);
-  EXPECT_EQ(engine.stats().pricing_misses, 92u);
+    // The session's pricing hit rate, 2245 / 2337 = 0.9606.
+    EXPECT_EQ(engine.stats().pricing_hits, 2245u);
+    EXPECT_EQ(engine.stats().pricing_misses, 92u);
 
-  const MetricsSnapshot m =
-      MetricsRegistry::global().snapshot().delta_since(before);
-  EXPECT_EQ(counter_total(m, "engine.applies"), 41u);
-  EXPECT_EQ(counter_total(m, "synth.runs"), 81u);
-  EXPECT_EQ(counter_total(m, "synth.subsets_examined"), 81u * 120u);
-  EXPECT_EQ(counter_total(m, "ucp.solves"), 81u);
-  EXPECT_EQ(counter_total(m, "ucp.dp_solves"), 81u);
-  EXPECT_LE(counter_total(m, "ucp.nodes_explored"), 81u * 17u);
-  EXPECT_EQ(counter_total(m, "synth.pricing_cache.hits"), 2245u);
-  EXPECT_EQ(counter_total(m, "synth.pricing_cache.misses"), 92u);
-  EXPECT_EQ(counter_total(m, "fault.fires"), 0u);
-  EXPECT_EQ(counter_total(m, "io.journal.appends"), 0u);
+    const MetricsSnapshot m =
+        MetricsRegistry::global().snapshot().delta_since(before);
+    EXPECT_EQ(counter_total(m, "engine.applies"), 41u);
+    EXPECT_EQ(counter_total(m, "synth.runs"), 81u);
+    EXPECT_EQ(counter_total(m, "synth.subsets_examined"), 81u * 120u);
+    EXPECT_EQ(counter_total(m, "ucp.solves"), 81u);
+    EXPECT_EQ(counter_total(m, "ucp.dp_solves"), 81u);
+    EXPECT_LE(counter_total(m, "ucp.nodes_explored"), 81u * 17u);
+    EXPECT_EQ(counter_total(m, "synth.pricing_cache.hits"), 2245u);
+    EXPECT_EQ(counter_total(m, "synth.pricing_cache.misses"), 92u);
+    EXPECT_EQ(counter_total(m, "fault.fires"), 0u);
+    EXPECT_EQ(counter_total(m, "io.journal.appends"), 0u);
+  }
 }
 
 }  // namespace

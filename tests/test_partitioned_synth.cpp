@@ -115,8 +115,9 @@ TEST(PartitionedSynth, LargeInstanceEndToEnd) {
       workloads::geo_wan(workloads::GeoWanParams::sized(150, 5));
   SynthesisOptions opts;
   opts.partitioning.enabled = true;
+  const commlib::Library library = commlib::wan_library();
   const SynthesisResult r =
-      synthesize(cg, commlib::wan_library(), opts).value();
+      synthesize(cg, library, opts).value();
   EXPECT_TRUE(r.validation.ok());
   EXPECT_GT(r.degradation.lower_bound, 0.0);
   EXPECT_LE(r.degradation.optimality_gap, 0.10);

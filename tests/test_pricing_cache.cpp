@@ -5,7 +5,10 @@
 // tests also pin the "entries only grow" retention behaviour.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "commlib/standard_libraries.hpp"
+#include "support/trace.hpp"
 #include "synth/pricing_cache.hpp"
 #include "synth/synthesizer.hpp"
 #include "workloads/wan2002.hpp"
@@ -126,6 +129,61 @@ TEST(PricingCacheAccounting, RepeatedSynthesisHitsEverySubset) {
     EXPECT_DOUBLE_EQ(second->candidates()[i].cost, first->candidates()[i].cost);
     EXPECT_EQ(second->candidates()[i].arcs, first->candidates()[i].arcs);
   }
+}
+
+// Cache hits are answered on the calling thread, and the generator starts
+// its pool only for a batch with misses to share, so a warm multi-threaded
+// run runs no pool task at all. The cold run at the same thread count does
+// fan out (the WAN's larger batches miss in full), which shows the trace
+// would catch a task.
+TEST(PricingCacheFanOut, WarmRunStartsNoPoolTask) {
+  const model::ConstraintGraph cg = workloads::wan2002();
+  const commlib::Library lib = commlib::wan_library();
+  PricingCache cache;
+  SynthesisOptions options;
+  options.threads = 4;
+  options.pricing_cache = &cache;
+
+  const auto pool_tasks = [](support::ScopedTraceSession& session) {
+    session.close();
+    std::size_t tasks = 0;
+    for (const support::TraceEvent& e : session.sink().snapshot()) {
+      if (e.phase == support::TraceEvent::Phase::kBegin &&
+          std::string(e.name) == "task") {
+        ++tasks;
+      }
+    }
+    return tasks;
+  };
+
+  support::ScopedTraceSession cold_session;
+  const auto cold = synthesize(cg, lib, options);
+  const std::size_t cold_tasks = pool_tasks(cold_session);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(cold->candidate_set.stats.pricing_cache_misses, 57u);
+  EXPECT_GT(cold_tasks, 0u);
+
+  support::ScopedTraceSession warm_session;
+  const auto warm = synthesize(cg, lib, options);
+  const std::size_t warm_tasks = pool_tasks(warm_session);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(warm->candidate_set.stats.pricing_cache_hits, 57u);
+  EXPECT_EQ(warm->candidate_set.stats.pricing_cache_misses, 0u);
+  EXPECT_EQ(warm_tasks, 0u);
+
+  // A hit is the fresh solve's bits, so the candidates are the cold run's.
+  ASSERT_EQ(warm->candidates().size(), cold->candidates().size());
+  for (std::size_t i = 0; i < cold->candidates().size(); ++i) {
+    const Candidate& w = warm->candidates()[i];
+    const Candidate& c = cold->candidates()[i];
+    EXPECT_EQ(w.arcs, c.arcs);
+    EXPECT_EQ(w.cost, c.cost);
+    EXPECT_EQ(w.merging.has_value(), c.merging.has_value());
+    EXPECT_EQ(w.chain.has_value(), c.chain.has_value());
+    EXPECT_EQ(w.tree.has_value(), c.tree.has_value());
+  }
+  EXPECT_EQ(warm->total_cost, cold->total_cost);
+  EXPECT_EQ(warm->cover.chosen, cold->cover.chosen);
 }
 
 // Two sessions over geometrically identical graphs whose arcs were

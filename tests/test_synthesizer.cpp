@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
+
 #include "baseline/baselines.hpp"
 #include "commlib/standard_libraries.hpp"
+#include "model/implementation_graph.hpp"
 #include "synth/synthesizer.hpp"
 #include "workloads/mpeg4_soc.hpp"
 #include "workloads/random_gen.hpp"
@@ -9,6 +13,33 @@
 
 namespace cdcs::synth {
 namespace {
+
+// True when synthesize() accepts a library of value category `Lib`, with
+// and without explicit solver options.
+template <typename Lib>
+constexpr bool kSynthesizeAccepts =
+    requires(const model::ConstraintGraph& cg, const SynthesisOptions& opts,
+             const ucp::BnbOptions& solver) {
+      synthesize(cg, std::declval<Lib>());
+      synthesize(cg, std::declval<Lib>(), opts);
+      synthesize(cg, std::declval<Lib>(), opts, solver);
+    };
+
+// The result's implementation graph keeps a pointer to the library, so a
+// temporary library would leave it dangling once the call's statement ends.
+// Those calls do not compile.
+TEST(Synthesizer, TemporaryLibraryDoesNotCompile) {
+  static_assert(kSynthesizeAccepts<const commlib::Library&>);
+  static_assert(kSynthesizeAccepts<commlib::Library&>);
+  static_assert(!kSynthesizeAccepts<commlib::Library>);
+  static_assert(!kSynthesizeAccepts<const commlib::Library>);
+  static_assert(std::is_constructible_v<model::ImplementationGraph,
+                                        const model::ConstraintGraph&,
+                                        const commlib::Library&>);
+  static_assert(!std::is_constructible_v<model::ImplementationGraph,
+                                         const model::ConstraintGraph&,
+                                         commlib::Library>);
+}
 
 TEST(Synthesizer, WanReproducesFigure4) {
   const model::ConstraintGraph cg = workloads::wan2002();
