@@ -51,7 +51,7 @@ int main() {
 
   std::size_t mergings = 0;
   for (const synth::Candidate* c : result.selected()) {
-    if (c->merging) {
+    if (const auto* m = std::get_if<synth::MergingPlan>(&c->plan)) {
       ++mergings;
       std::vector<std::string> names;
       for (model::ArcId a : c->arcs) names.push_back(cg.channel(a).name);
@@ -61,12 +61,12 @@ int main() {
         std::puts("FAIL: selected merging is not {a4,a5,a6}");
         ++failures;
       }
-      if (c->merging->trunk->link != *optical) {
+      if (m->trunk->link != *optical) {
         std::puts("FAIL: merged trunk is not the optical link");
         ++failures;
       }
-    } else if (c->ptp) {
-      if (c->ptp->link != *radio || !c->ptp->is_matching()) {
+    } else if (const auto* p = std::get_if<synth::PtpPlan>(&c->plan)) {
+      if (p->link != *radio || !p->is_matching()) {
         std::printf("FAIL: %s is not a dedicated radio matching\n",
                     cg.channel(c->arcs.front()).name.c_str());
         ++failures;

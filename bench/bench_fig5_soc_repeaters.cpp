@@ -27,15 +27,16 @@ int main() {
   int failures = 0;
   std::size_t total = 0;
   for (const synth::Candidate* c : result.selected()) {
-    if (!c->ptp) {
+    const auto* p = std::get_if<synth::PtpPlan>(&c->plan);
+    if (p == nullptr) {
       std::puts("FAIL: a merging was selected; Fig. 5 is pure segmentation");
       ++failures;
       continue;
     }
-    const double d = c->ptp->span;
+    const double d = p->span;
     // The paper's closed-form arc cost.
     const int paper_cost = static_cast<int>(std::floor(d / l_crit));
-    const int repeaters = (c->ptp->segments - 1) * c->ptp->parallel;
+    const int repeaters = (p->segments - 1) * p->parallel;
     total += repeaters;
     std::printf("%-22s %10.2f %12d %12d\n",
                 cg.channel(c->arcs.front()).name.c_str(), d, paper_cost,

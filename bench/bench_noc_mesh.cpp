@@ -72,9 +72,9 @@ int main() {
     std::size_t chains = 0;
     std::size_t trees = 0;
     for (const synth::Candidate* c : result.selected()) {
-      if (c->merging) ++merges;
-      if (c->chain) ++chains;
-      if (c->tree) ++trees;
+      merges += std::holds_alternative<synth::MergingPlan>(c->plan);
+      chains += std::holds_alternative<synth::ChainPlan>(c->plan);
+      trees += std::holds_alternative<synth::TreePlan>(c->plan);
     }
     const double save = 100.0 * (ptp.cost - result.total_cost) / ptp.cost;
     std::printf("%3dx%-2d %15s | %5zu | %9.2f %9.2f %6.1f%% | %5zu %5zu %5zu | %6.0fms | %s\n",

@@ -42,7 +42,9 @@ int main() {
           sim::analyze_delays(*result.implementation, m);
       std::size_t merged = 0;
       for (const synth::Candidate* c : result.selected()) {
-        if (!c->ptp) merged += c->arcs.size();
+        if (!std::holds_alternative<synth::PtpPlan>(c->plan)) {
+          merged += c->arcs.size();
+        }
       }
       std::printf("%10.1f | %12.0f | %12.2f | %zu arcs merged%s\n", budget,
                   result.total_cost, delays.max_delay, merged,

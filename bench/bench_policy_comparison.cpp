@@ -37,7 +37,9 @@ Run run(const model::ConstraintGraph& cg, const commlib::Library& lib,
   r.cost = result.total_cost;
   r.valid = result.validation.ok();
   for (const synth::Candidate* c : result.selected()) {
-    if (!c->ptp) r.merged_arcs += c->arcs.size();
+    if (!std::holds_alternative<synth::PtpPlan>(c->plan)) {
+      r.merged_arcs += c->arcs.size();
+    }
   }
   return r;
 }

@@ -55,14 +55,16 @@ int main() {
     std::size_t merged_arcs = 0;
     std::string structure;
     for (const synth::Candidate* c : result.selected()) {
-      if (c->ptp) continue;
+      if (std::holds_alternative<synth::PtpPlan>(c->plan)) continue;
       merged_arcs += c->arcs.size();
       if (!structure.empty()) structure += " + ";
       structure += "merge {";
       for (std::size_t i = 0; i < c->arcs.size(); ++i) {
         structure += (i ? "," : "") + cg.channel(c->arcs[i]).name;
       }
-      structure += c->merging ? "} star" : (c->chain ? "} chain" : "} tree");
+      // By Plan alternative; point-to-point plans were skipped above.
+      constexpr const char* kKinds[] = {"", "} star", "} chain", "} tree"};
+      structure += kKinds[c->plan.index()];
     }
     if (structure.empty()) structure = "all point-to-point radio";
     std::printf("%12.1f | %12.0f | %10zu | %s\n", dollars_per_m,

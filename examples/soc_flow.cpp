@@ -89,10 +89,11 @@ int main() {
               result.implementation->count_nodes(commlib::NodeKind::kRepeater),
               result.total_cost, result.validation.ok() ? "PASS" : "FAIL");
   for (const synth::Candidate* c : result.selected()) {
-    if (c->ptp && c->ptp->segments > 1) {
+    const auto* p = std::get_if<synth::PtpPlan>(&c->plan);
+    if (p != nullptr && p->segments > 1) {
       std::printf("  %-24s %.2f mm -> %d repeaters\n",
-                  cg.channel(c->arcs.front()).name.c_str(), c->ptp->span,
-                  c->ptp->segments - 1);
+                  cg.channel(c->arcs.front()).name.c_str(), p->span,
+                  p->segments - 1);
     }
   }
   return result.validation.ok() ? 0 : 1;

@@ -21,11 +21,11 @@ int main() {
   std::puts("Per-channel segmentation (repeaters = floor(manhattan/l_crit)):");
   std::size_t repeaters = 0;
   for (const synth::Candidate* c : result.selected()) {
-    if (c->ptp) {
-      const int r = c->ptp->segments - 1;
-      repeaters += r * c->ptp->parallel;
+    if (const auto* p = std::get_if<synth::PtpPlan>(&c->plan)) {
+      const int r = p->segments - 1;
+      repeaters += r * p->parallel;
       std::printf("  %-22s d=%5.2f mm  -> %d repeaters\n",
-                  cg.channel(c->arcs.front()).name.c_str(), c->ptp->span, r);
+                  cg.channel(c->arcs.front()).name.c_str(), p->span, r);
     } else {
       std::printf("  (merging selected: %s)\n",
                   io::describe_candidate(*c, cg, lib).c_str());

@@ -36,31 +36,34 @@ std::string describe_candidate(const synth::Candidate& c,
                                const model::ConstraintGraph& cg,
                                const commlib::Library& lib) {
   std::ostringstream os;
-  if (c.ptp) {
-    os << cg.channel(c.arcs.front()).name << ": point-to-point "
-       << plan_summary(*c.ptp, lib);
-  } else if (c.merging) {
-    const synth::MergingPlan& m = *c.merging;
-    os << "merge " << arc_list(c.arcs, cg) << " via "
-       << plan_summary(*m.trunk, lib) << " trunk (" << m.trunk_bandwidth
-       << " bw)";
-    if (m.has_hub) os << ", hub at " << m.hub_pos;
-    if (m.has_split) os << ", split at " << m.split_pos;
-  } else if (c.chain) {
-    const synth::ChainPlan& ch = *c.chain;
-    os << "chain-merge " << arc_list(c.arcs, cg) << " ("
-       << (ch.source_rooted ? "source" : "target") << "-rooted, "
-       << ch.drop_pos.size() << " drops, first segment "
-       << plan_summary(ch.segments.front(), lib) << " @ "
-       << ch.segment_bandwidth.front() << " bw)";
-  } else if (c.tree) {
-    const synth::TreePlan& t = *c.tree;
-    std::size_t junctions = 0;
-    for (bool j : t.is_junction) junctions += j;
-    os << "tree-merge " << arc_list(c.arcs, cg) << " ("
-       << (t.source_rooted ? "source" : "target") << "-rooted, "
-       << t.edges.size() << " edges, " << junctions << " junctions)";
-  }
+  std::visit(
+      synth::Overloaded{
+          [&](const synth::PtpPlan& p) {
+            os << cg.channel(c.arcs.front()).name << ": point-to-point "
+               << plan_summary(p, lib);
+          },
+          [&](const synth::MergingPlan& m) {
+            os << "merge " << arc_list(c.arcs, cg) << " via "
+               << plan_summary(*m.trunk, lib) << " trunk ("
+               << m.trunk_bandwidth << " bw)";
+            if (m.has_hub) os << ", hub at " << m.hub_pos;
+            if (m.has_split) os << ", split at " << m.split_pos;
+          },
+          [&](const synth::ChainPlan& ch) {
+            os << "chain-merge " << arc_list(c.arcs, cg) << " ("
+               << (ch.source_rooted ? "source" : "target") << "-rooted, "
+               << ch.drop_pos.size() << " drops, first segment "
+               << plan_summary(ch.segments.front(), lib) << " @ "
+               << ch.segment_bandwidth.front() << " bw)";
+          },
+          [&](const synth::TreePlan& t) {
+            std::size_t junctions = 0;
+            for (bool j : t.is_junction) junctions += j;
+            os << "tree-merge " << arc_list(c.arcs, cg) << " ("
+               << (t.source_rooted ? "source" : "target") << "-rooted, "
+               << t.edges.size() << " edges, " << junctions << " junctions)";
+          }},
+      c.plan);
   os << ", cost " << c.cost;
   return os.str();
 }

@@ -59,9 +59,11 @@ class ImplementationGraph {
   /// implementation vertex with the same index() as v.
   ImplementationGraph(const ConstraintGraph& constraints,
                       const commlib::Library& library);
-  /// The graph keeps a pointer to the library; a temporary would dangle.
+  /// The graph keeps pointers to both arguments; a temporary would dangle.
   ImplementationGraph(const ConstraintGraph& constraints,
                       const commlib::Library&& library) = delete;
+  ImplementationGraph(const ConstraintGraph&& constraints,
+                      const commlib::Library& library) = delete;
 
   const ConstraintGraph& constraints() const { return *constraints_; }
   const commlib::Library& library() const { return *library_; }

@@ -57,7 +57,7 @@ void realize_ptp(ImplementationGraph& impl, ArcId arc, const PtpPlan& plan) {
   }
 }
 
-void realize_merging(ImplementationGraph& impl, const MergingPlan& plan) {
+void realize(ImplementationGraph& impl, const MergingPlan& plan) {
   const auto& cg = impl.constraints();
 
   const VertexId hub = plan.has_hub
@@ -68,7 +68,7 @@ void realize_merging(ImplementationGraph& impl, const MergingPlan& plan) {
                      : impl.chi(cg.target(plan.arcs.front()));
 
   if (!plan.trunk) {
-    throw std::logic_error("realize_merging: merging plan without trunk");
+    throw std::logic_error("assemble: merging plan without trunk");
   }
   const std::vector<std::vector<ArcId>> trunk_chains =
       realize_chains(impl, hub, split, *plan.trunk);
@@ -102,7 +102,7 @@ void realize_merging(ImplementationGraph& impl, const MergingPlan& plan) {
   }
 }
 
-void realize_chain(ImplementationGraph& impl, const ChainPlan& plan) {
+void realize(ImplementationGraph& impl, const ChainPlan& plan) {
   const auto& cg = impl.constraints();
   const std::size_t k = plan.arcs.size();
 
@@ -178,7 +178,7 @@ void realize_chain(ImplementationGraph& impl, const ChainPlan& plan) {
   }
 }
 
-void realize_tree(ImplementationGraph& impl, const TreePlan& plan) {
+void realize(ImplementationGraph& impl, const TreePlan& plan) {
   const auto& cg = impl.constraints();
 
   // Map tree vertices to implementation vertices: the root is the common
@@ -197,7 +197,7 @@ void realize_tree(ImplementationGraph& impl, const TreePlan& plan) {
     if (!is_child[e.parent]) root_idx = e.parent;
   }
   if (root_idx == SIZE_MAX) {
-    throw std::logic_error("realize_tree: no root in edge set");
+    throw std::logic_error("assemble: tree plan without root");
   }
   vertex_of[root_idx] = root_v;
   for (std::size_t v = 0; v < plan.vertices.size(); ++v) {
@@ -301,17 +301,11 @@ std::unique_ptr<model::ImplementationGraph> assemble(
   auto impl = std::make_unique<ImplementationGraph>(cg, library);
   for (std::size_t idx : chosen) {
     const Candidate& c = candidates.at(idx);
-    if (c.ptp) {
-      realize_ptp(*impl, c.arcs.front(), *c.ptp);
-    } else if (c.merging) {
-      realize_merging(*impl, *c.merging);
-    } else if (c.chain) {
-      realize_chain(*impl, *c.chain);
-    } else if (c.tree) {
-      realize_tree(*impl, *c.tree);
-    } else {
-      throw std::logic_error("assemble: candidate carries no plan");
-    }
+    std::visit(Overloaded{[&](const PtpPlan& p) {
+                            realize_ptp(*impl, c.arcs.front(), p);
+                          },
+                          [&](const auto& p) { realize(*impl, p); }},
+               c.plan);
   }
   return impl;
 }

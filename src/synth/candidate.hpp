@@ -5,7 +5,7 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
+#include <variant>
 #include <vector>
 
 #include "synth/chain_pricer.hpp"
@@ -15,16 +15,36 @@
 
 namespace cdcs::synth {
 
-/// One column of the covering problem: a single arc's point-to-point
+/// The one structure a column is built with: a single arc's point-to-point
 /// implementation, a star merging, a daisy-chain merging, or a Steiner-tree
-/// merging. Exactly one of the four plans is set.
+/// merging (the last three for k >= 2).
+using Plan = std::variant<PtpPlan, MergingPlan, ChainPlan, TreePlan>;
+
+/// A std::visit visitor made of one callable per alternative.
+template <class... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+
+inline double plan_cost(const Plan& plan) {
+  return std::visit([](const auto& p) { return p.cost; }, plan);
+}
+
+/// The arcs a merging plan lists in its own structure order (a chain's
+/// drop order); null for a point-to-point plan, whose one arc is its
+/// candidate's.
+inline std::vector<model::ArcId>* plan_arcs(Plan& plan) {
+  using Arcs = std::vector<model::ArcId>*;
+  return std::visit(Overloaded{[](PtpPlan&) -> Arcs { return nullptr; },
+                               [](auto& p) -> Arcs { return &p.arcs; }},
+                    plan);
+}
+
+/// One column of the covering problem.
 struct Candidate {
   std::vector<model::ArcId> arcs;  ///< rows covered, sorted by index
-  double cost{0.0};
-  std::optional<PtpPlan> ptp;          ///< set iff arcs.size() == 1
-  std::optional<MergingPlan> merging;  ///< star structure (k >= 2)
-  std::optional<ChainPlan> chain;      ///< daisy-chain structure (k >= 2)
-  std::optional<TreePlan> tree;        ///< Steiner-tree structure (k >= 2)
+  double cost{0.0};                ///< the column weight: plan_cost(plan)
+  Plan plan;
 };
 
 struct GenerationStats {

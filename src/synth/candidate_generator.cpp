@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <numeric>
 #include <span>
@@ -18,12 +17,16 @@
 namespace cdcs::synth {
 namespace {
 
-/// Raw pricing outcome for one subset (before delay filtering and
-/// profitability accounting, which stay serial in the merge step).
-struct PricedStructures {
-  std::optional<MergingPlan> star;
-  std::optional<ChainPlan> chain;
-  std::optional<TreePlan> tree;
+/// Raw pricing outcome for one subset, before the delay gate and the
+/// profitability check of phase 3: the realizable plans in star, chain,
+/// tree order, shared with the cache when one is in use, else owned.
+struct PricedSubset {
+  std::shared_ptr<const PricingCache::Entry> shared;
+  std::vector<Plan> owned;
+
+  const std::vector<Plan>& plans() const {
+    return shared ? shared->plans : owned;
+  }
 };
 
 /// Advances `idx` (ascending positions into a pool of size n) to the next
@@ -65,7 +68,7 @@ struct PricerMetrics {
 /// use, its cache key and canonical order (null otherwise).
 struct PricingJob {
   const std::vector<model::ArcId>* subset;
-  PricedStructures* out;
+  PricedSubset* out;
   const PricingCache::Key* key;
   const std::vector<std::uint32_t>* canonical_order;
 };
@@ -93,32 +96,38 @@ void price_jobs(const model::ConstraintGraph& cg,
     std::vector<std::optional<MergingPlan>> stars = price_mergings(
         cg, library, subsets, options.policy, &options.deadline);
     for (std::size_t j = 0; j < jobs.size(); ++j) {
-      jobs[j].out->star = std::move(stars[j]);
+      if (stars[j]) jobs[j].out->owned.emplace_back(std::move(*stars[j]));
     }
   }
   for (const PricingJob& job : jobs) {
     const std::vector<model::ArcId>& subset = *job.subset;
-    PricedStructures& p = *job.out;
+    std::vector<Plan>& plans = job.out->owned;
     if (options.enable_chain_topology) {
       support::Span span("price.chain", "pricer");
       metrics.chain_calls->add(1);
-      p.chain = price_chain_merging(cg, library, subset, options.policy,
-                                    &options.deadline);
+      if (std::optional<ChainPlan> chain = price_chain_merging(
+              cg, library, subset, options.policy, &options.deadline)) {
+        plans.emplace_back(std::move(*chain));
+      }
     }
     if (options.enable_tree_topology) {
       support::Span span("price.tree", "pricer");
       metrics.tree_calls->add(1);
-      p.tree = price_tree_merging(cg, library, subset, options.policy,
-                                  &options.deadline);
+      if (std::optional<TreePlan> tree = price_tree_merging(
+              cg, library, subset, options.policy, &options.deadline)) {
+        plans.emplace_back(std::move(*tree));
+      }
     }
+    if (options.pricing_cache == nullptr) continue;
+    job.out->shared = std::make_shared<const PricingCache::Entry>(
+        PricingCache::Entry::make(subset, *job.canonical_order,
+                                  std::move(plans)));
     // A pricer that bailed out on an expired deadline returns nullopt
     // without that being a statement about the subset; caching it would
     // poison later (unhurried) runs. latched() is poll-free, so
     // fault-injection budgets are not consumed here.
-    if (options.pricing_cache != nullptr && !options.deadline.latched()) {
-      options.pricing_cache->insert(
-          *job.key, PricingCache::Entry::make(subset, *job.canonical_order,
-                                              p.star, p.chain, p.tree));
+    if (!options.deadline.latched()) {
+      options.pricing_cache->insert(*job.key, job.out->shared);
     }
   }
 }
@@ -269,7 +278,7 @@ support::Expected<CandidateSet> generate_candidates(
     }
     ptp_cost[a.index()] = plan->cost;
     out.candidates.push_back(
-        Candidate{.arcs = {a}, .cost = plan->cost, .ptp = plan});
+        Candidate{.arcs = {a}, .cost = plan->cost, .plan = std::move(*plan)});
   }
   const ArcPairMatrix gamma = gamma_matrix(cg);
   const ArcPairMatrix delta = delta_matrix(cg);
@@ -285,6 +294,9 @@ support::Expected<CandidateSet> generate_candidates(
   std::unique_ptr<support::ThreadPool> pool;
   const PricerMetrics pricer_metrics = PricerMetrics::resolve();
   PricingCache* cache = options.pricing_cache;
+  // Every key of this call shares the one library fingerprint.
+  const std::uint64_t library_fingerprint =
+      cache != nullptr ? library.fingerprint() : 0;
 
   // Pricing-batch size: large enough to amortize fan-out overhead and keep
   // every worker busy, small enough to bound the held-subsets memory when
@@ -295,7 +307,7 @@ support::Expected<CandidateSet> generate_candidates(
   // Per-batch pricing state, reused across batches: result slots in
   // enumeration order, the cache misses to price, and (with a cache) each
   // subset's canonical order and key, which the misses point into.
-  std::vector<PricedStructures> priced;
+  std::vector<PricedSubset> priced;
   std::vector<PricingJob> misses;
   std::vector<std::vector<std::uint32_t>> orders;
   std::vector<PricingCache::Key> keys;
@@ -391,11 +403,13 @@ support::Expected<CandidateSet> generate_candidates(
       // priced result is a pure function of the subset's geometry -- which
       // is exactly what licenses serving it from the cache under whatever
       // arc ids the requesting graph happens to use: a hit is bit-identical
-      // to the fresh solve it replaces. Every subset of the batch is looked
-      // up before any is priced, so two subsets with the same key in one
-      // batch (identical arc geometry) both count as misses, at any thread
-      // count; both price to the same bits.
-      priced.assign(batch.size(), PricedStructures{});
+      // to the fresh solve it replaces. A hit only takes a reference to
+      // the cache's entry; phase 3 copies and retargets the one plan it
+      // keeps. Every subset of the batch is looked up before any is
+      // priced, so two subsets with the same key in one batch (identical
+      // arc geometry) both count as misses, at any thread count; both
+      // price to the same bits.
+      priced.assign(batch.size(), PricedSubset{});
       misses.clear();
       orders.resize(cache != nullptr ? batch.size() : 0);
       keys.resize(cache != nullptr ? batch.size() : 0);
@@ -405,15 +419,12 @@ support::Expected<CandidateSet> generate_candidates(
           continue;
         }
         orders[i] = canonical_subset_order(cg, batch[i]);
-        keys[i] = make_pricing_key(cg, library, batch[i], options.policy,
+        keys[i] = make_pricing_key(cg, library_fingerprint, batch[i],
+                                   orders[i], options.policy,
                                    options.enable_chain_topology,
                                    options.enable_tree_topology);
-        if (std::optional<PricingCache::Entry> entry = cache->lookup(keys[i])) {
-          entry->retarget(batch[i], orders[i]);
-          priced[i] = PricedStructures{std::move(entry->star),
-                                       std::move(entry->chain),
-                                       std::move(entry->tree)};
-        } else {
+        priced[i].shared = cache->lookup(keys[i]);
+        if (!priced[i].shared) {
           misses.push_back({&batch[i], &priced[i], &keys[i], &orders[i]});
         }
       }
@@ -440,38 +451,34 @@ support::Expected<CandidateSet> generate_candidates(
             return end - begin;  // unused: each job fills its own slot
           });
 
-      // Phase 3 (serial, enumeration order): delay-gate the structures,
-      // keep the cheapest per subset, and account profitability.
+      // Phase 3 (serial, enumeration order): delay-gate the plans, keep
+      // the cheapest per subset (the first of equal costs, so ties break
+      // toward the structurally simplest realization), and account
+      // profitability.
       for (std::size_t b = 0; b < batch.size(); ++b) {
-        PricedStructures& slot = priced[b];
-        std::optional<MergingPlan> star = std::move(slot.star);
-        std::optional<ChainPlan> chain = std::move(slot.chain);
-        std::optional<TreePlan> tree = std::move(slot.tree);
+        PricedSubset& slot = priced[b];
+        const std::vector<Plan>& plans = slot.plans();
         const std::vector<model::ArcId>& merged = batch[b];
-        // Delay-constrained synthesis: a merged structure whose slowest
-        // channel busts the budget is not a candidate.
-        if (options.delay_budget) {
-          const auto& db = *options.delay_budget;
-          if (star && worst_arc_delay(*star, db.model) > db.budget) {
-            star.reset();
+        std::size_t best = plans.size();
+        double cost = 0.0;
+        for (std::size_t p = 0; p < plans.size(); ++p) {
+          // Delay-constrained synthesis: a merged structure whose slowest
+          // channel busts the budget is not a candidate.
+          if (options.delay_budget &&
+              worst_plan_delay(plans[p], options.delay_budget->model) >
+                  options.delay_budget->budget) {
+            continue;
           }
-          if (chain && worst_arc_delay(*chain, db.model) > db.budget) {
-            chain.reset();
-          }
-          if (tree && worst_arc_delay(*tree, db.model) > db.budget) {
-            tree.reset();
+          const double c = plan_cost(plans[p]);
+          if (best == plans.size() || c < cost) {
+            best = p;
+            cost = c;
           }
         }
-        if (!star && !chain && !tree) {
+        if (best == plans.size()) {
           ++stats.unpriceable_per_k[k];
           continue;
         }
-        // Keep the cheapest structure for this subset.
-        constexpr double kInf = std::numeric_limits<double>::infinity();
-        const double star_cost = star ? star->cost : kInf;
-        const double chain_cost = chain ? chain->cost : kInf;
-        const double tree_cost = tree ? tree->cost : kInf;
-        const double cost = std::min({star_cost, chain_cost, tree_cost});
         if (options.drop_unprofitable) {
           double members = 0.0;
           for (model::ArcId a : merged) members += ptp_cost[a.index()];
@@ -480,16 +487,12 @@ support::Expected<CandidateSet> generate_candidates(
             continue;
           }
         }
-        // Ties break toward the structurally simplest realization.
-        Candidate candidate{.arcs = merged, .cost = cost};
-        if (star && star_cost == cost) {
-          candidate.merging = std::move(star);
-        } else if (chain && chain_cost == cost) {
-          candidate.chain = std::move(chain);
-        } else {
-          candidate.tree = std::move(tree);
-        }
-        out.candidates.push_back(std::move(candidate));
+        out.candidates.push_back(Candidate{
+            .arcs = merged,
+            .cost = cost,
+            .plan = slot.shared
+                        ? slot.shared->retargeted(best, merged, orders[b])
+                        : std::move(slot.owned[best])});
       }
     }
     stats.survivors_per_k[k] = survivors_this_k;

@@ -57,6 +57,7 @@ struct ChainPlan {
   std::vector<PtpPlan> legs;
 
   double cost{0.0};
+  friend bool operator==(const ChainPlan&, const ChainPlan&) = default;
 };
 
 /// Subsets of up to this many arcs try every drop order; larger ones try

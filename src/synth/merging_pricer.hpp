@@ -66,6 +66,7 @@ struct MergingPlan {
   std::vector<std::optional<PtpPlan>> egress;
 
   double cost{0.0};  ///< trunk + all legs + hub/split node costs
+  friend bool operator==(const MergingPlan&, const MergingPlan&) = default;
 };
 
 /// Prices the best hub--trunk--split realization of `subset` (|subset| >= 2).

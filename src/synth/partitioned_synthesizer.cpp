@@ -79,9 +79,9 @@ void remap_arc_ids(std::vector<model::ArcId>& arcs,
 
 void remap_candidate(Candidate& c, const std::vector<model::ArcId>& global) {
   remap_arc_ids(c.arcs, global);
-  if (c.merging) remap_arc_ids(c.merging->arcs, global);
-  if (c.chain) remap_arc_ids(c.chain->arcs, global);
-  if (c.tree) remap_arc_ids(c.tree->arcs, global);
+  if (std::vector<model::ArcId>* arcs = plan_arcs(c.plan)) {
+    remap_arc_ids(*arcs, global);
+  }
 }
 
 void add_per_k(std::vector<std::size_t>& into,

@@ -63,4 +63,11 @@ double worst_arc_delay(const TreePlan& plan, const sim::DelayModel& model) {
   return worst;
 }
 
+double worst_plan_delay(const Plan& plan, const sim::DelayModel& model) {
+  return std::visit(
+      Overloaded{[&](const PtpPlan& p) { return ptp_plan_delay(p, model); },
+                 [&](const auto& p) { return worst_arc_delay(p, model); }},
+      plan);
+}
+
 }  // namespace cdcs::synth

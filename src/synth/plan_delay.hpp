@@ -15,9 +15,7 @@
 #pragma once
 
 #include "sim/delay.hpp"
-#include "synth/chain_pricer.hpp"
-#include "synth/merging_pricer.hpp"
-#include "synth/tree_pricer.hpp"
+#include "synth/candidate.hpp"
 
 namespace cdcs::synth {
 
@@ -37,5 +35,9 @@ double worst_arc_delay(const ChainPlan& plan, const sim::DelayModel& model);
 /// Worst per-channel delay of the Steiner tree (root-to-spoke path edges
 /// plus the junction nodes along it, plus the drop link where present).
 double worst_arc_delay(const TreePlan& plan, const sim::DelayModel& model);
+
+/// Worst per-channel delay of any plan: ptp_plan_delay for a point-to-point
+/// plan, worst_arc_delay for a merging.
+double worst_plan_delay(const Plan& plan, const sim::DelayModel& model);
 
 }  // namespace cdcs::synth

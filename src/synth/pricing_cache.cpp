@@ -15,73 +15,35 @@ inline void fnv_mix(std::size_t& h, std::uint64_t v) {
   }
 }
 
-/// Canonical position of each of `arcs` within `subset`; the pricers only
-/// permute, never substitute, so every arc must be found.
-/// `inverse_canonical[p]` is the canonical position of caller position p.
-std::vector<std::uint32_t> permutation_into(
-    const std::vector<model::ArcId>& subset,
-    const std::vector<std::uint32_t>& inverse_canonical,
-    const std::vector<model::ArcId>& arcs) {
-  std::vector<std::uint32_t> perm;
-  perm.reserve(arcs.size());
-  for (model::ArcId a : arcs) {
-    std::uint32_t pos = static_cast<std::uint32_t>(subset.size());
-    for (std::uint32_t i = 0; i < subset.size(); ++i) {
-      if (subset[i] == a) {
-        pos = i;
-        break;
-      }
-    }
-    if (pos == subset.size()) {
-      throw std::logic_error(
-          "pricing cache: plan references an arc outside its subset");
-    }
-    perm.push_back(inverse_canonical[pos]);
-  }
-  return perm;
-}
-
-void apply_permutation(std::vector<model::ArcId>& arcs,
-                       const std::vector<std::uint32_t>& perm,
-                       const std::vector<model::ArcId>& subset,
-                       const std::vector<std::uint32_t>& canonical_order) {
-  arcs.resize(perm.size());
-  for (std::size_t i = 0; i < perm.size(); ++i) {
-    arcs[i] = subset[canonical_order[perm[i]]];
-  }
-}
-
 }  // namespace
 
 PricingCache::Entry PricingCache::Entry::make(
     const std::vector<model::ArcId>& subset,
     const std::vector<std::uint32_t>& canonical_order,
-    std::optional<MergingPlan> star, std::optional<ChainPlan> chain,
-    std::optional<TreePlan> tree) {
-  std::vector<std::uint32_t> inverse(canonical_order.size());
-  for (std::uint32_t c = 0; c < canonical_order.size(); ++c) {
-    inverse[canonical_order[c]] = c;
+    std::vector<Plan> plans) {
+  for (Plan& plan : plans) {
+    for (model::ArcId& a : *plan_arcs(plan)) {
+      std::uint32_t c = 0;
+      while (c < subset.size() && subset[canonical_order[c]] != a) ++c;
+      // The pricers only permute their subset, never substitute an arc.
+      if (c == subset.size()) {
+        throw std::logic_error(
+            "pricing cache: plan references an arc outside its subset");
+      }
+      a = model::ArcId{c};
+    }
   }
-  Entry e;
-  e.star = std::move(star);
-  e.chain = std::move(chain);
-  e.tree = std::move(tree);
-  if (e.star) e.star_perm_ = permutation_into(subset, inverse, e.star->arcs);
-  if (e.chain) {
-    e.chain_perm_ = permutation_into(subset, inverse, e.chain->arcs);
-  }
-  if (e.tree) e.tree_perm_ = permutation_into(subset, inverse, e.tree->arcs);
-  return e;
+  return Entry{std::move(plans)};
 }
 
-void PricingCache::Entry::retarget(
-    const std::vector<model::ArcId>& subset,
-    const std::vector<std::uint32_t>& canonical_order) {
-  if (star) apply_permutation(star->arcs, star_perm_, subset, canonical_order);
-  if (chain) {
-    apply_permutation(chain->arcs, chain_perm_, subset, canonical_order);
+Plan PricingCache::Entry::retargeted(
+    std::size_t i, const std::vector<model::ArcId>& subset,
+    const std::vector<std::uint32_t>& canonical_order) const {
+  Plan plan = plans[i];
+  for (model::ArcId& a : *plan_arcs(plan)) {
+    a = subset[canonical_order[a.index()]];
   }
-  if (tree) apply_permutation(tree->arcs, tree_perm_, subset, canonical_order);
+  return plan;
 }
 
 std::size_t PricingCache::KeyHash::operator()(const Key& k) const {
@@ -98,18 +60,20 @@ std::size_t PricingCache::KeyHash::operator()(const Key& k) const {
   return h;
 }
 
-std::optional<PricingCache::Entry> PricingCache::lookup(const Key& key) {
+std::shared_ptr<const PricingCache::Entry> PricingCache::lookup(
+    const Key& key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(key);
   if (it == map_.end()) {
     misses_.add(1);
-    return std::nullopt;
+    return nullptr;
   }
   hits_.add(1);
   return it->second;
 }
 
-void PricingCache::insert(const Key& key, Entry entry) {
+void PricingCache::insert(const Key& key,
+                          std::shared_ptr<const Entry> entry) {
   std::lock_guard<std::mutex> lock(mu_);
   map_[key] = std::move(entry);
 }
@@ -132,19 +96,19 @@ void PricingCache::clear() {
   misses_.reset();
 }
 
-PricingCache::Key make_pricing_key(const model::ConstraintGraph& cg,
-                                   const commlib::Library& library,
-                                   const std::vector<model::ArcId>& subset,
-                                   model::CapacityPolicy policy,
-                                   bool chain_enabled, bool tree_enabled) {
+PricingCache::Key make_pricing_key(
+    const model::ConstraintGraph& cg, std::uint64_t library_fingerprint,
+    const std::vector<model::ArcId>& subset,
+    const std::vector<std::uint32_t>& canonical_order,
+    model::CapacityPolicy policy, bool chain_enabled, bool tree_enabled) {
   PricingCache::Key key;
-  key.library_fingerprint = library.fingerprint();
+  key.library_fingerprint = library_fingerprint;
   key.norm = cg.norm();
   key.policy = policy;
   key.chain_enabled = chain_enabled;
   key.tree_enabled = tree_enabled;
   key.arc_geometry.reserve(subset.size() * 5);
-  for (std::uint32_t pos : canonical_subset_order(cg, subset)) {
+  for (std::uint32_t pos : canonical_order) {
     for (double v : arc_geometry_record(cg, subset[pos])) {
       key.arc_geometry.push_back(v);
     }

@@ -9,7 +9,7 @@
 // sensitivity runs), and even across distinct constraint graphs that happen
 // to contain geometrically identical subsets. The cache key is the
 // canonical subset signature: the per-arc (source, target, bandwidth)
-// records in subset order plus the library fingerprint
+// records in canonical order plus the library fingerprint
 // (commlib::Library::fingerprint), the norm, the capacity policy, and the
 // structure-enable flags. Anything the pricers read is in the key, so a
 // hit is bit-identical to a fresh solve; mutating or swapping the library
@@ -20,40 +20,35 @@
 // generator re-applies per run, which is what lets a Pareto sweep over
 // delay budgets hit the cache at every point.
 //
-// Plans embed model::ArcId values of the graph they were priced on; a
-// cached entry carries position permutations into its subset so lookup()
-// can retarget the plans onto the caller's arc ids (Entry::retarget).
+// Plans embed model::ArcId values of the graph they were priced on. The
+// key's per-arc records are in CANONICAL order (sorted by the geometry
+// record, not by arc id; canonical_subset_order), and a cached plan holds
+// canonical positions in place of arc ids. So graphs whose arc ids are
+// permuted share one entry -- the same subset shuffled is a HIT, not a
+// miss -- and the caller maps the one plan it keeps onto its own arc ids
+// (Entry::retargeted). Entries are immutable once inserted and handed out
+// as shared pointers, so a hit copies no other plan.
 //
-// The key's per-arc records are stored in CANONICAL order -- sorted by the
-// geometry record itself, not by the caller's arc ids -- and the entry's
-// permutations are relative to that canonical order. Two sessions that
-// enumerate the geometrically same subset with permuted arc insertion
-// orders (and therefore permuted subset orders, since subsets follow arc-id
-// order) thus share one entry: the same subset shuffled is a HIT, not a
-// miss, and retargeting maps the plans through the canonical order onto
-// whatever arc ids the calling graph uses (canonical_subset_order).
-//
-// Thread safety: lookup/insert take a mutex (pricing is milliseconds, the
-// critical section is a map probe); hit/miss counters are sharded
-// support::Counter metrics -- the SINGLE source of truth for cache
-// accounting (GenerationStats and Engine::SessionStats report deltas of
-// these counters, never their own increments; see docs/observability.md).
+// Thread safety: lookup/insert take a mutex around a map probe and a
+// reference-count bump (a tree pricing alone takes 8-13 us); hit/miss
+// counters are sharded support::Counter metrics -- the SINGLE source of
+// truth for cache accounting (GenerationStats and Engine::SessionStats
+// report deltas of these counters, never their own increments; see
+// docs/observability.md).
 // The cache never evicts on its own -- covering instances price at most a
 // few thousand subsets -- so correctness never depends on retention policy;
 // clear() is the only eviction path and counts what it dropped.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "support/metrics.hpp"
+#include "synth/candidate.hpp"
 #include "synth/canonical_order.hpp"
-#include "synth/chain_pricer.hpp"
-#include "synth/merging_pricer.hpp"
-#include "synth/tree_pricer.hpp"
 
 namespace cdcs::synth {
 
@@ -74,34 +69,27 @@ class PricingCache {
     friend bool operator==(const Key&, const Key&) = default;
   };
 
-  /// The raw pricing outcome for one subset. nullopt plans mean "that
-  /// structure is not realizable for this subset" (a definitive answer,
-  /// cacheable); pricings aborted by a deadline are never inserted.
+  /// The raw pricing outcome for one subset: the realizable merging plans
+  /// in star, chain, tree order. A structure that is absent is not
+  /// realizable for this subset (a definitive answer, cacheable); pricings
+  /// aborted by a deadline are never inserted.
   struct Entry {
-    std::optional<MergingPlan> star;
-    std::optional<ChainPlan> chain;
-    std::optional<TreePlan> tree;
+    /// Each plan's arcs hold its canonical permutation, not arc ids:
+    /// ArcId{c} stands for the arc at canonical position c of the subset.
+    std::vector<Plan> plans;
 
-    /// Builds an entry from freshly priced plans, recording each plan's
-    /// arc order as positions into the CANONICAL record order of `subset`
-    /// (`canonical_order`, from canonical_subset_order) for retargeting.
+    /// Builds an entry from freshly priced plans of `subset`, rewriting
+    /// their arcs to positions in its CANONICAL record order
+    /// (`canonical_order`, from canonical_subset_order).
     static Entry make(const std::vector<model::ArcId>& subset,
                       const std::vector<std::uint32_t>& canonical_order,
-                      std::optional<MergingPlan> star,
-                      std::optional<ChainPlan> chain,
-                      std::optional<TreePlan> tree);
+                      std::vector<Plan> plans);
 
-    /// Rewrites the plans' arc ids onto `subset` (the caller's graph, whose
-    /// canonical record order is `canonical_order`), preserving each plan's
-    /// internal order via the stored canonical permutations.
-    void retarget(const std::vector<model::ArcId>& subset,
-                  const std::vector<std::uint32_t>& canonical_order);
-
-   private:
-    /// plan.arcs[i] == subset[canonical_order[perm[i]]], per structure.
-    std::vector<std::uint32_t> star_perm_;
-    std::vector<std::uint32_t> chain_perm_;
-    std::vector<std::uint32_t> tree_perm_;
+    /// A copy of plans[i] with its arcs mapped onto `subset` (the caller's
+    /// graph, whose canonical record order is `canonical_order`), in the
+    /// plan's own order.
+    Plan retargeted(std::size_t i, const std::vector<model::ArcId>& subset,
+                    const std::vector<std::uint32_t>& canonical_order) const;
   };
 
   /// Snapshot of the cache's metric counters (the one place hits/misses
@@ -119,12 +107,13 @@ class PricingCache {
     }
   };
 
-  /// Returns a copy of the entry for `key` (the caller then retargets it
-  /// onto its own subset's arc ids). Counts a hit or a miss.
-  std::optional<Entry> lookup(const Key& key);
+  /// The shared entry for `key`, null on a miss (the caller retargets the
+  /// plan it keeps onto its own subset's arc ids). Counts a hit or a miss.
+  std::shared_ptr<const Entry> lookup(const Key& key);
 
-  /// Inserts (or overwrites) the entry for `key`.
-  void insert(const Key& key, Entry entry);
+  /// Inserts (or overwrites) the entry for `key`. Readers holding an
+  /// overwritten entry keep it.
+  void insert(const Key& key, std::shared_ptr<const Entry> entry);
 
   Stats stats() const;
   void clear();
@@ -135,18 +124,20 @@ class PricingCache {
   };
 
   mutable std::mutex mu_;
-  std::unordered_map<Key, Entry, KeyHash> map_;
+  std::unordered_map<Key, std::shared_ptr<const Entry>, KeyHash> map_;
   support::Counter hits_;
   support::Counter misses_;
   support::Counter evictions_;
 };
 
 /// Builds the canonical signature of `subset` under (cg, library, policy),
-/// with the per-arc records in canonical_subset_order.
-PricingCache::Key make_pricing_key(const model::ConstraintGraph& cg,
-                                   const commlib::Library& library,
-                                   const std::vector<model::ArcId>& subset,
-                                   model::CapacityPolicy policy,
-                                   bool chain_enabled, bool tree_enabled);
+/// given the library's fingerprint (commlib::Library::fingerprint) and the
+/// subset's canonical_subset_order, which the caller computes once and
+/// reuses.
+PricingCache::Key make_pricing_key(
+    const model::ConstraintGraph& cg, std::uint64_t library_fingerprint,
+    const std::vector<model::ArcId>& subset,
+    const std::vector<std::uint32_t>& canonical_order,
+    model::CapacityPolicy policy, bool chain_enabled, bool tree_enabled);
 
 }  // namespace cdcs::synth

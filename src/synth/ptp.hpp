@@ -47,6 +47,7 @@ struct PtpPlan {
   double cost{0.0};       ///< links + repeaters + mux/demux
 
   bool is_matching() const { return segments == 1 && parallel == 1; }
+  friend bool operator==(const PtpPlan&, const PtpPlan&) = default;
 };
 
 /// The point-to-point optimizer bound to one library: the cheapest

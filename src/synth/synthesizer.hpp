@@ -62,13 +62,20 @@ support::Expected<SynthesisResult> synthesize(
     const model::ConstraintGraph& cg, const commlib::Library& library,
     const SynthesisOptions& options, const ucp::BnbOptions& solver_options);
 
-/// The result keeps a pointer to `library`, so a temporary library would
-/// leave it dangling: bind the library to a named object first.
+/// The result keeps pointers to `cg` and `library`, so a temporary graph
+/// or library would leave it dangling: bind both to named objects first.
 support::Expected<SynthesisResult> synthesize(
     const model::ConstraintGraph& cg, const commlib::Library&& library,
     const SynthesisOptions& options = {}) = delete;
 support::Expected<SynthesisResult> synthesize(
     const model::ConstraintGraph& cg, const commlib::Library&& library,
+    const SynthesisOptions& options,
+    const ucp::BnbOptions& solver_options) = delete;
+support::Expected<SynthesisResult> synthesize(
+    const model::ConstraintGraph&& cg, const commlib::Library& library,
+    const SynthesisOptions& options = {}) = delete;
+support::Expected<SynthesisResult> synthesize(
+    const model::ConstraintGraph&& cg, const commlib::Library& library,
     const SynthesisOptions& options,
     const ucp::BnbOptions& solver_options) = delete;
 

@@ -46,6 +46,7 @@ struct TreePlan {
     std::size_t child{0};
     double bandwidth{0.0};  ///< demand flowing over this edge
     PtpPlan plan;
+    friend bool operator==(const Edge&, const Edge&) = default;
   };
   /// Directed away from the root, in topological (BFS) order.
   std::vector<Edge> edges;
@@ -55,6 +56,7 @@ struct TreePlan {
   std::vector<std::optional<PtpPlan>> drop;
 
   double cost{0.0};
+  friend bool operator==(const TreePlan&, const TreePlan&) = default;
 };
 
 /// Prices the Steiner-tree realization of `subset` (common source or common

@@ -124,7 +124,7 @@ TEST(ChainSynthesis, EndToEndSelectsChainAndValidates) {
   // The chain over all three channels is the optimum.
   ASSERT_EQ(result.cover.chosen.size(), 1u);
   const Candidate& c = *result.selected().front();
-  ASSERT_TRUE(c.chain.has_value());
+  ASSERT_TRUE(std::holds_alternative<ChainPlan>(c.plan));
   EXPECT_NEAR(result.total_cost, 120000.0, 500.0);
   // Structure: two demux-capable drops materialized.
   EXPECT_EQ(result.implementation->num_comm_vertices(), 2u);
@@ -151,7 +151,7 @@ TEST(ChainSynthesis, TargetRootedEndToEndValidates) {
                                               : result.validation.problems[0]);
   bool used_chain = false;
   for (const Candidate* c : result.selected()) {
-    if (c->chain) used_chain = true;
+    if (std::holds_alternative<ChainPlan>(c->plan)) used_chain = true;
   }
   EXPECT_TRUE(used_chain);
 }
@@ -169,8 +169,8 @@ TEST(ChainSynthesis, DisablingChainsFallsBackToStar) {
   EXPECT_TRUE(star_only.validation.ok());
   EXPECT_GT(star_only.total_cost, with_chain.total_cost);
   for (const Candidate* c : star_only.selected()) {
-    EXPECT_FALSE(c->chain.has_value());
-    EXPECT_FALSE(c->tree.has_value());
+    EXPECT_FALSE(std::holds_alternative<ChainPlan>(c->plan));
+    EXPECT_FALSE(std::holds_alternative<TreePlan>(c->plan));
   }
 
   // With only chains disabled, the tree structure recovers the same cost.

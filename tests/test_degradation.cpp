@@ -135,7 +135,8 @@ TEST(Degradation, LastRungIsPointToPoint) {
   ASSERT_EQ(result.cover.chosen.size(), w.cg.num_channels());
   for (std::size_t i = 0; i < result.cover.chosen.size(); ++i) {
     EXPECT_EQ(result.cover.chosen[i], i);
-    EXPECT_TRUE(result.candidates()[i].ptp.has_value());
+    EXPECT_TRUE(
+        std::holds_alternative<synth::PtpPlan>(result.candidates()[i].plan));
   }
   // ...and therefore costs what the point-to-point baseline costs. On this
   // instance merging saves real money, so the reported gap must be > 0.

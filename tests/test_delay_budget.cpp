@@ -32,16 +32,7 @@ TEST(PlanDelay, MatchesMaterializedDelays) {
   const sim::DelayReport report =
       sim::analyze_delays(*result.implementation, m);
   for (const Candidate* c : result.selected()) {
-    double plan_worst = 0.0;
-    if (c->ptp) {
-      plan_worst = ptp_plan_delay(*c->ptp, m);
-    } else if (c->merging) {
-      plan_worst = worst_arc_delay(*c->merging, m);
-    } else if (c->chain) {
-      plan_worst = worst_arc_delay(*c->chain, m);
-    } else if (c->tree) {
-      plan_worst = worst_arc_delay(*c->tree, m);
-    }
+    const double plan_worst = worst_plan_delay(c->plan, m);
     double measured_worst = 0.0;
     for (const sim::ChannelDelay& cd : report.channels) {
       for (ArcId a : c->arcs) {
@@ -96,7 +87,7 @@ TEST(DelayBudget, TightBudgetDissolvesTheWanMerging) {
   const SynthesisResult merged = synthesize(cg, lib, loose).value();
   bool has_merging = false;
   for (const Candidate* c : merged.selected()) {
-    if (!c->ptp) has_merging = true;
+    if (!std::holds_alternative<PtpPlan>(c->plan)) has_merging = true;
   }
   EXPECT_TRUE(has_merging);
   EXPECT_TRUE(merged.validation.ok());

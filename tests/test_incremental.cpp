@@ -41,9 +41,7 @@ std::string fingerprint(const SynthesisResult& r) {
   for (const Candidate& c : r.candidates()) {
     os << '[';
     for (model::ArcId a : c.arcs) os << a.value << ',';
-    os << "] cost=" << c.cost << " s=" << c.ptp.has_value()
-       << c.merging.has_value() << c.chain.has_value() << c.tree.has_value()
-       << '\n';
+    os << "] cost=" << c.cost << " plan=" << c.plan.index() << '\n';
   }
   os << "chosen:";
   for (std::size_t j : r.cover.chosen) os << ' ' << j;

@@ -80,18 +80,18 @@ std::uint64_t hash_candidates(const CandidateSet& set) {
     h.mix(static_cast<std::uint64_t>(c.arcs.size()));
     for (model::ArcId a : c.arcs) h.mix(static_cast<std::uint64_t>(a.index()));
     h.mix(c.cost);
-    if (c.merging) {
+    if (const auto* star = std::get_if<MergingPlan>(&c.plan)) {
       h.mix(std::uint64_t{1});
-      h.mix(c.merging->hub_pos);
-      h.mix(c.merging->split_pos);
+      h.mix(star->hub_pos);
+      h.mix(star->split_pos);
     }
-    if (c.chain) {
+    if (const auto* chain = std::get_if<ChainPlan>(&c.plan)) {
       h.mix(std::uint64_t{2});
-      for (geom::Point2D p : c.chain->drop_pos) h.mix(p);
+      for (geom::Point2D p : chain->drop_pos) h.mix(p);
     }
-    if (c.tree) {
+    if (const auto* tree = std::get_if<TreePlan>(&c.plan)) {
       h.mix(std::uint64_t{3});
-      for (geom::Point2D p : c.tree->vertices) h.mix(p);
+      for (geom::Point2D p : tree->vertices) h.mix(p);
     }
   }
   return h.value();
@@ -111,28 +111,28 @@ void mix_plan(Hash& h, const PtpPlan& p) {
 std::uint64_t hash_structures(const CandidateSet& set) {
   Hash h;
   for (const Candidate& c : set.candidates) {
-    if (c.chain) {
+    if (const auto* chain = std::get_if<ChainPlan>(&c.plan)) {
       h.mix(std::uint64_t{2});
-      for (model::ArcId a : c.chain->arcs) {
+      for (model::ArcId a : chain->arcs) {
         h.mix(static_cast<std::uint64_t>(a.index()));
       }
-      for (double bw : c.chain->segment_bandwidth) h.mix(bw);
-      for (const PtpPlan& p : c.chain->segments) mix_plan(h, p);
-      for (const PtpPlan& p : c.chain->legs) mix_plan(h, p);
+      for (double bw : chain->segment_bandwidth) h.mix(bw);
+      for (const PtpPlan& p : chain->segments) mix_plan(h, p);
+      for (const PtpPlan& p : chain->legs) mix_plan(h, p);
     }
-    if (c.tree) {
+    if (const auto* tree = std::get_if<TreePlan>(&c.plan)) {
       h.mix(std::uint64_t{3});
-      for (const TreePlan::Edge& e : c.tree->edges) {
+      for (const TreePlan::Edge& e : tree->edges) {
         h.mix(static_cast<std::uint64_t>(e.parent));
         h.mix(static_cast<std::uint64_t>(e.child));
         h.mix(e.bandwidth);
         mix_plan(h, e.plan);
       }
-      for (bool j : c.tree->is_junction) h.mix(std::uint64_t{j});
-      for (std::size_t v : c.tree->spoke_vertex) {
+      for (bool j : tree->is_junction) h.mix(std::uint64_t{j});
+      for (std::size_t v : tree->spoke_vertex) {
         h.mix(static_cast<std::uint64_t>(v));
       }
-      for (const std::optional<PtpPlan>& d : c.tree->drop) {
+      for (const std::optional<PtpPlan>& d : tree->drop) {
         h.mix(std::uint64_t{d.has_value()});
         if (d) mix_plan(h, *d);
       }

@@ -83,7 +83,7 @@ TEST(NocMesh, HotspotSynthesisMergesAndValidates) {
   EXPECT_TRUE(result.validation.ok());
   std::size_t merged = 0;
   for (const synth::Candidate* c : result.selected()) {
-    if (!c->ptp) ++merged;
+    if (!std::holds_alternative<synth::PtpPlan>(c->plan)) ++merged;
   }
   EXPECT_GT(merged, 0u);
 }

@@ -434,9 +434,9 @@ TEST(Postmortem, ForcedFaultYieldsExactlyOneArtifact) {
   synth::SynthesisOptions opts;
   opts.fault_injection.injector = std::make_shared<FaultInjector>(
       FaultPlan::parse("ucp.frontier@1").value());
+  const model::ConstraintGraph cg = workloads::wan2002();
   const commlib::Library library = commlib::wan_library();
-  const auto result =
-      synth::synthesize(workloads::wan2002(), library, opts);
+  const auto result = synth::synthesize(cg, library, opts);
   ASSERT_TRUE(result.ok()) << result.status().to_string();
   EXPECT_TRUE(result->degradation.degraded());
 
@@ -457,9 +457,9 @@ TEST(Postmortem, DegradedExitYieldsExactlyOneArtifact) {
 
   synth::SynthesisOptions opts;
   opts.deadline = Deadline::expire_after_checks(0);
+  const model::ConstraintGraph cg = workloads::wan2002();
   const commlib::Library library = commlib::wan_library();
-  const auto result =
-      synth::synthesize(workloads::wan2002(), library, opts);
+  const auto result = synth::synthesize(cg, library, opts);
   ASSERT_TRUE(result.ok()) << result.status().to_string();
   ASSERT_TRUE(result->degradation.degraded());
 
@@ -583,8 +583,9 @@ TEST(Profiler, CountsAreDeterministicAcrossSerialRuns) {
     ObsContext scope("bench=wan_profile");
     synth::SynthesisOptions options;
     options.threads = threads;
+    const model::ConstraintGraph cg = workloads::wan2002();
     const commlib::Library library = commlib::wan_library();
-    (void)synth::synthesize(workloads::wan2002(), library, options).value();
+    (void)synth::synthesize(cg, library, options).value();
     std::vector<std::pair<std::string, std::uint64_t>> rows;
     for (const ProfileEntry& e : build_profile(session.sink())) {
       rows.emplace_back(e.scope + "\x1f" + e.name, e.count);

@@ -215,9 +215,9 @@ TEST(TraceSchema, GoldenSynthesisRun) {
   ScopedTraceSession session;
   synth::SynthesisOptions options;
   options.threads = 2;
+  const model::ConstraintGraph cg = workloads::wan2002();
   const commlib::Library library = commlib::wan_library();
-  const auto result =
-      synth::synthesize(workloads::wan2002(), library, options);
+  const auto result = synth::synthesize(cg, library, options);
   session.close();
   ASSERT_TRUE(result.ok()) << result.status().to_string();
 
@@ -535,8 +535,9 @@ TEST(MetricsTotals, SerialWanSynthesis) {
   const MetricsSnapshot before = MetricsRegistry::global().snapshot();
   synth::SynthesisOptions serial;
   serial.threads = 1;
+  const model::ConstraintGraph cg = workloads::wan2002();
   const commlib::Library library = commlib::wan_library();
-  (void)synth::synthesize(workloads::wan2002(), library, serial).value();
+  (void)synth::synthesize(cg, library, serial).value();
   const MetricsSnapshot m =
       MetricsRegistry::global().snapshot().delta_since(before);
   EXPECT_EQ(counter_total(m, "synth.runs"), 1u);

@@ -5,6 +5,9 @@
 // tests also pin the "entries only grow" retention behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <string>
 
 #include "commlib/standard_libraries.hpp"
@@ -36,36 +39,67 @@ TEST(LibraryFingerprint, StableAndDiscriminating) {
   EXPECT_NE(repriced.fingerprint(), wan1.fingerprint());
 }
 
+/// The key of `subset` under the WAN library, shared-sum capacity and
+/// both merging topologies unless overridden.
+PricingCache::Key key_of(
+    const model::ConstraintGraph& cg, const std::vector<model::ArcId>& subset,
+    const commlib::Library& lib = commlib::wan_library(),
+    model::CapacityPolicy policy = model::CapacityPolicy::kSharedSum,
+    bool chain_enabled = true) {
+  return make_pricing_key(cg, lib.fingerprint(), subset,
+                          canonical_subset_order(cg, subset), policy,
+                          chain_enabled, /*tree_enabled=*/true);
+}
+
 TEST(PricingKey, CanonicalSubsetSignature) {
   const model::ConstraintGraph cg = workloads::wan2002();
-  const commlib::Library lib = commlib::wan_library();
   const std::vector<model::ArcId> subset{model::ArcId{0}, model::ArcId{1}};
 
-  const auto k1 = make_pricing_key(cg, lib, subset,
-                                   model::CapacityPolicy::kSharedSum,
-                                   /*chain_enabled=*/true,
-                                   /*tree_enabled=*/true);
-  const auto k2 = make_pricing_key(cg, lib, subset,
-                                   model::CapacityPolicy::kSharedSum, true,
-                                   true);
+  const auto k1 = key_of(cg, subset);
+  const auto k2 = key_of(cg, subset);
   EXPECT_EQ(k1, k2);
   EXPECT_EQ(k1.arc_geometry.size(), 10u);  // five doubles per arc
 
   // Every knob the pricers read must separate keys.
-  const auto other_subset = make_pricing_key(
-      cg, lib, {model::ArcId{0}, model::ArcId{2}},
-      model::CapacityPolicy::kSharedSum, true, true);
-  EXPECT_FALSE(k1 == other_subset);
-  const auto other_policy = make_pricing_key(
-      cg, lib, subset, model::CapacityPolicy::kMaxPerConstraint, true, true);
-  EXPECT_FALSE(k1 == other_policy);
-  const auto no_chains = make_pricing_key(
-      cg, lib, subset, model::CapacityPolicy::kSharedSum, false, true);
-  EXPECT_FALSE(k1 == no_chains);
-  const auto other_lib = make_pricing_key(
-      cg, commlib::lan_library(), subset, model::CapacityPolicy::kSharedSum,
-      true, true);
-  EXPECT_FALSE(k1 == other_lib);
+  EXPECT_FALSE(k1 == key_of(cg, {model::ArcId{0}, model::ArcId{2}}));
+  EXPECT_FALSE(k1 == key_of(cg, subset, commlib::wan_library(),
+                            model::CapacityPolicy::kMaxPerConstraint));
+  EXPECT_FALSE(k1 == key_of(cg, subset, commlib::wan_library(),
+                            model::CapacityPolicy::kSharedSum,
+                            /*chain_enabled=*/false));
+  EXPECT_FALSE(k1 == key_of(cg, subset, commlib::lan_library()));
+}
+
+// The generator fingerprints the library once per call and hands each key
+// the canonical order it already computed. The key must equal one built
+// anew: a fresh fingerprint and the per-arc records sorted again,
+// whatever order the subset arrives in.
+TEST(PricingKey, ReusedFingerprintAndOrderGiveTheFreshKey) {
+  const model::ConstraintGraph cg = workloads::wan2002();
+  const commlib::Library lib = commlib::wan_library();
+  const std::uint64_t fingerprint = lib.fingerprint();
+  const std::vector<model::ArcId> shuffled{model::ArcId{5}, model::ArcId{0},
+                                           model::ArcId{6}, model::ArcId{3}};
+  const std::vector<std::uint32_t> order = canonical_subset_order(cg, shuffled);
+  const PricingCache::Key key =
+      make_pricing_key(cg, fingerprint, shuffled, order,
+                       model::CapacityPolicy::kSharedSum, true, true);
+
+  PricingCache::Key fresh;
+  fresh.library_fingerprint = commlib::wan_library().fingerprint();
+  fresh.norm = cg.norm();
+  fresh.policy = model::CapacityPolicy::kSharedSum;
+  fresh.chain_enabled = true;
+  fresh.tree_enabled = true;
+  std::vector<std::array<double, 5>> records;
+  for (model::ArcId a : shuffled) records.push_back(arc_geometry_record(cg, a));
+  std::sort(records.begin(), records.end());
+  for (const auto& r : records) {
+    fresh.arc_geometry.insert(fresh.arc_geometry.end(), r.begin(), r.end());
+  }
+  EXPECT_EQ(key, fresh);
+  EXPECT_EQ(key, key_of(cg, {model::ArcId{0}, model::ArcId{3},
+                             model::ArcId{5}, model::ArcId{6}}));
 }
 
 TEST(PricingCacheAccounting, LookupInsertLookup) {
@@ -74,20 +108,19 @@ TEST(PricingCacheAccounting, LookupInsertLookup) {
   key.library_fingerprint = 42;
   key.arc_geometry = {0, 0, 1, 1, 2.5};
 
-  EXPECT_FALSE(cache.lookup(key).has_value());
+  EXPECT_EQ(cache.lookup(key), nullptr);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 0u);
 
-  // An all-nullopt entry is a definitive "no structure realizable" answer
+  // An entry with no plan is a definitive "no structure realizable" answer
   // and must round-trip like any other.
-  cache.insert(key, PricingCache::Entry::make({model::ArcId{0}}, {0},
-                                              std::nullopt, std::nullopt,
-                                              std::nullopt));
+  cache.insert(key, std::make_shared<const PricingCache::Entry>(
+                        PricingCache::Entry::make({model::ArcId{0}}, {0}, {})));
   EXPECT_EQ(cache.stats().entries, 1u);
 
   const auto entry = cache.lookup(key);
-  ASSERT_TRUE(entry.has_value());
-  EXPECT_FALSE(entry->star.has_value());
+  ASSERT_NE(entry, nullptr);
+  EXPECT_TRUE(entry->plans.empty());
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_DOUBLE_EQ(cache.stats().hit_rate(), 0.5);
@@ -171,16 +204,22 @@ TEST(PricingCacheFanOut, WarmRunStartsNoPoolTask) {
   EXPECT_EQ(warm->candidate_set.stats.pricing_cache_misses, 0u);
   EXPECT_EQ(warm_tasks, 0u);
 
-  // A hit is the fresh solve's bits, so the candidates are the cold run's.
+  // A hit is the fresh solve's bits, so the candidates are the cold run's,
+  // and both are those of a run with no cache at all.
+  SynthesisOptions uncached = options;
+  uncached.pricing_cache = nullptr;
+  const auto fresh = synthesize(cg, lib, uncached);
+  ASSERT_TRUE(fresh.ok());
   ASSERT_EQ(warm->candidates().size(), cold->candidates().size());
+  ASSERT_EQ(fresh->candidates().size(), cold->candidates().size());
   for (std::size_t i = 0; i < cold->candidates().size(); ++i) {
     const Candidate& w = warm->candidates()[i];
     const Candidate& c = cold->candidates()[i];
     EXPECT_EQ(w.arcs, c.arcs);
     EXPECT_EQ(w.cost, c.cost);
-    EXPECT_EQ(w.merging.has_value(), c.merging.has_value());
-    EXPECT_EQ(w.chain.has_value(), c.chain.has_value());
-    EXPECT_EQ(w.tree.has_value(), c.tree.has_value());
+    EXPECT_EQ(w.plan.index(), c.plan.index());
+    EXPECT_TRUE(w.plan == c.plan) << "candidate " << i;
+    EXPECT_TRUE(fresh->candidates()[i].plan == c.plan) << "candidate " << i;
   }
   EXPECT_EQ(warm->total_cost, cold->total_cost);
   EXPECT_EQ(warm->cover.chosen, cold->cover.chosen);
@@ -236,6 +275,46 @@ TEST(PricingCacheAccounting, PermutedArcInsertionOrderStillHits) {
   // which legitimately changes UCP tie-breaking.)
   EXPECT_DOUBLE_EQ(warm->total_cost, cold->total_cost);
   ASSERT_EQ(warm->candidates().size(), cold->candidates().size());
+
+  // Each hit is the cold run's plan under the shuffled graph's arc ids:
+  // mapped back through the reversal, its arcs are the cold plan's in the
+  // same order (a chain's drop order included), and it costs the same.
+  const auto reversed = [](model::ArcId a) {
+    return model::ArcId{static_cast<std::uint32_t>(7 - a.index())};
+  };
+  for (const Candidate& w : warm->candidates()) {
+    std::vector<model::ArcId> members;
+    for (model::ArcId a : w.arcs) members.push_back(reversed(a));
+    std::sort(members.begin(), members.end());
+    const auto c = std::find_if(
+        cold->candidates().begin(), cold->candidates().end(),
+        [&](const Candidate& x) { return x.arcs == members; });
+    ASSERT_NE(c, cold->candidates().end());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(w.cost),
+              std::bit_cast<std::uint64_t>(c->cost));
+    ASSERT_EQ(w.plan.index(), c->plan.index());
+    Plan mapped = w.plan;
+    if (std::vector<model::ArcId>* arcs = plan_arcs(mapped)) {
+      for (model::ArcId& a : *arcs) a = reversed(a);
+    }
+    EXPECT_TRUE(mapped == c->plan);
+  }
+
+  // No lookup mutated a shared entry: the original graph, run a third
+  // time, gets the cold run's candidates bit for bit.
+  const auto again = synthesize(cg, lib, options);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->candidate_set.stats.pricing_cache_misses, 0u);
+  ASSERT_EQ(again->candidates().size(), cold->candidates().size());
+  for (std::size_t i = 0; i < cold->candidates().size(); ++i) {
+    const Candidate& x = again->candidates()[i];
+    const Candidate& c = cold->candidates()[i];
+    EXPECT_EQ(x.arcs, c.arcs);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(x.cost),
+              std::bit_cast<std::uint64_t>(c.cost));
+    EXPECT_TRUE(x.plan == c.plan) << "candidate " << i;
+  }
+  EXPECT_EQ(again->cover.chosen, cold->cover.chosen);
 }
 
 TEST(PricingCacheAccounting, LibraryChangeInvalidatesEverything) {

@@ -262,9 +262,9 @@ TEST(TreePricer, EndToEndTreeSelectionValidates) {
   // Whatever structure wins, it must not lose to point-to-point; and if a
   // tree was selected, its materialization round-trips the validator.
   for (const Candidate* cand : result.selected()) {
-    if (cand->tree) {
-      EXPECT_FALSE(cand->tree->source_rooted);  // common target
-      EXPECT_GE(cand->tree->edges.size(), cand->arcs.size());
+    if (const auto* tree = std::get_if<TreePlan>(&cand->plan)) {
+      EXPECT_FALSE(tree->source_rooted);  // common target
+      EXPECT_GE(tree->edges.size(), cand->arcs.size());
     }
   }
 }

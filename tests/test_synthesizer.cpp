@@ -41,6 +41,32 @@ TEST(Synthesizer, TemporaryLibraryDoesNotCompile) {
                                          commlib::Library>);
 }
 
+// True when synthesize() accepts a constraint graph of value category
+// `Graph` (with a named library), with and without explicit solver options.
+template <typename Graph>
+constexpr bool kSynthesizeAcceptsGraph =
+    requires(const commlib::Library& lib, const SynthesisOptions& opts,
+             const ucp::BnbOptions& solver) {
+      synthesize(std::declval<Graph>(), lib);
+      synthesize(std::declval<Graph>(), lib, opts);
+      synthesize(std::declval<Graph>(), lib, opts, solver);
+    };
+
+// The implementation graph keeps a pointer to the constraint graph too, so
+// a temporary graph does not compile either.
+TEST(Synthesizer, TemporaryGraphDoesNotCompile) {
+  static_assert(kSynthesizeAcceptsGraph<const model::ConstraintGraph&>);
+  static_assert(kSynthesizeAcceptsGraph<model::ConstraintGraph&>);
+  static_assert(!kSynthesizeAcceptsGraph<model::ConstraintGraph>);
+  static_assert(!kSynthesizeAcceptsGraph<const model::ConstraintGraph>);
+  static_assert(std::is_constructible_v<model::ImplementationGraph,
+                                        const model::ConstraintGraph&,
+                                        const commlib::Library&>);
+  static_assert(!std::is_constructible_v<model::ImplementationGraph,
+                                         model::ConstraintGraph,
+                                         const commlib::Library&>);
+}
+
 TEST(Synthesizer, WanReproducesFigure4) {
   const model::ConstraintGraph cg = workloads::wan2002();
   const commlib::Library lib = commlib::wan_library();
@@ -52,15 +78,15 @@ TEST(Synthesizer, WanReproducesFigure4) {
   // Exactly one merging: {a4, a5, a6} on the optical link; rest radio.
   std::size_t mergings = 0;
   for (const Candidate* c : result.selected()) {
-    if (c->merging) {
+    if (const auto* m = std::get_if<MergingPlan>(&c->plan)) {
       ++mergings;
       ASSERT_EQ(c->arcs.size(), 3u);
       EXPECT_EQ(c->arcs[0].index(), 3u);
       EXPECT_EQ(c->arcs[1].index(), 4u);
       EXPECT_EQ(c->arcs[2].index(), 5u);
-      EXPECT_EQ(lib.link(c->merging->trunk->link).name, "optical");
+      EXPECT_EQ(lib.link(m->trunk->link).name, "optical");
     } else {
-      EXPECT_EQ(lib.link(c->ptp->link).name, "radio");
+      EXPECT_EQ(lib.link(std::get<PtpPlan>(c->plan).link).name, "radio");
     }
   }
   EXPECT_EQ(mergings, 1u);
@@ -107,8 +133,9 @@ TEST(Synthesizer, Soc55Repeaters) {
   EXPECT_DOUBLE_EQ(result.total_cost, 55.0);
   // Pure segmentation: every selected candidate is point-to-point.
   for (const Candidate* c : result.selected()) {
-    EXPECT_TRUE(c->ptp.has_value());
-    EXPECT_EQ(c->ptp->parallel, 1);
+    const auto* p = std::get_if<PtpPlan>(&c->plan);
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(p->parallel, 1);
   }
 }
 
