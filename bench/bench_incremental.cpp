@@ -6,8 +6,8 @@
 // graph states -- once through a long-lived Engine (persistent pricing
 // cache + cover-solution reuse), once from scratch per step -- and reports
 // total wall-clock, per-step averages, the speedup ratio, and the pricing
-// hit rate. The engine runs under its default WarmPolicy::kBitIdentical,
-// so both columns compute the exact same results (the oracle in
+// hit rate. Engine::apply() is bit-identical to synthesize(), so both
+// columns compute the exact same results (the oracle in
 // tests/test_incremental.cpp); only the wall-clock may differ.
 //
 // The wan/single-arc scenario is also a same-run gate: the binary exits 1

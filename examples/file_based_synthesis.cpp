@@ -52,9 +52,6 @@
 //                            stage, and reuse statistics. --dot/--save/
 //                            --delay and the exit code describe the LAST
 //                            result
-//   --warm                   with --edit-script: warm-start the cover
-//                            solver from the previous solve (same optimal
-//                            cost; node counts may differ)
 //   --journal FILE           with --edit-script: write-ahead log the
 //                            session to FILE (io/journal.hpp) -- base
 //                            snapshot plus every applied batch -- so a
@@ -147,7 +144,6 @@ int usage(const char* argv0) {
          "  --no-grid-prefilter   disable the geometric grid pre-filter\n"
          "  --repair           repair invalid constraint graphs\n"
          "  --edit-script FILE incremental replay through one session\n"
-         "  --warm             warm-start re-solves (with --edit-script)\n"
          "  --journal FILE     write-ahead log the session (--edit-script)\n"
          "  --fault-plan SPEC  arm fault injection ('site@n;site%k;site~p"
          ";seed=N')\n"
@@ -201,7 +197,6 @@ int run(int argc, char** argv, Observability& obs) {
   std::string save_file;
   std::string edit_script_file;
   std::string journal_file;
-  bool warm = false;
   std::vector<std::string> positional;
 
   for (int i = 1; i < argc; ++i) {
@@ -288,8 +283,6 @@ int run(int argc, char** argv, Observability& obs) {
       repair = true;
     } else if (arg == "--edit-script") {
       edit_script_file = next();
-    } else if (arg == "--warm") {
-      warm = true;
     } else if (arg == "--journal") {
       journal_file = next();
     } else if (arg == "--fault-plan") {
@@ -419,9 +412,7 @@ int run(int argc, char** argv, Observability& obs) {
     }
     const io::EditScript script = *std::move(script_read);
 
-    engine.emplace(std::move(cg), lib, options,
-                   warm ? synth::Engine::WarmPolicy::kWarmStart
-                        : synth::Engine::WarmPolicy::kBitIdentical);
+    engine.emplace(std::move(cg), lib, options);
     if (!journal_file.empty()) {
       if (const support::Status st = engine->open_journal(journal_file);
           !st.ok()) {

@@ -35,10 +35,9 @@ struct NameIndex {
 };
 
 /// Applies one op; records dirtied channels by name (names survive the
-/// renumbering that removals cause) and composes the arc remap.
+/// renumbering that removals cause).
 Status apply_op(ConstraintGraph& cg, const EditOp& op, NameIndex& names,
-                std::vector<std::string>& dirty_names,
-                std::vector<ArcId>& remap, bool& structure_changed) {
+                std::vector<std::string>& dirty_names) {
   if (const auto* add = std::get_if<AddPortOp>(&op)) {
     if (names.ports.contains(add->port)) {
       return Status::InvalidInput("add-port: port '" + add->port +
@@ -66,7 +65,6 @@ Status apply_op(ConstraintGraph& cg, const EditOp& op, NameIndex& names,
     if (!a.ok()) return std::move(a).take_status();
     names.channels.emplace(add->channel, *a);
     dirty_names.push_back(add->channel);
-    structure_changed = true;
     return Status::Ok();
   }
   if (const auto* rm = std::get_if<RemoveArcOp>(&op)) {
@@ -79,10 +77,6 @@ Status apply_op(ConstraintGraph& cg, const EditOp& op, NameIndex& names,
         cg.erase_channels({it->second});
     if (!old_to_new.ok()) return std::move(old_to_new).take_status();
     names.remap_channels(*old_to_new);
-    for (ArcId& pre : remap) {
-      if (pre.valid()) pre = (*old_to_new)[pre.index()];
-    }
-    structure_changed = true;
     return Status::Ok();
   }
   if (const auto* set = std::get_if<SetBandwidthOp>(&op)) {
@@ -128,18 +122,13 @@ support::Expected<DeltaEffect> apply_delta(ConstraintGraph& cg,
                                            const Delta& delta) {
   DeltaEffect effect;
   effect.revision_before = cg.revision();
-  effect.arc_remap.resize(cg.num_channels());
-  for (std::size_t i = 0; i < effect.arc_remap.size(); ++i) {
-    effect.arc_remap[i] = ArcId{static_cast<std::uint32_t>(i)};
-  }
 
   // Edit a scratch copy so a failing op leaves the caller's graph intact.
   ConstraintGraph scratch = cg;
   NameIndex names(scratch);
   std::vector<std::string> dirty_names;
   for (std::size_t i = 0; i < delta.ops.size(); ++i) {
-    Status s = apply_op(scratch, delta.ops[i], names, dirty_names,
-                        effect.arc_remap, effect.structure_changed);
+    Status s = apply_op(scratch, delta.ops[i], names, dirty_names);
     if (!s.ok()) {
       return std::move(s).with_context(
           "delta op " + std::to_string(i + 1) + " (" +

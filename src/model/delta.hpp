@@ -68,12 +68,6 @@ struct DeltaEffect {
   /// Arcs whose pricing inputs changed: added arcs, bandwidth edits, and
   /// every arc incident to a moved port. Sorted ascending, deduplicated.
   std::vector<ArcId> dirty_arcs;
-  /// Old arc id -> new arc id (invalid ArcId for removed arcs). Identity
-  /// when `structure_changed` is false; sized to the pre-apply arc count.
-  std::vector<ArcId> arc_remap;
-  /// True when the row set of the covering problem changed (arcs were
-  /// added or removed), so no previous cover can be reused as-is.
-  bool structure_changed{false};
   std::uint64_t revision_before{0};
   std::uint64_t revision_after{0};
 };

@@ -1,8 +1,6 @@
 #include "synth/engine.hpp"
 
-#include <algorithm>
 #include <exception>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -12,16 +10,14 @@
 #include "support/flight_recorder.hpp"
 #include "support/metrics.hpp"
 #include "support/obs_context.hpp"
-#include "synth/candidate_generator.hpp"
 
 namespace cdcs::synth {
 
 Engine::Engine(model::ConstraintGraph graph, commlib::Library library,
-               SynthesisOptions options, WarmPolicy policy)
+               SynthesisOptions options)
     : graph_(std::move(graph)),
       library_(std::move(library)),
-      options_(std::move(options)),
-      policy_(policy) {
+      options_(std::move(options)) {
   if (options_.pricing_cache == nullptr) {
     options_.pricing_cache = &own_cache_;
   }
@@ -42,8 +38,6 @@ support::Expected<SynthesisResult> Engine::apply(const model::Delta& delta) {
   model::ConstraintGraph graph_before = graph_;
   SessionState session_before = session_;
   SessionStats stats_before = stats_;
-  std::vector<std::vector<std::uint32_t>> sets_before = last_chosen_arc_sets_;
-  std::vector<double> multipliers_before = last_root_multipliers_;
 
   support::Expected<model::DeltaEffect> effect =
       model::apply_delta(graph_, delta);
@@ -57,44 +51,6 @@ support::Expected<SynthesisResult> Engine::apply(const model::Delta& delta) {
       .counter("engine.dirty_arcs")
       .add(effect->dirty_arcs.size());
 
-  if (policy_ == WarmPolicy::kWarmStart && effect->structure_changed) {
-    // Remap the previous solve's state across the arc renumbering: a chosen
-    // arc set touching a removed arc is gone; multipliers follow their rows
-    // (new rows start at 0, the subgradient's own cold start).
-    std::vector<std::vector<std::uint32_t>> remapped_sets;
-    for (const std::vector<std::uint32_t>& arcs : last_chosen_arc_sets_) {
-      std::vector<std::uint32_t> mapped;
-      mapped.reserve(arcs.size());
-      for (std::uint32_t a : arcs) {
-        if (a >= effect->arc_remap.size() ||
-            !effect->arc_remap[a].valid()) {
-          mapped.clear();
-          break;
-        }
-        mapped.push_back(effect->arc_remap[a].index());
-      }
-      if (!mapped.empty()) {
-        std::sort(mapped.begin(), mapped.end());
-        remapped_sets.push_back(std::move(mapped));
-      }
-    }
-    last_chosen_arc_sets_ = std::move(remapped_sets);
-
-    std::vector<double> remapped_mult(graph_.num_channels(), 0.0);
-    bool any = false;
-    for (std::size_t old = 0;
-         old < last_root_multipliers_.size() && old < effect->arc_remap.size();
-         ++old) {
-      if (effect->arc_remap[old].valid()) {
-        remapped_mult[effect->arc_remap[old].index()] =
-            last_root_multipliers_[old];
-        any = true;
-      }
-    }
-    last_root_multipliers_ =
-        any ? std::move(remapped_mult) : std::vector<double>{};
-  }
-
   // Write-ahead: the delta lands on disk before synthesis runs, so a crash
   // during (or after) the solve still replays this batch on recovery.
   bool journaled = false;
@@ -102,8 +58,7 @@ support::Expected<SynthesisResult> Engine::apply(const model::Delta& delta) {
     support::Status logged = journal_.append_delta(delta);
     if (!logged.ok()) {
       rollback_apply(std::move(graph_before), std::move(session_before),
-                     std::move(stats_before), std::move(sets_before),
-                     std::move(multipliers_before), /*journaled=*/false);
+                     std::move(stats_before), /*journaled=*/false);
       return std::move(logged).with_context("Engine::apply");
     }
     journaled = true;
@@ -111,8 +66,7 @@ support::Expected<SynthesisResult> Engine::apply(const model::Delta& delta) {
 
   if (options_.fault_injection.fires(support::fault_sites::kEngineApply)) {
     rollback_apply(std::move(graph_before), std::move(session_before),
-                   std::move(stats_before), std::move(sets_before),
-                   std::move(multipliers_before), journaled);
+                   std::move(stats_before), journaled);
     return support::Status::Internal(
                "injected fault at " +
                std::string(support::fault_sites::kEngineApply))
@@ -122,22 +76,17 @@ support::Expected<SynthesisResult> Engine::apply(const model::Delta& delta) {
   support::Expected<SynthesisResult> result = synthesize_current();
   if (!result.ok()) {
     rollback_apply(std::move(graph_before), std::move(session_before),
-                   std::move(stats_before), std::move(sets_before),
-                   std::move(multipliers_before), journaled);
+                   std::move(stats_before), journaled);
   }
   return result;
 }
 
-void Engine::rollback_apply(
-    model::ConstraintGraph&& graph, SessionState&& session,
-    SessionStats&& stats,
-    std::vector<std::vector<std::uint32_t>>&& chosen_sets,
-    std::vector<double>&& multipliers, bool journaled) {
+void Engine::rollback_apply(model::ConstraintGraph&& graph,
+                            SessionState&& session, SessionStats&& stats,
+                            bool journaled) {
   graph_ = std::move(graph);
   session_ = std::move(session);
   stats_ = std::move(stats);
-  last_chosen_arc_sets_ = std::move(chosen_sets);
-  last_root_multipliers_ = std::move(multipliers);
   support::MetricsRegistry::global().counter("engine.rollbacks").add(1);
   if (journaled && journal_.is_open()) {
     support::Status truncated = journal_.truncate_last_record();
@@ -167,7 +116,7 @@ support::Status Engine::open_journal(const std::string& path,
 
 support::Expected<std::unique_ptr<Engine>> Engine::recover(
     const std::string& journal_path, commlib::Library library,
-    SynthesisOptions options, WarmPolicy policy, RecoveryReport* report,
+    SynthesisOptions options, RecoveryReport* report,
     io::JournalOptions journal_options) {
   support::Span span("engine.recover", "engine");
   if (options.fault_injection.fires(support::fault_sites::kEngineRecover)) {
@@ -184,7 +133,7 @@ support::Expected<std::unique_ptr<Engine>> Engine::recover(
 
   // Replay graph-only: synthesis is a deterministic function of the graph,
   // so one resynthesize() on the result reproduces the uninterrupted
-  // session's last solution bit-for-bit (under kBitIdentical).
+  // session's last solution bit-for-bit.
   model::ConstraintGraph graph = std::move(contents->base);
   std::uint64_t replayed = 0;
   for (const model::Delta& delta : contents->deltas) {
@@ -220,7 +169,7 @@ support::Expected<std::unique_ptr<Engine>> Engine::recover(
     report->tail_truncated = contents->tail_truncated();
   }
   auto engine = std::make_unique<Engine>(std::move(graph), std::move(library),
-                                         std::move(options), policy);
+                                         std::move(options));
   engine->journal_ = *std::move(writer);
   support::MetricsRegistry::global().counter("engine.recoveries").add(1);
   support::flight_record("stage", "engine.recover replayed=" +
@@ -243,67 +192,15 @@ support::Expected<SynthesisResult> Engine::synthesize_current() {
   support::Status gate = model::check_inputs(graph_, library_);
   if (!gate.ok()) return std::move(gate).with_context("Engine::apply");
   try {
-    SynthesisResult partial;
-    support::Expected<CandidateSet> gen =
-        generate_candidates(graph_, library_, options_);
-    if (!gen.ok()) {
-      return std::move(gen)
-          .take_status()
-          .with_context("candidate generation")
-          .with_context("Engine::apply");
-    }
-    partial.candidate_set = *std::move(gen);
-
-    ucp::BnbOptions solver = options_.solver;
-    if (policy_ == WarmPolicy::kWarmStart) {
-      // Previous cover -> column indices in the fresh candidate list, by
-      // arc set. Any set without a matching column (its structure was
-      // re-priced away) aborts the seed; the solver falls back to its
-      // built-in greedy + singleton seeding.
-      std::map<std::vector<std::uint32_t>, std::size_t> by_arcs;
-      for (std::size_t j = 0; j < partial.candidate_set.candidates.size();
-           ++j) {
-        std::vector<std::uint32_t> key;
-        for (model::ArcId a : partial.candidate_set.candidates[j].arcs) {
-          key.push_back(a.index());
-        }
-        by_arcs.emplace(std::move(key), j);  // first (cheapest-kept) wins
-      }
-      std::vector<std::size_t> warm;
-      for (const std::vector<std::uint32_t>& arcs : last_chosen_arc_sets_) {
-        auto it = by_arcs.find(arcs);
-        if (it == by_arcs.end()) {
-          warm.clear();
-          break;
-        }
-        warm.push_back(it->second);
-      }
-      if (!warm.empty()) solver.warm_start = std::move(warm);
-      if (last_root_multipliers_.size() == graph_.num_channels()) {
-        solver.warm_multipliers = last_root_multipliers_;
-      }
-    }
-
-    support::Expected<SynthesisResult> result = finish_pipeline(
-        graph_, library_, options_, solver, &session_, std::move(partial));
+    support::Expected<SynthesisResult> result =
+        run_pipeline(graph_, library_, options_, &session_);
     if (!result.ok()) {
       return std::move(result).take_status().with_context("Engine::apply");
     }
-
     stats_.applies += 1;
     stats_.cover_solves = session_.cover_solves;
     stats_.cover_reuses = session_.cover_reuses;
     support::MetricsRegistry::global().counter("engine.applies").add(1);
-
-    last_chosen_arc_sets_.clear();
-    for (std::size_t j : result->cover.chosen) {
-      std::vector<std::uint32_t> arcs;
-      for (model::ArcId a : result->candidate_set.candidates[j].arcs) {
-        arcs.push_back(a.index());
-      }
-      last_chosen_arc_sets_.push_back(std::move(arcs));
-    }
-    last_root_multipliers_ = result->cover.root_multipliers;
     return result;
   } catch (const std::exception& e) {
     return support::Status::Internal(std::string("unexpected exception: ") +

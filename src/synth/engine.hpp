@@ -20,9 +20,9 @@
 // subsets whose pricing inputs it changed (the DeltaEffect::dirty_arcs and
 // every subset containing one): everything else hits. The cover solve is
 // likewise skipped when the UCP instance is bit-identical to the previous
-// one (SessionState). Under the default WarmPolicy::kBitIdentical the
-// solver inputs are exactly a cold run's, so apply() output is BIT-IDENTICAL
-// to from-scratch synthesize() on the edited graph -- the oracle
+// one (SessionState). The solver inputs are exactly a cold run's, so
+// apply() output is BIT-IDENTICAL to from-scratch synthesize() on the
+// edited graph -- the oracle
 // tests/test_incremental.cpp pins at 1/2/8 threads.
 //
 // Lifetime: results reference the session's graph and library (like
@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "commlib/library.hpp"
 #include "io/journal.hpp"
@@ -49,37 +48,22 @@ namespace cdcs::synth {
 
 class Engine {
  public:
-  /// How much previous-solve state apply() feeds into the cover solver.
-  enum class WarmPolicy {
-    /// Solver inputs identical to a from-scratch run; output bit-identical
-    /// to synthesize() on the edited graph. All reuse is confined to
-    /// provably output-preserving caches. The default.
-    kBitIdentical,
-    /// Additionally seed the solver with the previous cover as incumbent
-    /// and the previous root Lagrangian multipliers (remapped across arc
-    /// renumbering). Same proven-optimal COST, but node counts and
-    /// equal-cost tie-breaks may differ from a cold run.
-    kWarmStart,
-  };
-
   /// The session takes the graph and library by value and owns them; edit
   /// them only through apply(). `options.pricing_cache`, when set, is used
   /// (and shared) instead of the engine's own cache and must outlive the
   /// engine.
   Engine(model::ConstraintGraph graph, commlib::Library library,
-         SynthesisOptions options = {},
-         WarmPolicy policy = WarmPolicy::kBitIdentical);
+         SynthesisOptions options = {});
 
   const model::ConstraintGraph& graph() const { return graph_; }
   const commlib::Library& library() const { return library_; }
   const SynthesisOptions& options() const { return options_; }
-  WarmPolicy policy() const { return policy_; }
 
   /// Applies `delta` to the session graph and re-synthesizes. ALL-OR-
   /// NOTHING: on any failure -- a rejected batch, a journal append that
   /// exhausts its retries, an injected engine.apply fault, or a synthesis
-  /// error -- the whole session (graph, cover-reuse state, warm-start
-  /// state, stats, journal) is restored to its pre-apply state, and a
+  /// error -- the whole session (graph, cover-reuse state, stats,
+  /// journal) is restored to its pre-apply state, and a
   /// journal record already written for the failed batch is truncated back
   /// out. Error statuses are synthesize()'s plus kInvalidInput for a bad
   /// delta. Like synthesize(), never throws.
@@ -97,10 +81,10 @@ class Engine {
   // batches on disk. recover() rebuilds the session from such a journal --
   // replaying the deltas over the snapshot graph-only, healing a torn
   // tail by truncating to the last valid record -- and reopens the file
-  // for appending. Under WarmPolicy::kBitIdentical a resynthesize() on the
-  // recovered engine returns bit-identical results (same cover cost, same
-  // ucp_nodes) to the uninterrupted session's last apply(), because
-  // synthesis is a deterministic function of the graph.
+  // for appending. A resynthesize() on the recovered engine returns
+  // bit-identical results (same cover cost, same ucp_nodes) to the
+  // uninterrupted session's last apply(), because synthesis is a
+  // deterministic function of the graph.
 
   /// Snapshots the current graph into a fresh journal at `path` and turns
   /// on logging for subsequent apply() calls. `journal_options.injector`
@@ -131,7 +115,6 @@ class Engine {
   static support::Expected<std::unique_ptr<Engine>> recover(
       const std::string& journal_path, commlib::Library library,
       SynthesisOptions options = {},
-      WarmPolicy policy = WarmPolicy::kBitIdentical,
       RecoveryReport* report = nullptr,
       io::JournalOptions journal_options = {});
 
@@ -156,26 +139,16 @@ class Engine {
   /// Restores every piece of session state apply() snapshots, and truncates
   /// the journal record of the failed batch when one was already appended.
   void rollback_apply(model::ConstraintGraph&& graph, SessionState&& session,
-                      SessionStats&& stats,
-                      std::vector<std::vector<std::uint32_t>>&& chosen_sets,
-                      std::vector<double>&& multipliers, bool journaled);
+                      SessionStats&& stats, bool journaled);
 
   model::ConstraintGraph graph_;
   commlib::Library library_;
   SynthesisOptions options_;
-  WarmPolicy policy_;
   PricingCache own_cache_;  ///< used unless options_.pricing_cache is set
   /// Cache counters at construction; stats() reports the delta since.
   PricingCache::Stats cache_baseline_;
   SessionState session_;
   SessionStats stats_;
-
-  // WarmPolicy::kWarmStart state from the previous successful apply():
-  // the chosen candidates as sorted arc-index sets (remapped across arc
-  // renumbering; a set touching a removed arc is dropped) and the root
-  // Lagrangian multipliers per row.
-  std::vector<std::vector<std::uint32_t>> last_chosen_arc_sets_;
-  std::vector<double> last_root_multipliers_;
 
   /// Write-ahead log of applied deltas; closed unless open_journal() /
   /// recover() armed it.

@@ -39,6 +39,21 @@
 // the cluster sequence (interior leaves in DFS order, then repair groups)
 // is stable. partitioned_synthesizer.cpp builds one subgraph per cluster
 // and fans them out across a thread pool.
+//
+// What carries over from a decomposition in the style of Ogras &
+// Marculescu, and what does not:
+//   * carries over -- feasibility and local exactness: every arc is
+//     covered by exactly one cluster's cover, the stitched implementation
+//     is validated once over the whole graph, and a cluster that reaches
+//     stage exact is optimal over its own candidate set, with a Lagrangian
+//     bound valid for that cluster;
+//   * does not carry over -- global optimality (the cross-cluster merges
+//     the split forgoes are lost, and step 3's boundary extraction is
+//     capped, so only step 2's separations are provably lossless for
+//     2-way merges) and any instance-wide lower bound: the summed cluster
+//     bounds bound only the clustered (restricted) problem. On
+//     geo_wan(60, 1) with 8-arc clusters the sum is 5,942,160 while a
+//     validated monolithic cover costs 4,637,841.
 #pragma once
 
 #include <cstddef>

@@ -139,7 +139,7 @@ bool partitioning_applies(const model::ConstraintGraph& cg,
 
 support::Expected<SynthesisResult> synthesize_partitioned(
     const model::ConstraintGraph& cg, const commlib::Library& library,
-    const SynthesisOptions& options, const ucp::BnbOptions& solver_options) {
+    const SynthesisOptions& options) {
   auto& registry = support::MetricsRegistry::global();
 
   Partition part;
@@ -152,7 +152,7 @@ support::Expected<SynthesisResult> synthesize_partitioned(
   }
   if (part.clusters.size() <= 1) {
     // Degenerate partition: the plain pipeline is the same computation.
-    return run_pipeline(cg, library, options, solver_options, nullptr);
+    return run_pipeline(cg, library, options, nullptr);
   }
   registry.counter("partition.runs").add(1);
   registry.counter("partition.clusters").add(part.clusters.size());
@@ -186,12 +186,10 @@ support::Expected<SynthesisResult> synthesize_partitioned(
       options.max_merge_k > 0
           ? std::min(options.max_merge_k, kClusterMaxMergeK)
           : kClusterMaxMergeK;
-  // Backend selection (cluster_solver.backend) rides along verbatim: each
+  // Backend selection (solver.backend) rides along verbatim: each
   // cluster's cover goes through solve_exact's registry dispatch, and the
   // default picks per cluster from its own row count.
-  ucp::BnbOptions cluster_solver = solver_options;
-  cluster_solver.warm_start.clear();
-  cluster_solver.warm_multipliers.clear();
+  cluster_options.solver.warm_start.clear();
 
   std::unique_ptr<support::ThreadPool> pool;
   if (workers > 1) pool = std::make_unique<support::ThreadPool>(workers);
@@ -228,7 +226,7 @@ support::Expected<SynthesisResult> synthesize_partitioned(
             out.set = *std::move(gen);
             support::Expected<CoverOutcome> covered =
                 cover_and_ladder(sub.num_channels(), out.set, cluster_options,
-                                 cluster_solver, nullptr);
+                                 nullptr);
             if (!covered.ok()) {
               return std::move(covered).take_status().with_context(
                   "partitioned cluster " + std::to_string(i) + " cover");
@@ -272,10 +270,11 @@ support::Expected<SynthesisResult> synthesize_partitioned(
     worst = std::max(worst, out.degradation.stage);
   }
   // Global optimality across clusters is unproven even when every cluster
-  // solved exactly (a cross-cluster merge could in principle beat the
-  // stitched optimum, though the partitioner only separated arcs whose
-  // pairings the geometry prunes), so the stitched cover is an incumbent
-  // with an honest aggregate bound.
+  // solved exactly: a cross-cluster merge the decomposition forgoes can
+  // beat the stitched optimum. So the stitched cover is an incumbent, and
+  // the summed cluster bound bounds only the clustered (restricted)
+  // problem, not the instance: on geo_wan(60, 1) with 8-arc clusters it
+  // reads 5,942,160 while a validated monolithic cover costs 4,637,841.
   result.cover.optimal = false;
   result.cover.lower_bound = lower_bound_sum;
 
@@ -293,11 +292,10 @@ support::Expected<SynthesisResult> synthesize_partitioned(
     deg.reason += "; worst cluster rung: ";
     deg.reason += to_string(worst);
   }
+  // Stage kIncumbent is by design, not a degradation: synth.degraded_runs
+  // and the "degraded" instant come only from the clusters whose own
+  // cover_and_ladder degraded.
   deg.optimality_gap = ucp::optimality_gap(result.cover.cost, lower_bound_sum);
-  registry.counter("synth.degraded_runs").add(1);
-  support::trace_instant(
-      "degraded", "pipeline",
-      "{\"stage\":\"" + std::string(to_string(deg.stage)) + "\"}");
 
   assemble_and_validate(cg, library, options, result);
   clamp_bound_to_cost(result);

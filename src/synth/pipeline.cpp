@@ -19,16 +19,15 @@ namespace {
 /// Bit-exact signature of one cover solve: the full matrix plus every
 /// BnbOptions field the search reads. Two runs with equal signatures (and
 /// unlimited deadlines) are the same deterministic computation, so the
-/// previous CoverSolution -- nodes_explored, bounds, multipliers and all --
-/// IS the result of redoing the solve. Encoded as doubles: every encoded
+/// previous CoverSolution -- nodes_explored, bounds and all -- IS the
+/// result of redoing the solve. Encoded as doubles: every encoded
 /// integer (row/column indices, node budgets) is far below 2^53, so the
 /// round-trip is exact.
 std::vector<double> cover_signature(std::size_t num_rows,
                                     const CandidateSet& set,
                                     const ucp::BnbOptions& solver) {
   std::vector<double> sig;
-  sig.reserve(8 + set.candidates.size() * 4 + solver.warm_start.size() +
-              solver.warm_multipliers.size());
+  sig.reserve(8 + set.candidates.size() * 4 + solver.warm_start.size());
   sig.push_back(static_cast<double>(num_rows));
   sig.push_back(static_cast<double>(set.candidates.size()));
   for (const Candidate& c : set.candidates) {
@@ -47,8 +46,6 @@ std::vector<double> cover_signature(std::size_t num_rows,
   for (std::size_t j : solver.warm_start) {
     sig.push_back(static_cast<double>(j));
   }
-  sig.push_back(static_cast<double>(solver.warm_multipliers.size()));
-  for (double m : solver.warm_multipliers) sig.push_back(m);
   // Backend selection changes which engine runs, so it is part of the
   // solve's identity (length + characters; each char value is exact as a
   // double).
@@ -59,25 +56,14 @@ std::vector<double> cover_signature(std::size_t num_rows,
   return sig;
 }
 
-}  // namespace
-
-ucp::CoverProblem build_cover_problem(std::size_t num_rows,
-                                      const CandidateSet& set) {
-  ucp::CoverProblem cover(num_rows);
-  for (const Candidate& c : set.candidates) {
-    std::vector<std::size_t> rows;
-    rows.reserve(c.arcs.size());
-    for (model::ArcId a : c.arcs) rows.push_back(a.index());
-    cover.add_column(rows, c.cost);
-  }
-  return cover;
-}
-
-ucp::BnbOptions effective_solver_options(const SynthesisOptions& options,
-                                         const ucp::BnbOptions& solver_options,
-                                         std::size_t num_rows,
-                                         std::size_t num_candidates) {
-  ucp::BnbOptions solver = solver_options;
+/// The solver configuration stage 3 actually runs: `options.solver` with
+/// the pipeline deadline inherited, fault injection applied, and -- when
+/// warm_start is empty and the singletons exist -- the point-to-point
+/// singleton cover seeded as the incumbent.
+ucp::BnbOptions effective_solver(const SynthesisOptions& options,
+                                 std::size_t num_rows,
+                                 std::size_t num_candidates) {
+  ucp::BnbOptions solver = options.solver;
   if (solver.deadline.unlimited()) solver.deadline = options.deadline;
   if (options.fault_injection.fires(support::fault_sites::kUcpSolve)) {
     solver.deadline = support::Deadline::expire_after_checks(0);
@@ -99,17 +85,30 @@ ucp::BnbOptions effective_solver_options(const SynthesisOptions& options,
   return solver;
 }
 
+}  // namespace
+
+ucp::CoverProblem build_cover_problem(std::size_t num_rows,
+                                      const CandidateSet& set) {
+  ucp::CoverProblem cover(num_rows);
+  for (const Candidate& c : set.candidates) {
+    std::vector<std::size_t> rows;
+    rows.reserve(c.arcs.size());
+    for (model::ArcId a : c.arcs) rows.push_back(a.index());
+    cover.add_column(rows, c.cost);
+  }
+  return cover;
+}
+
 support::Expected<CoverOutcome> cover_and_ladder(
     std::size_t num_rows, const CandidateSet& set,
-    const SynthesisOptions& options, const ucp::BnbOptions& solver_options,
-    SessionState* session) {
+    const SynthesisOptions& options, SessionState* session) {
   const GenerationStats& stats = set.stats;
   auto& registry = support::MetricsRegistry::global();
   CoverOutcome result;
 
   const ucp::CoverProblem cover = build_cover_problem(num_rows, set);
-  const ucp::BnbOptions solver = effective_solver_options(
-      options, solver_options, num_rows, set.candidates.size());
+  const ucp::BnbOptions solver =
+      effective_solver(options, num_rows, set.candidates.size());
 
   // Cover stage: reuse the session's previous solution when this instance
   // is bit-identical to the one it solved (same matrix, same solver
@@ -287,25 +286,9 @@ void assemble_and_validate(const model::ConstraintGraph& cg,
                    (result.validation.ok() ? " valid" : " INVALID"));
 }
 
-support::Expected<SynthesisResult> finish_pipeline(
-    const model::ConstraintGraph& cg, const commlib::Library& library,
-    const SynthesisOptions& options, const ucp::BnbOptions& solver_options,
-    SessionState* session, SynthesisResult result) {
-  support::Expected<CoverOutcome> outcome =
-      cover_and_ladder(cg.num_channels(), result.candidate_set, options,
-                       solver_options, session);
-  if (!outcome.ok()) return std::move(outcome).take_status();
-  result.cover = std::move(outcome->cover);
-  result.degradation = std::move(outcome->degradation);
-  assemble_and_validate(cg, library, options, result);
-  support::MetricsRegistry::global().counter("synth.runs").add(1);
-  return result;
-}
-
 support::Expected<SynthesisResult> run_pipeline(
     const model::ConstraintGraph& cg, const commlib::Library& library,
-    const SynthesisOptions& options, const ucp::BnbOptions& solver_options,
-    SessionState* session) {
+    const SynthesisOptions& options, SessionState* session) {
   SynthesisResult result;
   support::Expected<CandidateSet> gen =
       generate_candidates(cg, library, options);
@@ -313,8 +296,14 @@ support::Expected<SynthesisResult> run_pipeline(
     return std::move(gen).take_status().with_context("candidate generation");
   }
   result.candidate_set = *std::move(gen);
-  return finish_pipeline(cg, library, options, solver_options, session,
-                         std::move(result));
+  support::Expected<CoverOutcome> outcome = cover_and_ladder(
+      cg.num_channels(), result.candidate_set, options, session);
+  if (!outcome.ok()) return std::move(outcome).take_status();
+  result.cover = std::move(outcome->cover);
+  result.degradation = std::move(outcome->degradation);
+  assemble_and_validate(cg, library, options, result);
+  support::MetricsRegistry::global().counter("synth.runs").add(1);
+  return result;
 }
 
 }  // namespace cdcs::synth

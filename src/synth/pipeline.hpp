@@ -49,35 +49,23 @@ struct SessionState {
 ucp::CoverProblem build_cover_problem(std::size_t num_rows,
                                       const CandidateSet& set);
 
-/// The solver configuration stage 3 actually runs: `solver_options` with
-/// the pipeline deadline inherited, fault injection applied, and -- when the
-/// caller left warm_start empty and the singletons exist -- the
-/// point-to-point singleton cover seeded as the incumbent.
-ucp::BnbOptions effective_solver_options(const SynthesisOptions& options,
-                                         const ucp::BnbOptions& solver_options,
-                                         std::size_t num_rows,
-                                         std::size_t num_candidates);
-
 /// Outcome of stages 3-4 (cover + anytime ladder) over one candidate set:
 /// the cover actually returned (after any fallback rung) and the
 /// degradation report explaining which rung produced it. Split out of
-/// finish_pipeline so the partitioned synthesizer can run cover + ladder
-/// per cluster and assemble/validate ONCE on the stitched whole.
+/// run_pipeline so the partitioned synthesizer can run cover + ladder per
+/// cluster and assemble/validate ONCE on the stitched whole.
 struct CoverOutcome {
   ucp::CoverSolution cover;
   DegradationReport degradation;
 };
 
-/// Stages 3-4: build the UCP matrix from `set`, solve it (or reuse the
-/// session's bit-identical previous solve), and walk the anytime ladder.
-/// `num_rows` is the arc count of the (sub)instance; `session` may be
-/// nullptr. Behavior-identical to the cover/ladder half of the historical
-/// finish_pipeline, which is now a composition of this and
-/// assemble_and_validate.
+/// Stages 3-4: build the UCP matrix from `set`, solve it with
+/// `options.solver` (or reuse the session's bit-identical previous solve),
+/// and walk the anytime ladder. `num_rows` is the arc count of the
+/// (sub)instance; `session` may be nullptr.
 support::Expected<CoverOutcome> cover_and_ladder(
     std::size_t num_rows, const CandidateSet& set,
-    const SynthesisOptions& options, const ucp::BnbOptions& solver_options,
-    SessionState* session);
+    const SynthesisOptions& options, SessionState* session);
 
 /// Stage 5: materialize result.cover into result.implementation /
 /// total_cost and run the independent Def 2.4 validation. Requires
@@ -89,21 +77,11 @@ void assemble_and_validate(const model::ConstraintGraph& cg,
                            const SynthesisOptions& options,
                            SynthesisResult& result);
 
-/// Stages 3-5 (cover, ladder, assemble, validate) on a result whose
-/// candidate_set stage 2 already filled -- the entry point for callers that
-/// interpose on the candidate list between generation and covering (the
-/// engine's warm-start column mapping). `session` may be nullptr.
-support::Expected<SynthesisResult> finish_pipeline(
-    const model::ConstraintGraph& cg, const commlib::Library& library,
-    const SynthesisOptions& options, const ucp::BnbOptions& solver_options,
-    SessionState* session, SynthesisResult result);
-
 /// Stages 2-5 end to end. `session` may be nullptr (one-shot run). Does not
 /// gate inputs and may throw; synthesize()/Engine::apply wrap it in the
 /// check_inputs gate and the catch-all.
 support::Expected<SynthesisResult> run_pipeline(
     const model::ConstraintGraph& cg, const commlib::Library& library,
-    const SynthesisOptions& options, const ucp::BnbOptions& solver_options,
-    SessionState* session);
+    const SynthesisOptions& options, SessionState* session);
 
 }  // namespace cdcs::synth

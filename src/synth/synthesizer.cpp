@@ -11,20 +11,12 @@
 
 namespace cdcs::synth {
 
-// Both overloads are one-shot sessions: the same staged pipeline the
-// incremental Engine drives (synth/pipeline.hpp), run with no session state,
-// wrapped in the input gate and the catch-all so no exception escapes the
-// API boundary.
+// A one-shot session: the same staged pipeline the incremental Engine
+// drives (synth/pipeline.hpp), run with no session state, wrapped in the
+// input gate and the catch-all so no exception escapes the API boundary.
 support::Expected<SynthesisResult> synthesize(
     const model::ConstraintGraph& cg, const commlib::Library& library,
     const SynthesisOptions& options) {
-  return synthesize(cg, library, options, options.solver);
-}
-
-support::Expected<SynthesisResult> synthesize(
-    const model::ConstraintGraph& cg, const commlib::Library& library,
-    const SynthesisOptions& options,
-    const ucp::BnbOptions& solver_options) {
   support::ScopedTimer run_span(
       "synthesize", "pipeline",
       &support::MetricsRegistry::global().histogram("synth.run.us"));
@@ -37,8 +29,8 @@ support::Expected<SynthesisResult> synthesize(
     // pinned corpus cost and node count bit-identical.
     support::Expected<SynthesisResult> result =
         partitioning_applies(cg, options)
-            ? synthesize_partitioned(cg, library, options, solver_options)
-            : run_pipeline(cg, library, options, solver_options, nullptr);
+            ? synthesize_partitioned(cg, library, options)
+            : run_pipeline(cg, library, options, nullptr);
     if (!result.ok()) {
       return std::move(result).take_status().with_context("synthesize");
     }

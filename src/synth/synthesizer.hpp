@@ -45,22 +45,18 @@ namespace cdcs::synth {
 /// A deadline (SynthesisOptions::deadline) is NOT an error: the result
 /// degrades along the anytime ladder and `result.degradation` says how.
 ///
-/// The cover solver runs with `options.solver` (Lagrangian bounds,
-/// reduced-cost fixing, search order, ...); the 4-argument overload
-/// overrides that with an explicit BnbOptions. Either way the solver's
-/// incumbent is warm-started with the point-to-point singleton cover, so
-/// pruning starts from the anytime ladder's last-resort upper bound.
+/// The cover solver runs with `options.solver` (backend, Lagrangian
+/// bounds, reduced-cost fixing, ...), its incumbent warm-started with the
+/// point-to-point singleton cover, so pruning starts from the anytime
+/// ladder's last-resort upper bound.
 ///
-/// Both overloads run the staged pipeline (synth/pipeline.hpp) once, with
-/// no session state, or the partitioned path on large instances; edit
-/// streams should hold a synth::Engine session (synth/engine.hpp) open
-/// instead of calling these in a loop.
+/// Runs the staged pipeline (synth/pipeline.hpp) once, with no session
+/// state, or the partitioned path on large instances; edit streams should
+/// hold a synth::Engine session (synth/engine.hpp) open instead of calling
+/// this in a loop.
 support::Expected<SynthesisResult> synthesize(
     const model::ConstraintGraph& cg, const commlib::Library& library,
     const SynthesisOptions& options = {});
-support::Expected<SynthesisResult> synthesize(
-    const model::ConstraintGraph& cg, const commlib::Library& library,
-    const SynthesisOptions& options, const ucp::BnbOptions& solver_options);
 
 /// The result keeps pointers to `cg` and `library`, so a temporary graph
 /// or library would leave it dangling: bind both to named objects first.
@@ -68,15 +64,7 @@ support::Expected<SynthesisResult> synthesize(
     const model::ConstraintGraph& cg, const commlib::Library&& library,
     const SynthesisOptions& options = {}) = delete;
 support::Expected<SynthesisResult> synthesize(
-    const model::ConstraintGraph& cg, const commlib::Library&& library,
-    const SynthesisOptions& options,
-    const ucp::BnbOptions& solver_options) = delete;
-support::Expected<SynthesisResult> synthesize(
     const model::ConstraintGraph&& cg, const commlib::Library& library,
     const SynthesisOptions& options = {}) = delete;
-support::Expected<SynthesisResult> synthesize(
-    const model::ConstraintGraph&& cg, const commlib::Library& library,
-    const SynthesisOptions& options,
-    const ucp::BnbOptions& solver_options) = delete;
 
 }  // namespace cdcs::synth

@@ -64,16 +64,7 @@ class Solver {
     root.uncovered.set_all();
     root.available.set_all();
 
-    // Caller-provided multipliers seed the ROOT subgradient ascent (a warm
-    // re-solve of a near-identical instance converges in a few corrective
-    // steps instead of the full cold ascent). Ignored unless sized to the
-    // row count; empty reproduces the cold search tree node-for-node.
-    std::vector<double> root_lambda;
-    if (opt_.warm_multipliers.size() == p_.num_rows()) {
-      root_lambda = opt_.warm_multipliers;
-    }
-
-    branch(std::move(root), 0.0, {}, 0, std::move(root_lambda));
+    branch(std::move(root), 0.0, {}, 0, {});
     report_progress();  // final sample, so short solves chart too
 
     auto& registry = support::MetricsRegistry::global();
@@ -88,7 +79,6 @@ class Solver {
     sol.nodes_explored = nodes_;
     sol.deadline_expired = deadline_hit_;
     sol.stop = stop_;
-    sol.root_multipliers = std::move(root_multipliers_);
     // The root's MIS/Lagrangian bound plus any essential-column cost; 0 when
     // the root was never evaluated (e.g. instant deadline).
     sol.lower_bound = root_bound_;
@@ -180,10 +170,7 @@ class Solver {
     bool lagr_ran = false;
     const double bound =
         eval_.node_bound(s, cost, depth, lambda, best_cost_, lagr, lagr_ran);
-    if (depth == 0) {
-      root_bound_ = cost + bound;
-      if (lagr_ran) root_multipliers_ = lagr.multipliers;
-    }
+    if (depth == 0) root_bound_ = cost + bound;
     if (cost + bound >= best_cost_) return;
     if (lagr_ran && should_fix(depth)) {
       rc_fixed_ += eval_.fix_columns(s, cost, best_cost_, lagr);
@@ -223,7 +210,6 @@ class Solver {
   std::size_t rc_fixed_{0};
   std::size_t incumbent_updates_{0};
   double root_bound_{0.0};
-  std::vector<double> root_multipliers_;
   bool complete_{true};
   bool deadline_hit_{false};
   bool aborted_{false};

@@ -60,14 +60,6 @@ struct BnbOptions {
   /// last-resort upper bound already in hand.
   std::vector<std::size_t> warm_start;
 
-  /// Optional Lagrangian multipliers (one per row) seeding the ROOT
-  /// subgradient ascent, e.g. the multipliers a previous solve of a
-  /// near-identical problem converged to (CoverSolution::root_multipliers).
-  /// Ignored unless the size matches the row count; ignored by the dense
-  /// DP path. Empty (the default) reproduces the cold-start search tree
-  /// node-for-node, which determinism tests pin.
-  std::vector<double> warm_multipliers;
-
   /// The cover-solver backend (ucp/cover_solver.hpp), the one solver
   /// selector: "dense_dp" (exact subset DP, at most kDenseDpMaxRows rows)
   /// or "bnb_v2" (depth-first branch-and-bound). Empty (the default) runs

@@ -95,12 +95,6 @@ struct CoverSolution {
   bool deadline_expired{false};
   /// Why the search stopped (kCompleted unless a budget cut it short).
   CoverStop stop{CoverStop::kCompleted};
-  /// The Lagrangian multipliers the root subgradient ascent converged to
-  /// (one per row), when the solver ran it (branch-and-bound path with
-  /// use_lagrangian_bound; empty on the dense-DP path or when disabled).
-  /// Feed back as BnbOptions::warm_multipliers to warm-start a re-solve of
-  /// a near-identical problem.
-  std::vector<double> root_multipliers;
   /// Registry name of the backend that produced this solution
   /// (ucp/cover_solver.hpp): "dense_dp" or "bnb_v2".
   std::string backend;

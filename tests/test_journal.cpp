@@ -431,9 +431,7 @@ void recovery_pin(const std::string& tag, model::ConstraintGraph base,
     write_file(cut, full.substr(0, boundaries[k]));
 
     synth::Engine::RecoveryReport report;
-    auto recovered = synth::Engine::recover(cut, lib, options,
-                                            synth::Engine::WarmPolicy::kBitIdentical,
-                                            &report);
+    auto recovered = synth::Engine::recover(cut, lib, options, &report);
     ASSERT_TRUE(recovered.ok())
         << tag << " boundary " << k << ": " << recovered.status().to_string();
     EXPECT_EQ(report.records_recovered, k + 1);
@@ -456,9 +454,7 @@ void recovery_pin(const std::string& tag, model::ConstraintGraph base,
   write_file(torn, full.substr(0, torn_end));
 
   synth::Engine::RecoveryReport report;
-  auto recovered = synth::Engine::recover(torn, lib, options,
-                                          synth::Engine::WarmPolicy::kBitIdentical,
-                                          &report);
+  auto recovered = synth::Engine::recover(torn, lib, options, &report);
   ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
   EXPECT_TRUE(report.tail_truncated);
   EXPECT_GT(report.bytes_dropped, 0u);

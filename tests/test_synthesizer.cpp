@@ -15,14 +15,12 @@ namespace cdcs::synth {
 namespace {
 
 // True when synthesize() accepts a library of value category `Lib`, with
-// and without explicit solver options.
+// and without explicit options.
 template <typename Lib>
 constexpr bool kSynthesizeAccepts =
-    requires(const model::ConstraintGraph& cg, const SynthesisOptions& opts,
-             const ucp::BnbOptions& solver) {
+    requires(const model::ConstraintGraph& cg, const SynthesisOptions& opts) {
       synthesize(cg, std::declval<Lib>());
       synthesize(cg, std::declval<Lib>(), opts);
-      synthesize(cg, std::declval<Lib>(), opts, solver);
     };
 
 // The result's implementation graph keeps a pointer to the library, so a
@@ -42,14 +40,12 @@ TEST(Synthesizer, TemporaryLibraryDoesNotCompile) {
 }
 
 // True when synthesize() accepts a constraint graph of value category
-// `Graph` (with a named library), with and without explicit solver options.
+// `Graph` (with a named library), with and without explicit options.
 template <typename Graph>
 constexpr bool kSynthesizeAcceptsGraph =
-    requires(const commlib::Library& lib, const SynthesisOptions& opts,
-             const ucp::BnbOptions& solver) {
+    requires(const commlib::Library& lib, const SynthesisOptions& opts) {
       synthesize(std::declval<Graph>(), lib);
       synthesize(std::declval<Graph>(), lib, opts);
-      synthesize(std::declval<Graph>(), lib, opts, solver);
     };
 
 // The implementation graph keeps a pointer to the constraint graph too, so

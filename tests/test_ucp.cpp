@@ -913,53 +913,8 @@ TEST(Exact, WarmStartSeedsIncumbent) {
   EXPECT_NEAR(b.cost, base.cost, 1e-9);
 }
 
-// Warm re-solve: a branch-and-bound run exports the root multipliers its
-// Lagrangian ascent converged to, and feeding them back into a re-solve of
-// the same (or a near-identical) instance seeds the root ascent without
-// ever changing the proven optimum. Relaxation is a lower-bounding device,
-// so ANY multiplier seed is sound; only the node counts may differ.
-TEST(Exact, WarmMultipliersResolveSameOptimum) {
-  const struct {
-    int rows, cols;
-    double density;
-  } corpus[] = {
-      {12, 200, 0.25},
-      {15, 60, 0.25},
-      {20, 100, 0.20},
-  };
-  for (const auto& c : corpus) {
-    const CoverProblem p =
-        corpus_problem(c.rows, c.cols, c.density, 91 + c.rows);
-    BnbOptions cold;
-    cold.backend = "bnb_v2";
-    const CoverSolution base = solve_exact(p, cold);
-    ASSERT_TRUE(base.optimal);
-    ASSERT_EQ(base.root_multipliers.size(), p.num_rows());
-
-    // Parent multipliers + previous cover as incumbent: the full warm
-    // re-solve an incremental session performs.
-    BnbOptions warmed = cold;
-    warmed.warm_multipliers = base.root_multipliers;
-    warmed.warm_start = base.chosen;
-    const CoverSolution warm = solve_exact(p, warmed);
-    EXPECT_TRUE(warm.optimal);
-    EXPECT_NEAR(warm.cost, base.cost, 1e-9)
-        << c.rows << "x" << c.cols << " density " << c.density;
-    EXPECT_TRUE(p.covers_all(warm.chosen));
-
-    // Mis-sized multipliers are ignored, not trusted.
-    BnbOptions bogus = cold;
-    bogus.warm_multipliers.assign(p.num_rows() + 3, 1.0);
-    const CoverSolution b = solve_exact(p, bogus);
-    EXPECT_TRUE(b.optimal);
-    EXPECT_NEAR(b.cost, base.cost, 1e-9);
-    EXPECT_EQ(b.nodes_explored, base.nodes_explored);  // identical cold tree
-  }
-}
-
-// Empty warm_multipliers (the default) must reproduce the cold search tree
-// node-for-node -- the bit-identity invariant the incremental engine's
-// default mode rests on.
+// Two solves of one instance must explore the same tree node-for-node --
+// the bit-identity invariant the incremental engine rests on.
 TEST(Exact, EmptyWarmMultipliersIsColdTree) {
   const CoverProblem p = corpus_problem(20, 100, 0.2, 111);
   BnbOptions cold;
@@ -969,7 +924,6 @@ TEST(Exact, EmptyWarmMultipliersIsColdTree) {
   EXPECT_EQ(a.nodes_explored, b.nodes_explored);
   EXPECT_EQ(a.chosen, b.chosen);
   EXPECT_EQ(a.cost, b.cost);
-  EXPECT_EQ(a.root_multipliers, b.root_multipliers);
 }
 
 }  // namespace
