@@ -16,9 +16,11 @@
 #include "synth/candidate_generator.hpp"
 #include "synth/chain_pricer.hpp"
 #include "synth/partition.hpp"
+#include "synth/pipeline.hpp"
 #include "synth/synthesizer.hpp"
 #include "synth/tree_pricer.hpp"
 #include "ucp/bnb.hpp"
+#include "ucp/dp.hpp"
 #include "weiszfeld_oracle.hpp"
 #include "workloads/noc_mesh.hpp"
 #include "workloads/random_gen.hpp"
@@ -267,6 +269,46 @@ void BM_WanUcpSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WanUcpSolve);
+
+/// The largest cluster cover of the partitioned 12x12 NoC hotspot
+/// synthesis (18 rows, 4,047 columns), built as the partitioned synthesizer
+/// builds it: the cluster's own graph, merges capped at 4 arcs.
+ucp::CoverProblem noc_largest_cluster_cover() {
+  workloads::NocMeshParams params;
+  params.rows = 12;
+  params.cols = 12;
+  const model::ConstraintGraph cg = workloads::noc_mesh(params);
+  const commlib::Library lib = commlib::wan_library();
+  const synth::Partition part =
+      synth::partition_graph(cg, synth::PartitioningOptions{});
+  synth::SynthesisOptions options;
+  options.threads = 1;
+  options.max_merge_k = 4;
+  ucp::CoverProblem largest(0);
+  for (const synth::Cluster& cluster : part.clusters) {
+    const model::ConstraintGraph sub = synth::cluster_subgraph(cg, cluster);
+    const synth::CandidateSet set =
+        synth::generate_candidates(sub, lib, options).value();
+    ucp::CoverProblem cover =
+        synth::build_cover_problem(sub.num_channels(), set);
+    if (cover.num_columns() > largest.num_columns()) largest = std::move(cover);
+  }
+  return largest;
+}
+
+void BM_DenseDpNocCluster(benchmark::State& state) {
+  const ucp::CoverProblem cover = noc_largest_cluster_cover();
+  std::size_t nodes = 0;
+  for (auto _ : state) {
+    const ucp::CoverSolution s = ucp::solve_dp(cover);
+    nodes = s.nodes_explored;
+    benchmark::DoNotOptimize(s);
+  }
+  state.counters["rows"] = static_cast<double>(cover.num_rows());
+  state.counters["columns"] = static_cast<double>(cover.num_columns());
+  state.counters["states"] = static_cast<double>(nodes);
+}
+BENCHMARK(BM_DenseDpNocCluster)->Unit(benchmark::kMillisecond);
 
 void BM_WanEndToEnd(benchmark::State& state) {
   const model::ConstraintGraph cg = workloads::wan2002();

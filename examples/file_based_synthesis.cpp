@@ -448,8 +448,9 @@ int run(int argc, char** argv, Observability& obs) {
     }
     if (!quiet) {
       const synth::Engine::SessionStats s = engine->stats();
-      std::cout << "session: " << s.applies << " solve(s), "
-                << s.cover_reuses << " cover reuse(s), pricing hit rate "
+      std::cout << "session: " << s.applies << " apply(s), "
+                << s.cover_solves << " cover solve(s), " << s.cover_reuses
+                << " cover reuse(s), pricing hit rate "
                 << (s.pricing_hits + s.pricing_misses == 0
                         ? 0.0
                         : static_cast<double>(s.pricing_hits) /

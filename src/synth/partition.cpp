@@ -292,4 +292,36 @@ Partition partition_graph(const model::ConstraintGraph& cg,
   return part;
 }
 
+model::ConstraintGraph cluster_subgraph(const model::ConstraintGraph& cg,
+                                        const Cluster& cluster) {
+  std::vector<std::uint32_t> verts;
+  verts.reserve(cluster.arcs.size() * 2);
+  for (model::ArcId a : cluster.arcs) {
+    verts.push_back(static_cast<std::uint32_t>(cg.source(a).index()));
+    verts.push_back(static_cast<std::uint32_t>(cg.target(a).index()));
+  }
+  std::sort(verts.begin(), verts.end());
+  verts.erase(std::unique(verts.begin(), verts.end()), verts.end());
+
+  model::ConstraintGraph sub(cg.norm());
+  std::vector<model::VertexId> local;
+  local.reserve(verts.size());
+  for (std::uint32_t v : verts) {
+    const model::VertexId gv{v};
+    local.push_back(sub.add_port(cg.port(gv).name, cg.position(gv)));
+  }
+  auto local_of = [&](model::VertexId gv) {
+    const std::size_t pos = static_cast<std::size_t>(
+        std::lower_bound(verts.begin(), verts.end(),
+                         static_cast<std::uint32_t>(gv.index())) -
+        verts.begin());
+    return local[pos];
+  };
+  for (model::ArcId a : cluster.arcs) {
+    sub.add_channel(local_of(cg.source(a)), local_of(cg.target(a)),
+                    cg.bandwidth(a), cg.channel(a).name);
+  }
+  return sub;
+}
+
 }  // namespace cdcs::synth

@@ -94,4 +94,12 @@ struct Partition {
 Partition partition_graph(const model::ConstraintGraph& cg,
                           const PartitioningOptions& opts);
 
+/// The cluster's arcs as an independent constraint graph. Ports keep their
+/// global names and positions (ascending global vertex order), channels
+/// keep their global names and bandwidths (ascending global arc order), so
+/// every derived quantity -- distances, Gamma/Delta, pricing -- is computed
+/// from the exact same doubles as in the full graph.
+model::ConstraintGraph cluster_subgraph(const model::ConstraintGraph& cg,
+                                        const Cluster& cluster);
+
 }  // namespace cdcs::synth

@@ -9,6 +9,13 @@
 
 #include "support/fault.hpp"
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#define CDCS_HAVE_AVX2_SCAN 1
+#else
+#define CDCS_HAVE_AVX2_SCAN 0
+#endif
+
 namespace cdcs::ucp {
 
 namespace {
@@ -19,12 +26,15 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// singletons before the DP drops it (see drop_unprofitable below).
 constexpr double kUnprofitableMargin = 1e-9;
 
-/// One entry of a row's column list: the column's weight, its row mask and
-/// its index in the problem.
-struct Entry {
-  double weight;
-  std::uint32_t mask;
-  std::uint32_t column;
+/// The per-row column lists, stored flat and split by field so that the
+/// gathered scan loads four weights and four masks at once: row r's entries
+/// are [begin[r], begin[r + 1]), each a column's weight, row mask and index
+/// in the problem, cheapest first.
+struct RowLists {
+  std::vector<double> weight;
+  std::vector<std::uint32_t> mask;
+  std::vector<std::uint32_t> column;
+  std::vector<std::size_t> begin;
 };
 
 /// Marks columns that can never win a DP state: a column S of two or more
@@ -85,12 +95,11 @@ std::vector<bool> drop_unprofitable(const CoverProblem& problem,
 /// (no dp value is ever NaN: it only takes values that passed a `<`).
 class ReachableDp {
  public:
-  ReachableDp(const std::vector<Entry>& entries,
-              const std::vector<std::size_t>& row_begin, std::size_t rows,
+  ReachableDp(const RowLists& lists, std::size_t rows, bool gathered,
               const support::Deadline& deadline,
               support::FaultInjector* injector)
-      : entries_(entries),
-        row_begin_(row_begin),
+      : lists_(lists),
+        gathered_(gathered),
         deadline_(deadline),
         injector_(injector),
         dp_(std::size_t{1} << (rows - 1),
@@ -112,24 +121,98 @@ class ReachableDp {
   /// The recurrence at state m: the same cheapest-first scan, `weight >=
   /// best` cut and strict `<` as a bottom-up fill, reading each sub-state
   /// through value(), so every dp[m] and choice[m] comes out bit-identical.
+  /// Both scan bodies take exactly these steps.
   double evaluate(std::size_t m, std::uint32_t& best_col) {
     // The lowest uncovered row must be covered by some column.
     const std::size_t r = std::countr_zero(m);
+#if CDCS_HAVE_AVX2_SCAN
+    if (gathered_) return scan_gathered(m, r, best_col);
+#endif
+    return scan_portable(m, r, best_col);
+  }
+
+  /// One scalar step of the scan at entry i: false once the scan is over
+  /// (the cut, or an abandoned table).
+  bool step(std::size_t m, std::size_t i, double& best,
+            std::uint32_t& best_col) {
+    const double w = lists_.weight[i];
+    // Cheapest-first order: no later entry can improve.
+    if (w >= best) return false;
+    const double rest = value(m & ~static_cast<std::size_t>(lists_.mask[i]));
+    if (stop_ != CoverStop::kCompleted) return false;
+    if (rest + w < best) {
+      best = rest + w;
+      best_col = lists_.column[i];
+    }
+    return true;
+  }
+
+  double scan_portable(std::size_t m, std::size_t r, std::uint32_t& best_col) {
     double best = kInf;
     best_col = UINT32_MAX;
-    const Entry* const end = entries_.data() + row_begin_[r + 1];
-    for (const Entry* e = entries_.data() + row_begin_[r]; e != end; ++e) {
-      // Cheapest-first order: no later entry can improve.
-      if (e->weight >= best) break;
-      const double rest = value(m & ~static_cast<std::size_t>(e->mask));
-      if (stop_ != CoverStop::kCompleted) return kInf;
-      if (rest + e->weight < best) {
-        best = rest + e->weight;
-        best_col = e->column;
-      }
+    const std::size_t end = lists_.begin[r + 1];
+    for (std::size_t i = lists_.begin[r]; i != end; ++i) {
+      if (!step(m, i, best, best_col)) break;
     }
-    return best;
+    return stop_ == CoverStop::kCompleted ? best : kInf;
   }
+
+#if CDCS_HAVE_AVX2_SCAN
+  /// The scan four entries at a time, with the four sub-states' dp values
+  /// gathered from the memo. A block is taken only when it lies inside the
+  /// row and all four sub-states are evaluated: then each scalar step would
+  /// read its sub-state without calling evaluate(), and the block computes
+  /// the same candidate sums (IEEE adds, no FMA) and applies the same cut
+  /// and strict `<` in entry order. Every other entry takes the scalar step.
+  [[gnu::target("avx2")]] double scan_gathered(std::size_t m, std::size_t r,
+                                               std::uint32_t& best_col) {
+    double best = kInf;
+    best_col = UINT32_MAX;
+    const std::size_t end = lists_.begin[r + 1];
+    // m < 2^24, so the state and every memo slot fit a 32-bit lane.
+    const __m128i state = _mm_set1_epi32(static_cast<int>(m));
+    std::size_t i = lists_.begin[r];
+    while (i != end) {
+      if (end - i >= 4) {
+        const __m128i masks = _mm_loadu_si128(
+            reinterpret_cast<const __m128i*>(lists_.mask.data() + i));
+        const __m128i slots = _mm_srli_epi32(_mm_andnot_si128(masks, state), 1);
+        // The masked form with a zero source: the plain one reads an
+        // undefined register GCC warns about.
+        const __m256d rest = _mm256_mask_i32gather_pd(
+            _mm256_setzero_pd(), dp_.data(), slots,
+            _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
+        if (_mm256_movemask_pd(_mm256_cmp_pd(rest, rest, _CMP_UNORD_Q)) == 0) {
+          const __m256d w = _mm256_loadu_pd(lists_.weight.data() + i);
+          const __m256d cand = _mm256_add_pd(rest, w);
+          const __m256d bound = _mm256_set1_pd(best);
+          if (_mm256_movemask_pd(_mm256_cmp_pd(cand, bound, _CMP_LT_OQ)) == 0) {
+            // No entry improves on best, so best stays; an entry at the cut
+            // ends the scan.
+            if (_mm256_movemask_pd(_mm256_cmp_pd(w, bound, _CMP_GE_OQ)) != 0) {
+              break;
+            }
+            i += 4;
+            continue;
+          }
+          alignas(32) double sums[4];
+          _mm256_store_pd(sums, cand);
+          for (std::size_t k = 0; k < 4; ++k, ++i) {
+            if (lists_.weight[i] >= best) return best;
+            if (sums[k] < best) {
+              best = sums[k];
+              best_col = lists_.column[i];
+            }
+          }
+          continue;
+        }
+      }
+      if (!step(m, i, best, best_col)) break;
+      ++i;
+    }
+    return stop_ == CoverStop::kCompleted ? best : kInf;
+  }
+#endif
 
   /// dp[m] for a state with row 0 covered, evaluated on first use. The
   /// recursion depth is at most R: each level's lowest row is higher.
@@ -155,8 +238,8 @@ class ReachableDp {
     return stop_ != CoverStop::kCompleted;
   }
 
-  const std::vector<Entry>& entries_;
-  const std::vector<std::size_t>& row_begin_;
+  const RowLists& lists_;
+  const bool gathered_;
   const support::Deadline& deadline_;
   support::FaultInjector* injector_;
   std::vector<double> dp_;
@@ -167,10 +250,26 @@ class ReachableDp {
 
 }  // namespace
 
-CoverSolution solve_dp(const CoverProblem& problem,
-                       const support::Deadline& deadline,
-                       std::size_t max_states,
-                       support::FaultInjector* injector) {
+namespace detail {
+
+bool dp_scan_supported(DpScan scan) {
+#if CDCS_HAVE_AVX2_SCAN
+  if (scan == DpScan::kAvx2) {
+    static const bool has_avx2 = __builtin_cpu_supports("avx2");
+    return has_avx2;
+  }
+#endif
+  return scan == DpScan::kPortable;
+}
+
+CoverSolution solve_dp_with(DpScan scan, const CoverProblem& problem,
+                            const support::Deadline& deadline,
+                            std::size_t max_states,
+                            support::FaultInjector* injector) {
+  if (!dp_scan_supported(scan)) {
+    throw std::invalid_argument(
+        "solve_dp: the gathered scan is not supported on this CPU");
+  }
   const std::size_t rows = problem.num_rows();
   if (rows > kDenseDpMaxRows) {
     throw std::invalid_argument("solve_dp: too many rows for the dense DP");
@@ -204,15 +303,17 @@ CoverSolution solve_dp(const CoverProblem& problem,
     });
   }
 
-  // Per-row column lists, cheapest-first (better pruning locality), stored
-  // flat: row r's entries are entries[row_begin[r] .. row_begin[r + 1]).
-  // Two exact reductions shorten them. A column whose mask repeats that of a
-  // column earlier in the order is dropped: it covers the same rows at no
-  // lower weight, so it can never strictly improve a state, and the strict
-  // `<` below would never choose it. So is an unprofitable merged column
-  // (drop_unprofitable above).
-  std::vector<Entry> entries;
-  std::vector<std::size_t> row_begin(rows + 1, 0);
+  // Per-row column lists, cheapest-first (better pruning locality). Two
+  // exact reductions shorten them. An unprofitable merged column is dropped
+  // (drop_unprofitable above). So is an entry of row r whose mask restricted
+  // to rows >= r repeats that of an entry earlier in the row's list: every
+  // state scanning row r has the rows below r covered, so both entries lead
+  // to the same sub-state, and the earlier one, at no higher weight, has
+  // already evaluated it and wins the strict `<`. The later entry would
+  // read that sub-state from the memo, change nothing and evaluate nothing.
+  // (A repeated full mask is the special case every row sees.)
+  RowLists lists;
+  lists.begin.assign(rows + 1, 0);
   {
     // Sort every column, then filter: the sort is not stable, so filtering
     // first could reorder equal-weight survivors and move a tie-break.
@@ -223,33 +324,36 @@ CoverSolution solve_dp(const CoverProblem& problem,
     });
     const std::vector<bool> unprofitable =
         drop_unprofitable(problem, col_mask, rows);
-    // Direct-address hash over the 2^rows possible masks.
+    std::erase_if(order, [&](std::uint32_t j) { return unprofitable[j]; });
+    std::size_t capacity = 0;
+    for (std::uint32_t j : order) capacity += std::popcount(col_mask[j]);
+    lists.weight.reserve(capacity);
+    lists.mask.reserve(capacity);
+    lists.column.reserve(capacity);
+    // Direct-address hash over the 2^rows possible masks, holding one row's
+    // keys at a time.
     std::vector<bool> seen_mask(std::size_t{1} << rows, false);
-    std::vector<std::uint32_t> kept;
-    kept.reserve(num_cols);
-    for (std::uint32_t j : order) {
-      if (unprofitable[j] || seen_mask[col_mask[j]]) continue;
-      seen_mask[col_mask[j]] = true;
-      kept.push_back(j);
-    }
-    for (std::uint32_t j : kept) {
-      for (std::uint32_t m = col_mask[j]; m != 0; m &= m - 1) {
-        ++row_begin[static_cast<std::size_t>(std::countr_zero(m)) + 1];
+    for (std::size_t r = 0; r < rows; ++r) {
+      lists.begin[r] = lists.weight.size();
+      const std::uint32_t from_r = ~std::uint32_t{0} << r;
+      for (std::uint32_t j : order) {
+        const std::uint32_t key = col_mask[j] & from_r;
+        if ((key & (std::uint32_t{1} << r)) == 0 || seen_mask[key]) continue;
+        seen_mask[key] = true;
+        lists.weight.push_back(problem.column(j).weight);
+        lists.mask.push_back(col_mask[j]);
+        lists.column.push_back(j);
+      }
+      for (std::size_t i = lists.begin[r]; i != lists.mask.size(); ++i) {
+        seen_mask[lists.mask[i] & from_r] = false;
       }
     }
-    for (std::size_t r = 0; r < rows; ++r) row_begin[r + 1] += row_begin[r];
-    entries.resize(row_begin[rows]);
-    std::vector<std::size_t> fill(row_begin.begin(), row_begin.end() - 1);
-    for (std::uint32_t j : kept) {
-      const Entry e{problem.column(j).weight, col_mask[j], j};
-      for (std::uint32_t m = col_mask[j]; m != 0; m &= m - 1) {
-        entries[fill[static_cast<std::size_t>(std::countr_zero(m))]++] = e;
-      }
-    }
+    lists.begin[rows] = lists.weight.size();
   }
 
   const std::size_t full = (std::size_t{1} << rows) - 1;
-  ReachableDp dp(entries, row_begin, rows, deadline, injector);
+  ReachableDp dp(lists, rows, scan == detail::DpScan::kAvx2, deadline,
+                 injector);
   std::uint32_t root_choice = UINT32_MAX;
   const double cost = dp.solve_root(full, root_choice);
   sol.nodes_explored = dp.evaluated();
@@ -274,6 +378,19 @@ CoverSolution solve_dp(const CoverProblem& problem,
   }
   std::sort(sol.chosen.begin(), sol.chosen.end());
   return sol;
+}
+
+}  // namespace detail
+
+CoverSolution solve_dp(const CoverProblem& problem,
+                       const support::Deadline& deadline,
+                       std::size_t max_states,
+                       support::FaultInjector* injector) {
+  static const detail::DpScan scan =
+      detail::dp_scan_supported(detail::DpScan::kAvx2)
+          ? detail::DpScan::kAvx2
+          : detail::DpScan::kPortable;
+  return detail::solve_dp_with(scan, problem, deadline, max_states, injector);
 }
 
 }  // namespace cdcs::ucp

@@ -15,8 +15,23 @@
 // the states this recursion reaches (at most 2^(R-1), because every
 // state below the root has row 0 covered; far fewer on sparse or k-bounded
 // matrices), and only those a column before the cheapest-first cut needs.
-// Time is O(reachable states * avg-columns-per-row), memory 2^(R-1) table
-// entries -- milliseconds for R <= 20 regardless of column count.
+// Memory is 2^(R-1) table entries. Time is O(reachable states * entries
+// scanned per state), and the scan dominates: on the 12x12 NoC's 18-row
+// clusters (4,047 columns) the cut rarely fires and a state scans hundreds
+// of entries. Two exact measures cut that cost:
+//
+//  - Per-row projection. A state whose lowest row is r has every row below
+//    r covered, so row r's list keeps one entry per distinct mask
+//    restricted to rows >= r -- the cheapest, which is the one the strict
+//    `<` keeps anyway.
+//  - Two scan bodies. The portable body steps through a row's list one
+//    entry at a time. The AVX2 body (picked at run time when the CPU has
+//    it) gathers four sub-states' memo values at once and settles the
+//    block in one vector compare when all four are already evaluated. It
+//    takes the same steps in the same order, so its output is the same.
+//
+// Neither changes a cost bit, a chosen column, nodes_explored or the
+// states at which the deadline is polled (docs/performance.md §17).
 // This is the dense_dp backend (ucp/cover_solver.hpp), which solve_exact()
 // runs by default up to kDefaultDenseDpRows rows.
 #pragma once
@@ -60,5 +75,24 @@ CoverSolution solve_dp(
     const CoverProblem& problem, const support::Deadline& deadline = {},
     std::size_t max_states = std::numeric_limits<std::size_t>::max(),
     support::FaultInjector* injector = nullptr);
+
+namespace detail {
+
+/// The two bodies of the DP's row scan. They give identical results; the
+/// choice exists for tests that run both.
+enum class DpScan { kPortable, kAvx2 };
+
+/// True when `scan` can run on this CPU (kPortable always can).
+bool dp_scan_supported(DpScan scan);
+
+/// solve_dp with the given scan body; solve_dp uses kAvx2 when supported.
+/// Throws std::invalid_argument when `scan` is not supported.
+CoverSolution solve_dp_with(
+    DpScan scan, const CoverProblem& problem,
+    const support::Deadline& deadline = {},
+    std::size_t max_states = std::numeric_limits<std::size_t>::max(),
+    support::FaultInjector* injector = nullptr);
+
+}  // namespace detail
 
 }  // namespace cdcs::ucp

@@ -649,6 +649,239 @@ TEST(DenseDp, DenseKBoundedMatrixReachesFewStates) {
   expect_same_solution(s, bottom_up_dp_reference(p), "dense k<=4");
 }
 
+// The dense DP as it stood before the per-row projection and the gathered
+// scan: the memoised top-down recursion over the cheapest-first row lists,
+// shortened only by the duplicate-mask and unprofitable-column reductions.
+// The reduced scans must reproduce it bit for bit and state for state.
+CoverSolution top_down_dp_reference(const CoverProblem& problem,
+                                    const support::Deadline& deadline = {}) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::size_t rows = problem.num_rows();
+  const std::size_t num_cols = problem.num_columns();
+  std::vector<std::uint32_t> col_mask(num_cols, 0);
+  for (std::size_t j = 0; j < num_cols; ++j) {
+    for (std::size_t r : rows_of(problem, j)) col_mask[j] |= 1u << r;
+  }
+  std::vector<std::uint32_t> order(num_cols);
+  for (std::size_t j = 0; j < num_cols; ++j) order[j] = j;
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return problem.column(a).weight < problem.column(b).weight;
+  });
+
+  // The unprofitable-column rule: a merged column costlier than its rows'
+  // cheapest singletons by more than 1e-9 * (sigma + U).
+  std::vector<bool> drop(num_cols, false);
+  {
+    std::vector<double> singleton(rows, kInf);
+    std::vector<double> cheapest(rows, kInf);
+    for (std::size_t j = 0; j < num_cols; ++j) {
+      const double w = problem.column(j).weight;
+      for (std::size_t r : rows_of(problem, j)) {
+        cheapest[r] = std::min(cheapest[r], w);
+      }
+      if (std::has_single_bit(col_mask[j])) {
+        const auto r = static_cast<std::size_t>(std::countr_zero(col_mask[j]));
+        singleton[r] = std::min(singleton[r], w);
+      }
+    }
+    double bound = 0.0;
+    for (std::size_t r = 0; r < rows; ++r) bound += cheapest[r];
+    for (std::size_t j = 0; std::isfinite(bound) && j < num_cols; ++j) {
+      if (std::has_single_bit(col_mask[j])) continue;
+      double sigma = 0.0;
+      for (std::size_t r : rows_of(problem, j)) sigma += singleton[r];
+      drop[j] = problem.column(j).weight > sigma + 1e-9 * (sigma + bound);
+    }
+  }
+
+  struct Entry {
+    double weight;
+    std::uint32_t mask;
+    std::uint32_t column;
+  };
+  std::vector<std::vector<Entry>> lists(rows);
+  std::vector<bool> seen_mask(std::size_t{1} << rows, false);
+  for (std::uint32_t j : order) {
+    if (drop[j] || seen_mask[col_mask[j]]) continue;
+    seen_mask[col_mask[j]] = true;
+    for (std::size_t r : rows_of(problem, j)) {
+      lists[r].push_back({problem.column(j).weight, col_mask[j], j});
+    }
+  }
+
+  struct Memo {
+    const std::vector<std::vector<Entry>>& lists;
+    const support::Deadline& deadline;
+    std::vector<double> dp;
+    std::vector<std::uint32_t> choice;
+    std::size_t evaluated = 1;
+    bool expired = false;
+
+    double evaluate(std::size_t m, std::uint32_t& best_col) {
+      double best = kInf;
+      best_col = UINT32_MAX;
+      for (const Entry& e : lists[static_cast<std::size_t>(std::countr_zero(m))]) {
+        if (e.weight >= best) break;
+        const double rest = value(m & ~static_cast<std::size_t>(e.mask));
+        if (expired) return kInf;
+        if (rest + e.weight < best) {
+          best = rest + e.weight;
+          best_col = e.column;
+        }
+      }
+      return best;
+    }
+    double value(std::size_t m) {
+      if (!std::isnan(dp[m >> 1])) return dp[m >> 1];
+      if ((++evaluated & 0xFFF) == 0 && deadline.expired()) {
+        expired = true;
+        return kInf;
+      }
+      std::uint32_t col = UINT32_MAX;
+      const double v = evaluate(m, col);
+      if (expired) return kInf;
+      dp[m >> 1] = v;
+      choice[m >> 1] = col;
+      return v;
+    }
+  };
+
+  CoverSolution sol;
+  if (rows == 0) {
+    sol.optimal = true;
+    return sol;
+  }
+  const std::size_t half = std::size_t{1} << (rows - 1);
+  Memo memo{lists, deadline,
+            std::vector<double>(half, std::numeric_limits<double>::quiet_NaN()),
+            std::vector<std::uint32_t>(half, UINT32_MAX)};
+  memo.dp[0] = 0.0;
+  const std::size_t full = (std::size_t{1} << rows) - 1;
+  std::uint32_t root = UINT32_MAX;
+  const double cost = memo.evaluate(full, root);
+  sol.nodes_explored = memo.evaluated;
+  if (memo.expired) {
+    sol.cost = kInf;
+    sol.deadline_expired = true;
+    sol.stop = CoverStop::kDeadline;
+    return sol;
+  }
+  if (!std::isfinite(cost)) {
+    sol.cost = kInf;
+    return sol;
+  }
+  sol.cost = cost;
+  sol.optimal = true;
+  std::size_t m = full;
+  for (std::uint32_t j = root;; j = memo.choice[m >> 1]) {
+    sol.chosen.push_back(j);
+    m &= ~static_cast<std::size_t>(col_mask[j]);
+    if (m == 0) break;
+  }
+  std::sort(sol.chosen.begin(), sol.chosen.end());
+  return sol;
+}
+
+std::vector<detail::DpScan> supported_scans() {
+  std::vector<detail::DpScan> out;
+  for (const detail::DpScan scan :
+       {detail::DpScan::kPortable, detail::DpScan::kAvx2}) {
+    if (detail::dp_scan_supported(scan)) out.push_back(scan);
+  }
+  return out;
+}
+
+std::string scan_name(detail::DpScan scan) {
+  return scan == detail::DpScan::kAvx2 ? "avx2" : "portable";
+}
+
+/// random_dp_matrix plus, for every third column of two or more rows, a
+/// column whose masks agree with it on every row from its second-lowest up:
+/// its lowest row dropped, or moved one row down. So row lists hold entries
+/// with equal projections, at equal weight, at higher weight and (as the
+/// copy sorts first) at lower weight. Odd seeds also zero some weights.
+CoverProblem projection_dp_matrix(std::size_t rows, std::uint32_t seed) {
+  CoverProblem p = random_dp_matrix(rows, seed);
+  const std::size_t originals = p.num_columns();
+  for (std::size_t j = 0; j < originals; j += 3) {
+    std::vector<std::size_t> covered = rows_of(p, j);
+    if (covered.size() < 2) continue;
+    const double w = p.column(j).weight;
+    const std::size_t kind = (j / 3) % 3;
+    const double copy_weight = kind == 0 ? w : kind == 1 ? w + 1.0 : w / 2.0;
+    const std::size_t lowest = covered.front();
+    covered.erase(covered.begin());
+    p.add_column(covered, copy_weight);
+    if (lowest > 0) {
+      covered.insert(covered.begin(), lowest - 1);
+      p.add_column(covered, w);
+    }
+  }
+  if (seed % 2 == 1) {
+    CoverProblem zeroed(rows);
+    for (std::size_t j = 0; j < p.num_columns(); ++j) {
+      zeroed.add_column(rows_of(p, j), j % 11 == 4 ? 0.0 : p.column(j).weight);
+    }
+    return zeroed;
+  }
+  return p;
+}
+
+// The per-row projection and both scan bodies reproduce the unreduced
+// top-down scan on every seeded shape: the same cost bits, chosen columns,
+// stop reason and evaluated states.
+TEST(DenseDp, ProjectionAndScanBodiesMatchTopDownReference) {
+  std::vector<std::pair<std::size_t, std::uint32_t>> cases;
+  for (std::size_t rows = 1; rows <= 20; ++rows) {
+    for (std::uint32_t seed = 0; seed < 7; ++seed) cases.emplace_back(rows, seed);
+  }
+  cases.emplace_back(22, 1);
+  cases.emplace_back(24, 2);
+  ASSERT_EQ(cases.size(), 142u);
+  std::size_t projected = 0;
+  for (const auto& [rows, seed] : cases) {
+    for (const bool with_copies : {false, true}) {
+      const CoverProblem p = with_copies ? projection_dp_matrix(rows, seed)
+                                         : random_dp_matrix(rows, seed);
+      const CoverSolution ref = top_down_dp_reference(p);
+      for (const detail::DpScan scan : supported_scans()) {
+        const std::string what = std::to_string(rows) + " rows, seed " +
+                                 std::to_string(seed) +
+                                 (with_copies ? ", copies, " : ", ") +
+                                 scan_name(scan);
+        const CoverSolution got = detail::solve_dp_with(scan, p);
+        expect_same_solution(got, ref, what);
+        EXPECT_EQ(got.nodes_explored, ref.nodes_explored) << what;
+      }
+      projected += with_copies && ref.optimal;
+    }
+  }
+  EXPECT_GT(projected, 100u);
+}
+
+// Two columns that differ only below row 2 share row 2's projection: row
+// 2's list keeps the cheaper one, and the optimum and its columns are
+// those of the unreduced scan, at equal and at higher weight.
+TEST(DenseDp, EqualProjectionKeepsTheCheaperColumn) {
+  for (const double second : {4.0, 6.0}) {
+    CoverProblem p(4);
+    p.add_column({0}, 1.0);
+    p.add_column({1}, 1.0);
+    p.add_column({0, 2, 3}, 4.0);
+    p.add_column({1, 2, 3}, second);
+    p.add_column({2}, 3.0);
+    p.add_column({3}, 3.0);
+    const CoverSolution ref = top_down_dp_reference(p);
+    ASSERT_TRUE(ref.optimal);
+    EXPECT_DOUBLE_EQ(ref.cost, 5.0);
+    for (const detail::DpScan scan : supported_scans()) {
+      const CoverSolution got = detail::solve_dp_with(scan, p);
+      expect_same_solution(got, ref, scan_name(scan));
+      EXPECT_EQ(got.nodes_explored, ref.nodes_explored) << scan_name(scan);
+    }
+  }
+}
+
 /// A 20-row matrix whose recursion reaches well over 4096 states, so the
 /// deadline and the ucp.frontier fault are polled mid-evaluation.
 CoverProblem deep_dp_matrix() {
@@ -674,19 +907,42 @@ TEST(DenseDp, DeadlineAndFrontierFaultExits) {
   ASSERT_TRUE(full.optimal);
   ASSERT_GT(full.nodes_explored, 4096u);
 
-  // The first poll, at the 4096th evaluated state, sees the expiry -- the
-  // same state count the bottom-up sweep stops at.
-  const CoverSolution expired =
-      solve_dp(p, support::Deadline::expire_after_checks(0));
-  EXPECT_EQ(expired.stop, CoverStop::kDeadline);
-  EXPECT_TRUE(expired.deadline_expired);
-  EXPECT_FALSE(expired.optimal);
-  EXPECT_TRUE(std::isinf(expired.cost));
-  EXPECT_EQ(expired.nodes_explored, 4096u);
   const CoverSolution ref_expired =
       bottom_up_dp_reference(p, support::Deadline::expire_after_checks(0));
-  EXPECT_EQ(ref_expired.stop, expired.stop);
-  EXPECT_EQ(ref_expired.nodes_explored, expired.nodes_explored);
+  for (const detail::DpScan scan : supported_scans()) {
+    const std::string what = scan_name(scan);
+    expect_same_solution(detail::solve_dp_with(scan, p), full, what);
+    EXPECT_EQ(detail::solve_dp_with(scan, p).nodes_explored,
+              full.nodes_explored)
+        << what;
+
+    // The first poll, at the 4096th evaluated state, sees the expiry -- the
+    // same state count the bottom-up sweep stops at.
+    const CoverSolution expired = detail::solve_dp_with(
+        scan, p, support::Deadline::expire_after_checks(0));
+    EXPECT_EQ(expired.stop, CoverStop::kDeadline) << what;
+    EXPECT_TRUE(expired.deadline_expired) << what;
+    EXPECT_FALSE(expired.optimal) << what;
+    EXPECT_TRUE(std::isinf(expired.cost)) << what;
+    EXPECT_EQ(expired.nodes_explored, 4096u) << what;
+    EXPECT_EQ(ref_expired.stop, expired.stop) << what;
+    EXPECT_EQ(ref_expired.nodes_explored, expired.nodes_explored) << what;
+
+    // ucp.frontier on the DP itself: hit 1 is the up-front consultation,
+    // hit 2 the first poll.
+    for (const int hit : {1, 2}) {
+      auto plan =
+          support::FaultPlan::parse("ucp.frontier@" + std::to_string(hit));
+      ASSERT_TRUE(plan.ok());
+      support::FaultInjector injector(*plan);
+      const CoverSolution s = detail::solve_dp_with(
+          scan, p, {}, std::numeric_limits<std::size_t>::max(), &injector);
+      EXPECT_EQ(s.stop, CoverStop::kAborted) << what << hit;
+      EXPECT_TRUE(std::isinf(s.cost)) << what << hit;
+      EXPECT_EQ(s.nodes_explored, hit == 1 ? 0u : 4096u) << what << hit;
+      EXPECT_EQ(injector.total_fires(), 1u) << what << hit;
+    }
+  }
 
   // Through the dispatcher, an abandoned DP hands back the seeded fallback
   // with the DP's stop reason. Its own pre-check consumes the first poll.
