@@ -20,7 +20,9 @@
 // 10% optimality-gap acceptance bound, or (with --deadline-ms) degrades
 // past the incumbent rung, or an exact-path comparison finishes within its
 // deadline in under 10x the partitioned wall (partitioning would then not
-// earn its approximation) -- so CI can run this directly as a smoke gate.
+// earn its approximation), or an exact-path run overshoots its deadline by
+// more than 2x (a stretch of the exact path that does not poll it) -- so
+// CI can run this directly as a smoke gate.
 // The 1k-arc instance's cluster shape, stitched cost and lower bound are
 // pinned by KernelIdentity.PartitionedGeoWan1000Seed7.
 //
@@ -201,6 +203,13 @@ int main(int argc, char** argv) {
                      "FAIL geo_wan %zu arcs: exact path finished in %.1fms vs "
                      "partitioned %.1fms (< 10x, no timeout)\n",
                      arcs, exact_ms, row.millis);
+        ++failures;
+      }
+      if (exact_ms > 2.0 * budget_ms) {
+        std::fprintf(stderr,
+                     "FAIL geo_wan %zu arcs: exact path took %.1fms, over 2x "
+                     "its %.0fms deadline\n",
+                     arcs, exact_ms, budget_ms);
         ++failures;
       }
     }

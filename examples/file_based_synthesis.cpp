@@ -92,6 +92,7 @@
 // Exit codes (stable; see docs/robustness.md):
 //   0 success, 1 validation failure, 2 usage error, 3 parse error,
 //   4 invalid input, 5 deadline exceeded, 6 infeasible, 7 internal error.
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -114,7 +115,7 @@
 #include "support/trace.hpp"
 #include "synth/engine.hpp"
 #include "synth/synthesizer.hpp"
-#include "ucp/cover_solver.hpp"
+#include "ucp/bnb_options.hpp"
 
 namespace {
 
@@ -137,7 +138,7 @@ int usage(const char* argv0) {
          "  --partition-cluster-arcs N   target max arcs per cluster "
          "(default 24)\n"
          "  --cover-solver NAME   backend (" +
-             cdcs::ucp::registered_cover_solver_list() +
+             cdcs::ucp::cover_backend_list() +
              ")\n"
          "  --no-lagrangian    disable Lagrangian solver bounds\n"
          "  --no-rc-fixing     disable reduced-cost column fixing\n"
@@ -265,10 +266,10 @@ int run(int argc, char** argv, Observability& obs) {
           static_cast<std::size_t>(std::atoi(next().c_str()));
     } else if (arg == "--cover-solver") {
       const std::string v = next();
-      if (ucp::find_cover_solver(v) == nullptr) {
+      if (std::find(ucp::kCoverBackends.begin(), ucp::kCoverBackends.end(),
+                    v) == ucp::kCoverBackends.end()) {
         std::cerr << "unknown cover-solver backend '" << v
-                  << "' (registered: " << ucp::registered_cover_solver_list()
-                  << ")\n";
+                  << "' (registered: " << ucp::cover_backend_list() << ")\n";
         return usage(argv[0]);
       }
       options.solver.backend = v;

@@ -231,7 +231,7 @@ std::string describe_perf(const support::MetricsSnapshot& m,
      << " column(s) fixed by reduced cost\n";
 
   // Per-backend solve/node counters ("ucp.backend.<name>.solves"/".nodes"),
-  // emitted by solve_exact's registry dispatch. std::map keys keep the
+  // emitted by solve_exact for the backend it ran. std::map keys keep the
   // listing alphabetical, hence deterministic.
   {
     const std::string prefix = "ucp.backend.";

@@ -150,7 +150,7 @@ support::Expected<SynthesisResult> synthesize_partitioned(
           ? std::min(options.max_merge_k, kClusterMaxMergeK)
           : kClusterMaxMergeK;
   // Backend selection (solver.backend) rides along verbatim: each
-  // cluster's cover goes through solve_exact's registry dispatch, and the
+  // cluster's cover goes through solve_exact's backend dispatch, and the
   // default picks per cluster from its own row count.
   cluster_options.solver.warm_start.clear();
 
@@ -228,7 +228,10 @@ support::Expected<SynthesisResult> synthesize_partitioned(
     base += out.set.candidates.size();
     result.cover.cost += out.cover.cost;
     result.cover.nodes_explored += out.cover.nodes_explored;
-    result.cover.deadline_expired |= out.cover.deadline_expired;
+    // The stitched stop is the first cluster's that did not complete.
+    if (result.cover.stop == ucp::CoverStop::kCompleted) {
+      result.cover.stop = out.cover.stop;
+    }
     lower_bound_sum += out.degradation.lower_bound;
     worst = std::max(worst, out.degradation.stage);
   }

@@ -208,14 +208,16 @@ support::Expected<CoverOutcome> cover_and_ladder(
     }
   } else {
     // The solver produced nothing usable (deadline hit before any incumbent,
-    // or fault injection discarded it). Greedy cover next.
+    // or fault injection discarded it). Greedy cover next. Both rungs
+    // replace only the cover: the solver's stop reason, backend and node
+    // count still report what the solver did.
     ucp::CoverSolution greedy;
     if (!options.fault_injection.fires(support::fault_sites::kUcpGreedy)) {
       greedy = ucp::solve_greedy(cover);
     }
     if (!greedy.chosen.empty() && cover.covers_all(greedy.chosen)) {
-      result.cover = std::move(greedy);
-      result.cover.deadline_expired = true;
+      result.cover.chosen = std::move(greedy.chosen);
+      result.cover.cost = greedy.cost;
       deg.stage = SynthesisStage::kGreedy;
       deg.reason = "cover solver returned no usable incumbent; greedy cover";
     } else {
@@ -226,17 +228,16 @@ support::Expected<CoverOutcome> cover_and_ladder(
         return support::Status::Internal(
             "point-to-point fallback: candidate set is missing singletons");
       }
-      result.cover = ucp::CoverSolution{};
       result.cover.chosen.resize(num_rows);
       std::iota(result.cover.chosen.begin(), result.cover.chosen.end(),
                 std::size_t{0});
       result.cover.cost = cover.cost_of(result.cover.chosen);
-      result.cover.deadline_expired = true;
       deg.stage = SynthesisStage::kPointToPoint;
       deg.reason =
           "no usable incumbent and no greedy cover; every arc implemented "
           "point-to-point";
     }
+    result.cover.optimal = false;
     result.cover.lower_bound = deg.lower_bound;
   }
   // For exact runs the bound equals the achieved cost, so the gap is 0

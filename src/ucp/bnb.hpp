@@ -47,21 +47,12 @@ namespace cdcs::ucp {
 /// Non-optimal exits report the Lagrangian root bound (fallback:
 /// independent-rows bound) in CoverSolution::lower_bound.
 ///
-/// Runs the backend `options.backend` names (ucp/cover_solver.hpp); empty
-/// means dense_dp up to kDefaultDenseDpRows rows and bnb_v2 above.
-/// Throws std::invalid_argument for unknown names or a named backend that
-/// cannot handle the instance (e.g. dense_dp above kDenseDpMaxRows rows).
-/// Defined with the registry in ucp/cover_solver.cpp.
+/// Runs the backend `options.backend` names (kCoverBackends): "dense_dp" is
+/// solve_dp (ucp/dp.hpp) with the greedy seed as its fallback, "bnb_v2" the
+/// branch-and-bound above; empty means dense_dp up to kDefaultDenseDpRows
+/// rows and bnb_v2 above. Throws std::invalid_argument for an unknown name
+/// or for dense_dp named above kDenseDpMaxRows rows.
 CoverSolution solve_exact(const CoverProblem& problem,
                           const BnbOptions& options = {});
-
-namespace detail {
-/// The bnb_v2 engine: serial depth-first branch-and-bound. `lower_bound`
-/// holds the bound established at the root node (0 when the root was never
-/// evaluated); solve_exact turns it into the reported bound. Internal:
-/// callers go through solve_exact.
-CoverSolution solve_serial_bnb(const CoverProblem& problem,
-                               const BnbOptions& options);
-}  // namespace detail
 
 }  // namespace cdcs::ucp

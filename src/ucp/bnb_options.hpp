@@ -3,8 +3,10 @@
 // session engines, CLI flag parsing) need not see the solver itself.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/deadline.hpp"
@@ -15,7 +17,29 @@ class FaultInjector;
 
 namespace cdcs::ucp {
 
-/// Column dominance is O(columns^2); beyond this depth it is skipped.
+/// The cover-solver backends BnbOptions::backend can name, in the order
+/// --help, diagnostics and the backend matrix tests list them: the exact
+/// subset DP (ucp/dp.hpp, at most kDenseDpMaxRows rows) and the depth-first
+/// branch-and-bound (ucp/bnb.hpp).
+inline constexpr std::array<std::string_view, 2> kCoverBackends = {
+    "dense_dp", "bnb_v2"};
+
+/// kCoverBackends joined for diagnostics: "dense_dp, bnb_v2".
+inline std::string cover_backend_list() {
+  std::string joined;
+  for (std::string_view name : kCoverBackends) {
+    if (!joined.empty()) joined += ", ";
+    joined += name;
+  }
+  return joined;
+}
+
+/// Row count up to which an empty BnbOptions::backend runs dense_dp instead
+/// of bnb_v2.
+inline constexpr std::size_t kDefaultDenseDpRows = 20;
+
+/// Column dominance is O(columns^2); beyond this depth it is skipped, and
+/// within it the deadline is polled once per available column.
 inline constexpr int kColumnDominanceMaxDepth = 4;
 /// Subgradient iterations at the root (where the bound pays for the whole
 /// tree) and at interior nodes (warm-started from the parent, so a few
@@ -27,10 +51,10 @@ inline constexpr std::size_t kReducedCostFixingPeriod = 64;
 
 struct BnbOptions {
   std::size_t max_nodes = 10'000'000;
-  /// Wall-clock budget (plus cooperative cancellation); polled once per
-  /// branch node and periodically inside the dense DP. On expiry the best
-  /// incumbent so far is returned with `optimal = false` and
-  /// `deadline_expired = true`.
+  /// Wall-clock budget; polled once per branch node (and per column of the
+  /// column-dominance pass) and periodically inside the dense DP. On expiry
+  /// the best incumbent so far is returned with `optimal = false` and
+  /// `stop = kDeadline`.
   support::Deadline deadline;
   bool use_row_dominance = true;
   bool use_column_dominance = true;
@@ -60,11 +84,11 @@ struct BnbOptions {
   /// last-resort upper bound already in hand.
   std::vector<std::size_t> warm_start;
 
-  /// The cover-solver backend (ucp/cover_solver.hpp), the one solver
-  /// selector: "dense_dp" (exact subset DP, at most kDenseDpMaxRows rows)
-  /// or "bnb_v2" (depth-first branch-and-bound). Empty (the default) runs
-  /// dense_dp up to kDefaultDenseDpRows rows and bnb_v2 above. Unknown
-  /// names throw std::invalid_argument.
+  /// The cover-solver backend, the one solver selector: one of
+  /// kCoverBackends, "dense_dp" (exact subset DP, at most kDenseDpMaxRows
+  /// rows) or "bnb_v2" (depth-first branch-and-bound). Empty (the default)
+  /// runs dense_dp up to kDefaultDenseDpRows rows and bnb_v2 above.
+  /// solve_exact throws std::invalid_argument for any other name.
   std::string backend;
 };
 

@@ -71,7 +71,7 @@ class CoverProblem {
 enum class CoverStop {
   kCompleted,   ///< search finished; `optimal` is the proof
   kNodeBudget,  ///< BnbOptions::max_nodes exhausted
-  kDeadline,    ///< wall-clock deadline expired (deadline_expired mirrors)
+  kDeadline,    ///< wall-clock deadline expired
   kAborted,     ///< injected fault ("ucp.frontier") killed the solve
 };
 
@@ -90,20 +90,11 @@ struct CoverSolution {
   /// falling back to the independent-rows bound. Lets callers report an
   /// honest optimality gap for incumbents returned under a budget.
   double lower_bound{0.0};
-  /// True when the solver stopped because its wall-clock deadline expired
-  /// (as opposed to completing or exhausting the node budget).
-  bool deadline_expired{false};
   /// Why the search stopped (kCompleted unless a budget cut it short).
   CoverStop stop{CoverStop::kCompleted};
-  /// Registry name of the backend that produced this solution
-  /// (ucp/cover_solver.hpp): "dense_dp" or "bnb_v2".
+  /// The backend that produced this solution (kCoverBackends in
+  /// ucp/bnb_options.hpp): "dense_dp" or "bnb_v2".
   std::string backend;
-  /// Instance features, stamped by solve_exact on every solve so downstream
-  /// consumers (reports, bench/suite) can read rows x cols x density
-  /// without re-deriving them.
-  std::size_t rows{0};
-  std::size_t cols{0};
-  double density{0.0};
 };
 
 /// Honest relative optimality gap (achieved - lower_bound) / lower_bound:

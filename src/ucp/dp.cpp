@@ -359,7 +359,6 @@ CoverSolution solve_dp_with(DpScan scan, const CoverProblem& problem,
   sol.nodes_explored = dp.evaluated();
   if (dp.stop() != CoverStop::kCompleted) {
     sol.cost = kInf;
-    sol.deadline_expired = dp.stop() == CoverStop::kDeadline;
     sol.stop = dp.stop();
     return sol;
   }

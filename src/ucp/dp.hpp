@@ -32,8 +32,8 @@
 //
 // Neither changes a cost bit, a chosen column, nodes_explored or the
 // states at which the deadline is polled (docs/performance.md §17).
-// This is the dense_dp backend (ucp/cover_solver.hpp), which solve_exact()
-// runs by default up to kDefaultDenseDpRows rows.
+// This is the dense_dp backend, which solve_exact() (ucp/bnb.hpp) runs by
+// default up to kDefaultDenseDpRows rows.
 #pragma once
 
 #include <cstddef>
@@ -61,8 +61,8 @@ inline constexpr std::size_t kDenseDpMaxRows = 24;
 /// rows' cheapest singletons; cost bits and chosen columns are those of the
 /// full bottom-up table over the unreduced matrix.
 /// The deadline is polled every 4096 evaluated states; on expiry the DP
-/// abandons the table and returns an empty solution flagged
-/// `deadline_expired` (the caller falls back to the greedy incumbent).
+/// abandons the table and returns an empty solution with stop = kDeadline
+/// (solve_exact falls back to the greedy incumbent).
 /// `max_states` is the DP's share of the caller's node budget: when the
 /// states the recursion can reach (2^(R-1)) outnumber it, the solve is
 /// refused up front (stop = kNodeBudget, zero work done) rather than

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 namespace cdcs::ucp {
 
@@ -36,6 +37,26 @@ CoverSolution solve_greedy(const CoverProblem& problem) {
   std::sort(sol.chosen.begin(), sol.chosen.end());
   sol.cost = problem.cost_of(sol.chosen);
   return sol;
+}
+
+double seed_incumbent(const CoverProblem& problem,
+                      const std::vector<std::size_t>& warm_start,
+                      std::vector<std::size_t>& best) {
+  const CoverSolution greedy = solve_greedy(problem);
+  double best_cost = greedy.cost;
+  best = greedy.chosen;
+  if (warm_start.empty()) return best_cost;
+  std::vector<std::size_t> warm = warm_start;
+  std::sort(warm.begin(), warm.end());
+  warm.erase(std::unique(warm.begin(), warm.end()), warm.end());
+  if (warm.back() >= problem.num_columns()) return best_cost;
+  if (!problem.covers_all(warm)) return best_cost;
+  const double warm_cost = problem.cost_of(warm);
+  if (warm_cost < best_cost) {
+    best_cost = warm_cost;
+    best = std::move(warm);
+  }
+  return best_cost;
 }
 
 }  // namespace cdcs::ucp

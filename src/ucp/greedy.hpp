@@ -4,6 +4,9 @@
 // heuristic baseline in the UCP benchmark.
 #pragma once
 
+#include <cstddef>
+#include <vector>
+
 #include "ucp/cover.hpp"
 
 namespace cdcs::ucp {
@@ -11,5 +14,12 @@ namespace cdcs::ucp {
 /// Returns a feasible cover, or an empty solution with cost = +infinity when
 /// the problem itself is infeasible. `optimal` is always false.
 CoverSolution solve_greedy(const CoverProblem& problem);
+
+/// The incumbent both exact engines start from (bnb_v2) or fall back to
+/// (an abandoned dense DP): the greedy cover, replaced by `warm_start` when
+/// that is a valid, cheaper cover. Fills `best` and returns its cost.
+double seed_incumbent(const CoverProblem& problem,
+                      const std::vector<std::size_t>& warm_start,
+                      std::vector<std::size_t>& best);
 
 }  // namespace cdcs::ucp

@@ -4,12 +4,19 @@
 #include <cmath>
 #include <limits>
 
-#include "ucp/greedy.hpp"
-
 namespace cdcs::ucp {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Held--Karp step t = scale * (upper_bound - L) / ||g||^2. The scale starts
+/// at kInitialStepScale, is multiplied by kStepDecay after kStallLimit
+/// non-improving iterations, and the ascent stops once it decays below
+/// kMinStepScale.
+constexpr double kInitialStepScale = 2.0;
+constexpr double kStepDecay = 0.5;
+constexpr std::size_t kStallLimit = 8;
+constexpr double kMinStepScale = 1e-3;
 
 /// Columns worth scanning each iteration: available AND touching at least
 /// one uncovered row (others contribute rc_j = w_j >= 0, i.e. nothing).
@@ -48,8 +55,7 @@ std::vector<double> mis_multipliers(const CoverProblem& problem,
 LagrangianBound subgradient_bound(const CoverProblem& problem,
                                   const Bitset& uncovered,
                                   const Bitset& available,
-                                  double upper_bound,
-                                  const SubgradientOptions& options,
+                                  double upper_bound, std::size_t iterations,
                                   const std::vector<double>* warm_start) {
   LagrangianBound out;
   out.multipliers.assign(problem.num_rows(), 0.0);
@@ -72,10 +78,10 @@ LagrangianBound subgradient_bound(const CoverProblem& problem,
   std::vector<double> rc(cols.size(), 0.0);
   std::vector<double> grad(problem.num_rows(), 0.0);
   out.bound = -kInf;
-  double scale = options.initial_step_scale;
+  double scale = kInitialStepScale;
   std::size_t stall = 0;
 
-  for (std::size_t it = 0; it < options.max_iterations; ++it) {
+  for (std::size_t it = 0; it < iterations; ++it) {
     ++out.iterations;
 
     // Evaluate L(lambda): reduced costs, dual value, and the subgradient
@@ -102,10 +108,10 @@ LagrangianBound subgradient_bound(const CoverProblem& problem,
         out.reduced_costs[cols[c]] = rc[c];
       }
       stall = 0;
-    } else if (++stall >= options.stall_limit) {
-      scale *= options.step_decay;
+    } else if (++stall >= kStallLimit) {
+      scale *= kStepDecay;
       stall = 0;
-      if (scale < options.min_step_scale) break;
+      if (scale < kMinStepScale) break;
     }
 
     // The bound already proves the incumbent unbeatable; the caller prunes.
@@ -129,8 +135,8 @@ LagrangianBound subgradient_bound(const CoverProblem& problem,
   return out;
 }
 
-double lagrangian_root_bound(const CoverProblem& problem,
-                             const SubgradientOptions& options) {
+double lagrangian_root_bound(const CoverProblem& problem, double upper_bound,
+                             std::size_t iterations) {
   if (problem.num_rows() == 0) return 0.0;
   Bitset uncovered(problem.num_rows());
   uncovered.set_all();
@@ -138,9 +144,8 @@ double lagrangian_root_bound(const CoverProblem& problem,
   available.set_all();
 
   const double mis = independent_rows_lower_bound(problem);
-  const CoverSolution greedy = solve_greedy(problem);
   const LagrangianBound lagr = subgradient_bound(
-      problem, uncovered, available, greedy.cost, options, nullptr);
+      problem, uncovered, available, upper_bound, iterations);
   return std::max(mis, lagr.bound);
 }
 

@@ -29,22 +29,12 @@
 //     losing ANY optimal cover (ucp/bnb.cpp).
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "ucp/cover.hpp"
 
 namespace cdcs::ucp {
-
-struct SubgradientOptions {
-  std::size_t max_iterations = 100;
-  /// Held--Karp step: t = scale * (upper_bound - L) / ||g||^2.
-  double initial_step_scale = 2.0;
-  /// Multiply the scale by this after `stall_limit` non-improving iterations.
-  double step_decay = 0.5;
-  std::size_t stall_limit = 8;
-  /// Stop once the scale decays below this.
-  double min_step_scale = 1e-3;
-};
 
 /// Outcome of one subgradient ascent on a covering subproblem.
 struct LagrangianBound {
@@ -69,9 +59,10 @@ std::vector<double> mis_multipliers(const CoverProblem& problem,
                                     const Bitset& available);
 
 /// Maximizes L(lambda) over the subproblem (uncovered, available) by
-/// projected subgradient ascent. `upper_bound` is the incumbent cost of the
-/// SUBPROBLEM (global incumbent minus the cost already committed on the
-/// path); it sizes the steps and allows early exit once L proves the
+/// projected subgradient ascent of at most `iterations` steps (the Held--Karp
+/// step schedule is fixed in lagrangian.cpp). `upper_bound` is the incumbent
+/// cost of the SUBPROBLEM (global incumbent minus the cost already committed
+/// on the path); it sizes the steps and allows early exit once L proves the
 /// incumbent unbeatable. Starts from `warm_start` multipliers when given
 /// (clamped to >= 0, restricted to uncovered rows), else from
 /// mis_multipliers -- so the returned bound is always >= the MIS bound when
@@ -79,15 +70,15 @@ std::vector<double> mis_multipliers(const CoverProblem& problem,
 LagrangianBound subgradient_bound(const CoverProblem& problem,
                                   const Bitset& uncovered,
                                   const Bitset& available,
-                                  double upper_bound,
-                                  const SubgradientOptions& options = {},
+                                  double upper_bound, std::size_t iterations,
                                   const std::vector<double>* warm_start = nullptr);
 
 /// Root lower bound on the full problem: max(independent-rows bound,
-/// subgradient bound seeded from it), using a greedy cover as the upper
-/// bound. This is what degraded (deadline/budget) runs report as
-/// CoverSolution::lower_bound so callers get an honest optimality gap.
-double lagrangian_root_bound(const CoverProblem& problem,
-                             const SubgradientOptions& options = {});
+/// subgradient bound seeded from it), with `upper_bound` (the cost of a
+/// known cover) sizing the steps. This is what degraded (deadline/budget)
+/// runs report as CoverSolution::lower_bound so callers get an honest
+/// optimality gap; solve_exact passes its incumbent's cost.
+double lagrangian_root_bound(const CoverProblem& problem, double upper_bound,
+                             std::size_t iterations);
 
 }  // namespace cdcs::ucp

@@ -3,8 +3,8 @@
 // so every word-parallel operation is pinned against the obvious per-bit
 // definition at sizes that straddle the 64-bit word edge (63/64/65/128),
 // with particular attention to the trailing-word mask. Also pins the
-// CoverProblem::row_cover lazy transpose, which the NodeEvaluator warms
-// once and then reads concurrently.
+// CoverProblem::row_cover lazy transpose, which the branch-and-bound warms
+// once per solve and then only reads.
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -186,7 +186,7 @@ TEST(BitsetBoundary, EqualityComparesTheMaskedRepresentation) {
   }
 }
 
-// The lazy transpose the solvers (and the parallel NodeEvaluator warm-up)
+// The lazy transpose the solvers (and the branch-and-bound's warm-up)
 // depend on: row_cover(r) lists exactly the columns covering r, and the
 // cache rebuilds after add_column invalidates it.
 TEST(BitsetBoundary, RowCoverTransposeTracksMutation) {

@@ -1,19 +1,21 @@
-// The cover-solver backend registry (ucp/cover_solver.hpp): registry
-// surface, byte-identity of the default dispatch with the backend it
-// picks, and the CoverStop contract across every backend.
+// The two cover-solver backends behind solve_exact (kCoverBackends in
+// ucp/bnb_options.hpp): the name list and its errors, byte-identity of the
+// default dispatch with the backend it picks, and the CoverStop contract
+// across both backends.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cover_corpus.hpp"
 #include "support/deadline.hpp"
 #include "support/fault.hpp"
 #include "ucp/bnb.hpp"
-#include "ucp/cover_solver.hpp"
+#include "ucp/dp.hpp"
 
 namespace {
 
@@ -32,38 +34,35 @@ BnbOptions backend_options(const std::string& name) {
 
 
 TEST(CoverSolverRegistry, FixedPriorityOrder) {
-  const std::vector<std::string> names = ucp::registered_cover_solver_names();
+  const std::vector<std::string> names(ucp::kCoverBackends.begin(),
+                                       ucp::kCoverBackends.end());
   const std::vector<std::string> expected = {"dense_dp", "bnb_v2"};
   EXPECT_EQ(names, expected);
+  EXPECT_EQ(ucp::cover_backend_list(), "dense_dp, bnb_v2");
+  const CoverProblem p = corpus_problem(10, 30, 0.30, 101);
   for (const std::string& n : names) {
-    const ucp::CoverSolver* s = ucp::find_cover_solver(n);
-    ASSERT_NE(s, nullptr) << n;
-    EXPECT_EQ(s->name(), n);
+    EXPECT_EQ(ucp::solve_exact(p, backend_options(n)).backend, n);
   }
-  EXPECT_EQ(ucp::find_cover_solver("no_such_backend"), nullptr);
-  EXPECT_EQ(ucp::registered_cover_solver_list(), "dense_dp, bnb_v2");
 }
 
 TEST(CoverSolverRegistry, UnknownOrInapplicableBackendThrows) {
+  const auto message = [](const CoverProblem& p, const std::string& name) {
+    try {
+      ucp::solve_exact(p, backend_options(name));
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
   const CoverProblem small = corpus_problem(10, 30, 0.30, 101);
-  EXPECT_THROW(ucp::solve_exact(small, backend_options("no_such_backend")),
-               std::invalid_argument);
+  EXPECT_EQ(message(small, "no_such_backend"),
+            "unknown cover-solver backend 'no_such_backend' (registered: "
+            "dense_dp, bnb_v2)");
   // dense_dp is structurally limited to kDenseDpMaxRows rows.
   const CoverProblem wide = corpus_problem(30, 90, 0.20, 131);
-  EXPECT_FALSE(ucp::find_cover_solver("dense_dp")->applicable(wide));
-  EXPECT_THROW(ucp::solve_exact(wide, backend_options("dense_dp")),
-               std::invalid_argument);
-}
-
-TEST(CoverSolverRegistry, SolutionCarriesInstanceFeatures) {
-  const CoverProblem p = corpus_problem(10, 30, 0.30, 101);
-  const CoverSolution s = ucp::solve_exact(p, backend_options("bnb_v2"));
-  EXPECT_EQ(s.backend, "bnb_v2");
-  EXPECT_EQ(s.rows, 10u);
-  EXPECT_EQ(s.cols, 40u);  // 30 random columns + 10 singletons
-  EXPECT_GT(s.density, 0.0);
-  EXPECT_LE(s.density, 1.0);
-  EXPECT_DOUBLE_EQ(s.density, ucp::cover_density(p));
+  ASSERT_GT(wide.num_rows(), ucp::kDenseDpMaxRows);
+  EXPECT_EQ(message(wide, "dense_dp"),
+            "cover-solver backend 'dense_dp' cannot handle a 30x120 instance");
 }
 
 // Every backend proves the same optimal cost on the corpus, including the
@@ -99,21 +98,20 @@ TEST(CoverSolverMatrix, AllBackendsProveEqualCost) {
     if (c.cost > 0) {
       EXPECT_NEAR(reference.cost, c.cost, 1e-6) << c.rows << "x" << c.cols;
     }
-    for (const ucp::CoverSolver* solver : ucp::registered_cover_solvers()) {
-      if (!solver->applicable(p)) continue;
+    for (const std::string_view name : ucp::kCoverBackends) {
       const CoverSolution s =
-          ucp::solve_exact(p, backend_options(std::string(solver->name())));
-      EXPECT_TRUE(s.optimal) << solver->name();
+          ucp::solve_exact(p, backend_options(std::string(name)));
+      EXPECT_TRUE(s.optimal) << name;
       EXPECT_NEAR(s.cost, reference.cost, 1e-9)
-          << solver->name() << " on " << c.rows << "x" << c.cols;
-      EXPECT_DOUBLE_EQ(s.lower_bound, s.cost) << solver->name();
-      EXPECT_TRUE(p.covers_all(s.chosen)) << solver->name();
-      EXPECT_EQ(s.backend, solver->name());
+          << name << " on " << c.rows << "x" << c.cols;
+      EXPECT_DOUBLE_EQ(s.lower_bound, s.cost) << name;
+      EXPECT_TRUE(p.covers_all(s.chosen)) << name;
+      EXPECT_EQ(s.backend, name);
       const std::size_t max_nodes =
-          solver->name() == "dense_dp" ? c.dense_dp_nodes : c.bnb_v2_nodes;
+          name == "dense_dp" ? c.dense_dp_nodes : c.bnb_v2_nodes;
       if (max_nodes > 0) {
         EXPECT_LE(s.nodes_explored, max_nodes)
-            << solver->name() << " on " << c.rows << "x" << c.cols;
+            << name << " on " << c.rows << "x" << c.cols;
       }
     }
   }
@@ -180,29 +178,45 @@ TEST(CoverSolverMatrix, DenseDpSolves24RowsWithinDefaultBudget) {
 TEST(CoverStopContract, DeadlineStopsEveryBackend) {
   const CoverProblem p = corpus_problem(15, 60, 0.25, 106);
   const double optimum = ucp::solve_exact(p, {}).cost;
-  for (const std::string& name : ucp::registered_cover_solver_names()) {
-    BnbOptions o = backend_options(name);
+  for (const std::string_view name : ucp::kCoverBackends) {
+    BnbOptions o = backend_options(std::string(name));
     o.deadline = support::Deadline::expire_after_checks(0);
     const CoverSolution s = ucp::solve_exact(p, o);
     EXPECT_FALSE(s.optimal) << name;
     EXPECT_EQ(s.stop, CoverStop::kDeadline) << name;
-    EXPECT_TRUE(s.deadline_expired) << name;
     EXPECT_TRUE(p.covers_all(s.chosen)) << name;  // incumbent survives
     EXPECT_GT(s.lower_bound, 0.0) << name;
     EXPECT_LE(s.lower_bound, optimum + 1e-9) << name;
   }
 }
 
+// The root's column-dominance pass is O(columns^2), so it polls the
+// deadline once per available column. A budget that runs out inside that
+// pass ends the solve there -- stop kDeadline, not optimal, one node, the
+// seeded incumbent intact -- instead of reading as a pruned branch. Without
+// the poll the same 61-poll budget outlasts the whole 30-node search.
+TEST(CoverStopContract, DeadlineInsideRootColumnDominanceStopsBnbV2) {
+  const CoverProblem p = corpus_problem(22, 150, 0.2, 320);
+  BnbOptions o = backend_options("bnb_v2");
+  o.deadline = support::Deadline::expire_after_checks(60);
+  const CoverSolution s = ucp::solve_exact(p, o);
+  EXPECT_EQ(s.stop, CoverStop::kDeadline);
+  EXPECT_FALSE(s.optimal);
+  EXPECT_EQ(s.nodes_explored, 1u);
+  EXPECT_TRUE(p.covers_all(s.chosen));
+  EXPECT_GT(s.lower_bound, 0.0);
+  EXPECT_LE(s.lower_bound, s.cost);
+}
+
 TEST(CoverStopContract, NodeBudgetStopsEveryBackend) {
   const CoverProblem p = corpus_problem(15, 60, 0.25, 106);
   const double optimum = ucp::solve_exact(p, {}).cost;
-  for (const std::string& name : ucp::registered_cover_solver_names()) {
-    BnbOptions o = backend_options(name);
+  for (const std::string_view name : ucp::kCoverBackends) {
+    BnbOptions o = backend_options(std::string(name));
     o.max_nodes = 1;
     const CoverSolution s = ucp::solve_exact(p, o);
     EXPECT_FALSE(s.optimal) << name;
     EXPECT_EQ(s.stop, CoverStop::kNodeBudget) << name;
-    EXPECT_FALSE(s.deadline_expired) << name;
     EXPECT_TRUE(p.covers_all(s.chosen)) << name;
     EXPECT_GE(s.lower_bound, 0.0) << name;
     EXPECT_LE(s.lower_bound, optimum + 1e-9) << name;
@@ -211,11 +225,11 @@ TEST(CoverStopContract, NodeBudgetStopsEveryBackend) {
 
 TEST(CoverStopContract, InjectedFaultAbortsEveryBackend) {
   const CoverProblem p = corpus_problem(15, 60, 0.25, 106);
-  for (const std::string& name : ucp::registered_cover_solver_names()) {
+  for (const std::string_view name : ucp::kCoverBackends) {
     auto plan = support::FaultPlan::parse("ucp.frontier@1");
     ASSERT_TRUE(plan.ok());
     support::FaultInjector injector(*plan);
-    BnbOptions o = backend_options(name);
+    BnbOptions o = backend_options(std::string(name));
     o.fault_injector = &injector;
     const CoverSolution s = ucp::solve_exact(p, o);
     EXPECT_FALSE(s.optimal) << name;

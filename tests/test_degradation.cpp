@@ -68,7 +68,7 @@ TEST(Degradation, ExpiredSolverDeadlineFallsToIncumbent) {
   EXPECT_TRUE(result.degradation.degraded());
   EXPECT_NE(result.degradation.reason.find("deadline"), std::string::npos)
       << result.degradation.reason;
-  EXPECT_TRUE(result.cover.deadline_expired);
+  EXPECT_EQ(result.cover.stop, ucp::CoverStop::kDeadline);
   // Still a valid implementation, at most as good as the exact optimum,
   // with a bound-relative gap the caller can act on.
   EXPECT_TRUE(result.validation.ok());
@@ -120,6 +120,37 @@ TEST(Degradation, DroppedIncumbentFallsToGreedy) {
   EXPECT_TRUE(result.validation.ok());
   EXPECT_GE(result.total_cost, exact_cost(w) - 1e-6);
   EXPECT_GE(result.degradation.optimality_gap, 0.0);
+}
+
+// The rungs past the solver replace only the cover: the solver's stop
+// reason, backend and node count still report what the solver did.
+TEST(Degradation, GreedyRungKeepsTheSolverStop) {
+  Wan w;
+  SynthesisOptions opts;
+  arm(opts, "ucp.solve@1;ucp.incumbent@1");
+  const SynthesisResult result =
+      synth::synthesize(w.cg, w.lib, opts).value();
+  EXPECT_EQ(result.degradation.stage, SynthesisStage::kGreedy);
+  EXPECT_EQ(result.cover.stop, ucp::CoverStop::kDeadline);
+  EXPECT_EQ(result.cover.backend, "dense_dp");
+  EXPECT_EQ(result.cover.nodes_explored, 0u);  // the DP never started
+  EXPECT_FALSE(result.cover.optimal);
+  EXPECT_TRUE(result.validation.ok());
+}
+
+TEST(Degradation, PointToPointRungKeepsTheSolverNodeCount) {
+  Wan w;
+  const SynthesisResult exact = synth::synthesize(w.cg, w.lib).value();
+  ASSERT_GT(exact.cover.nodes_explored, 0u);
+  SynthesisOptions opts;
+  arm(opts, "ucp.incumbent@1;ucp.greedy@1");
+  const SynthesisResult result =
+      synth::synthesize(w.cg, w.lib, opts).value();
+  EXPECT_EQ(result.degradation.stage, SynthesisStage::kPointToPoint);
+  EXPECT_EQ(result.cover.stop, ucp::CoverStop::kCompleted);
+  EXPECT_EQ(result.cover.backend, "dense_dp");
+  EXPECT_EQ(result.cover.nodes_explored, exact.cover.nodes_explored);
+  EXPECT_FALSE(result.cover.optimal);
 }
 
 TEST(Degradation, LastRungIsPointToPoint) {

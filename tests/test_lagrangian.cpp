@@ -52,7 +52,7 @@ TEST(Lagrangian, BoundHierarchyOnRandomInstances) {
     ASSERT_TRUE(opt.optimal);
 
     const double mis = independent_rows_lower_bound(p);
-    const double lagr = lagrangian_root_bound(p);
+    const double lagr = lagrangian_root_bound(p, solve_greedy(p).cost, 100);
 
     EXPECT_GE(mis, 0.0);
     EXPECT_GE(lagr, mis - 1e-9) << "seed " << seed;
@@ -73,7 +73,7 @@ TEST(Lagrangian, ReportedBoundMatchesItsMultipliers) {
 
   const CoverSolution greedy = solve_greedy(p);
   const LagrangianBound lb =
-      subgradient_bound(p, uncovered, available, greedy.cost);
+      subgradient_bound(p, uncovered, available, greedy.cost, 100);
   for (double m : lb.multipliers) EXPECT_GE(m, 0.0);
   EXPECT_NEAR(dual_value(p, lb.multipliers), lb.bound, 1e-9);
 }
@@ -128,7 +128,7 @@ TEST(Lagrangian, FixingPreservesEveryOptimalCover) {
     Bitset available(p.num_columns());
     available.set_all();
     const LagrangianBound lagr =
-        subgradient_bound(p, uncovered, available, opt.cost);
+        subgradient_bound(p, uncovered, available, opt.cost, 100);
 
     // The fixing rule from ucp/bnb.cpp, with the optimum as incumbent.
     for (std::size_t j = 0; j < p.num_columns(); ++j) {
@@ -158,7 +158,7 @@ TEST(Lagrangian, DeadlineExpiryReportsRootBound) {
   const CoverSolution s = solve_exact(p, opt);
 
   EXPECT_FALSE(s.optimal);
-  EXPECT_TRUE(s.deadline_expired);
+  EXPECT_EQ(s.stop, CoverStop::kDeadline);
   EXPECT_GE(s.lower_bound, independent_rows_lower_bound(p) - 1e-9);
   EXPECT_GT(s.lower_bound, 0.0);
   // The bound must be valid: never above the cost of the returned cover.
@@ -170,7 +170,7 @@ TEST(Lagrangian, DeadlineExpiryReportsRootBound) {
   dp_opt.deadline = support::Deadline::expire_after_checks(0);
   const CoverSolution d = solve_exact(small, dp_opt);
   EXPECT_FALSE(d.optimal);
-  EXPECT_TRUE(d.deadline_expired);
+  EXPECT_EQ(d.stop, CoverStop::kDeadline);
   EXPECT_GE(d.lower_bound, independent_rows_lower_bound(small) - 1e-9);
   EXPECT_GT(d.lower_bound, 0.0);
   EXPECT_LE(d.lower_bound, d.cost + 1e-9);

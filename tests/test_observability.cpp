@@ -32,7 +32,7 @@
 #include "synth/engine.hpp"
 #include "synth/synthesizer.hpp"
 #include "ucp/bnb.hpp"
-#include "ucp/cover_solver.hpp"
+#include "ucp/bnb_options.hpp"
 #include "workloads/mpeg4_soc.hpp"
 #include "workloads/noc_mesh.hpp"
 #include "workloads/wan2002.hpp"
@@ -269,7 +269,7 @@ TEST(TraceSchema, CoverEnginesHaveTheirOwnSpans) {
   const std::set<std::string> automatic = span_names({});
   EXPECT_EQ(automatic.count("ucp.dense_dp"), 1u);
   EXPECT_EQ(automatic.count("ucp.bnb"), 0u);
-  for (const std::string& backend : ucp::registered_cover_solver_names()) {
+  for (const std::string_view backend : ucp::kCoverBackends) {
     ucp::BnbOptions named;
     named.backend = backend;
     const std::set<std::string> names = span_names(named);

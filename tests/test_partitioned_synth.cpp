@@ -15,11 +15,13 @@
 //     1, 2, and 8 worker threads (this suite also runs under TSan in CI).
 #include <cmath>
 #include <cstdint>
+#include <memory>
 
 #include <gtest/gtest.h>
 
 #include "baseline/baselines.hpp"
 #include "commlib/standard_libraries.hpp"
+#include "support/fault.hpp"
 #include "support/metrics.hpp"
 #include "synth/partitioned_synthesizer.hpp"
 #include "synth/synthesizer.hpp"
@@ -141,6 +143,28 @@ TEST(PartitionedSynth, DegradedRunsCountOnlyDegradedClusters) {
   const SynthesisResult expired = synthesize(cg, lib, opts).value();
   EXPECT_TRUE(expired.validation.ok());
   EXPECT_GE(degraded.value(), before_expired + 1);
+}
+
+// The stitched cover's stop is the first cluster stop that is not
+// kCompleted, so a deadline that cut one cluster's solve short shows.
+TEST(PartitionedSynth, StitchedStopReportsAClusterDeadline) {
+  const model::ConstraintGraph cg = workloads::wan2002();
+  const commlib::Library lib = commlib::wan_library();
+  SynthesisOptions opts;
+  opts.threads = 1;
+  opts.partitioning.enabled = true;
+  opts.partitioning.arc_threshold = 1;
+  opts.partitioning.max_cluster_arcs = 3;
+  ASSERT_TRUE(partitioning_applies(cg, opts));
+  EXPECT_EQ(synthesize(cg, lib, opts).value().cover.stop,
+            ucp::CoverStop::kCompleted);
+
+  // ucp.solve hands the second cluster's solver an expired deadline.
+  opts.fault_injection.injector = std::make_shared<support::FaultInjector>(
+      support::FaultPlan::parse("ucp.solve@2").value());
+  const SynthesisResult part = synthesize(cg, lib, opts).value();
+  EXPECT_TRUE(part.validation.ok());
+  EXPECT_EQ(part.cover.stop, ucp::CoverStop::kDeadline);
 }
 
 TEST(PartitionedSynth, LargeInstanceEndToEnd) {

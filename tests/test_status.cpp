@@ -137,17 +137,5 @@ TEST(Deadline, ExpiryLatches) {
   EXPECT_EQ(d.remaining_ms(), 0.0);
 }
 
-TEST(Deadline, CancelTokenIsSharedAcrossCopies) {
-  CancelToken token;
-  Deadline original;
-  original.attach(token);
-  const Deadline copy = original;
-  EXPECT_FALSE(original.unlimited());
-  EXPECT_FALSE(copy.expired());
-  token.cancel();
-  EXPECT_TRUE(copy.expired());
-  EXPECT_TRUE(original.expired());
-}
-
 }  // namespace
 }  // namespace cdcs::support

@@ -1,10 +1,8 @@
 // Worker-pool and concurrent-deadline regression tests. The pool's single
 // correctness obligation is ordered, exception-transparent fan-out (the
 // synthesis engine's determinism rests on it); the Deadline's is that many
-// threads may poll one object without tearing the fault-injection count or
-// double-firing the expiry callback.
+// threads may poll one object without tearing the fault-injection count.
 #include <atomic>
-#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -113,62 +111,6 @@ TEST(DeadlineConcurrency, PollsNeverTearTheCheckCount) {
   EXPECT_TRUE(d.latched());
   EXPECT_LE(alive_polls.load(), kBudget);
   EXPECT_TRUE(d.expired());  // latch holds
-}
-
-TEST(DeadlineConcurrency, ExpiryCallbackFiresExactlyOnce) {
-  std::atomic<int> fired{0};
-  Deadline d = Deadline::expire_after_checks(100);
-  d.on_expiry([&fired] { fired.fetch_add(1); });
-
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&d] {
-      for (int i = 0; i < 1000; ++i) (void)d.expired();
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(fired.load(), 1);
-}
-
-TEST(DeadlineConcurrency, CallbackSharedAcrossCopies) {
-  // Copies snapshot the poll budget but SHARE the once-only callback state:
-  // whichever copy latches first fires it, and the others stay silent.
-  std::atomic<int> fired{0};
-  Deadline original = Deadline::expire_after_checks(5);
-  original.on_expiry([&fired] { fired.fetch_add(1); });
-  Deadline copy = original;
-
-  for (int i = 0; i < 20; ++i) (void)copy.expired();
-  EXPECT_EQ(fired.load(), 1);
-  for (int i = 0; i < 20; ++i) (void)original.expired();
-  EXPECT_EQ(fired.load(), 1);  // still once, across both copies
-}
-
-TEST(DeadlineConcurrency, CancelTokenObservedByAllPollers) {
-  CancelToken token;
-  Deadline d = Deadline::never();
-  d.attach(token);
-  EXPECT_FALSE(d.expired());
-
-  std::atomic<bool> all_saw_expiry{true};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&d, &all_saw_expiry] {
-      // Spin until this thread observes the cancellation. Bounded by wall
-      // clock, not iterations: under a loaded ctest -j the cancelling
-      // thread may not be scheduled for many milliseconds.
-      const auto give_up =
-          std::chrono::steady_clock::now() + std::chrono::seconds(30);
-      while (std::chrono::steady_clock::now() < give_up) {
-        if (d.expired()) return;
-        std::this_thread::yield();
-      }
-      all_saw_expiry.store(false);
-    });
-  }
-  token.cancel();
-  for (auto& th : threads) th.join();
-  EXPECT_TRUE(all_saw_expiry.load());
 }
 
 TEST(DeadlineConcurrency, LatchedIsPollFree) {

@@ -425,7 +425,6 @@ CoverSolution bottom_up_dp_reference(const CoverProblem& problem,
     if ((m & 0xFFF) == 0 && deadline.expired()) {
       sol.cost = kInf;
       sol.nodes_explored = m;
-      sol.deadline_expired = true;
       sol.stop = CoverStop::kDeadline;
       return sol;
     }
@@ -762,7 +761,6 @@ CoverSolution top_down_dp_reference(const CoverProblem& problem,
   sol.nodes_explored = memo.evaluated;
   if (memo.expired) {
     sol.cost = kInf;
-    sol.deadline_expired = true;
     sol.stop = CoverStop::kDeadline;
     return sol;
   }
@@ -921,7 +919,6 @@ TEST(DenseDp, DeadlineAndFrontierFaultExits) {
     const CoverSolution expired = detail::solve_dp_with(
         scan, p, support::Deadline::expire_after_checks(0));
     EXPECT_EQ(expired.stop, CoverStop::kDeadline) << what;
-    EXPECT_TRUE(expired.deadline_expired) << what;
     EXPECT_FALSE(expired.optimal) << what;
     EXPECT_TRUE(std::isinf(expired.cost)) << what;
     EXPECT_EQ(expired.nodes_explored, 4096u) << what;
@@ -951,7 +948,6 @@ TEST(DenseDp, DeadlineAndFrontierFaultExits) {
   const CoverSolution fallback = solve_exact(p, late);
   EXPECT_EQ(fallback.backend, "dense_dp");
   EXPECT_EQ(fallback.stop, CoverStop::kDeadline);
-  EXPECT_TRUE(fallback.deadline_expired);
   EXPECT_FALSE(fallback.optimal);
   EXPECT_TRUE(p.covers_all(fallback.chosen));
   EXPECT_GE(fallback.cost, full.cost);
@@ -967,7 +963,6 @@ TEST(DenseDp, DeadlineAndFrontierFaultExits) {
     const CoverSolution s = solve_exact(p, faulted);
     EXPECT_EQ(s.stop, CoverStop::kAborted) << hit;
     EXPECT_FALSE(s.optimal) << hit;
-    EXPECT_FALSE(s.deadline_expired) << hit;
     EXPECT_TRUE(p.covers_all(s.chosen)) << hit;
     EXPECT_GE(s.cost, full.cost) << hit;
     EXPECT_EQ(s.nodes_explored, hit == 1 ? 0u : 4096u) << hit;

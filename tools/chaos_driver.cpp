@@ -34,7 +34,7 @@
 #include "support/flight_recorder.hpp"
 #include "support/metrics.hpp"
 #include "synth/engine.hpp"
-#include "ucp/cover_solver.hpp"
+#include "ucp/bnb_options.hpp"
 #include "workloads/wan2002.hpp"
 
 namespace {
@@ -172,8 +172,6 @@ int main(int argc, char** argv) {
 
   const model::ConstraintGraph base = workloads::wan2002();
   const commlib::Library lib = commlib::wan_library();
-  const std::vector<std::string> backends =
-      ucp::registered_cover_solver_names();
 
   if (!args.postmortem_dir.empty()) {
     support::set_postmortem_dir(args.postmortem_dir);
@@ -204,13 +202,13 @@ int main(int argc, char** argv) {
     synth::SynthesisOptions options;
     options.threads = args.threads;
     options.fault_injection.injector = std::make_shared<FaultInjector>(*plan);
-    // Rotate the cover solves across every registered backend, so the
+    // Rotate the cover solves across both backends (kCoverBackends), so the
     // rotating plans exercise the ucp.frontier fault site in each engine
     // (dense DP at entry and per deadline poll, bnb_v2 per branch node).
     // WAN instances sit under the dense-DP row cutoff, so bnb_v2 runs only
     // because it is named here.
-    options.solver.backend = backends[static_cast<std::size_t>(i) %
-                                      backends.size()];
+    options.solver.backend = ucp::kCoverBackends[static_cast<std::size_t>(i) %
+                                               ucp::kCoverBackends.size()];
 
     synth::Engine engine(base, lib, options);
     // open_journal consults the io.journal.open fault site, so it may be
